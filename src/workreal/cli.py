@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -54,7 +53,6 @@ class SweepConfig:
     entropy_base: str = "e"
     degeneracy: str = "fine"
     middle_entropy: str = "initial"
-    threads: int = 1
 
     def validate(self) -> list[str]:
         problems = []
@@ -71,8 +69,6 @@ class SweepConfig:
         if self.middle_entropy not in ("initial", "measured"):
             problems.append(
                 f"middle_entropy: must be 'initial' or 'measured', got {self.middle_entropy!r}")
-        if self.threads < 1:
-            problems.append(f"threads: must be >= 1, got {self.threads}")
         if self.n_samples < 1:
             problems.append(f"n_samples: must be >= 1, got {self.n_samples}")
         if self.experiment == "mc-crosscheck" and self.seed is None:
@@ -168,13 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--degeneracy", choices=("fine", "grouped"), default=None)
         p.add_argument("--middle-entropy", choices=("initial", "measured"),
                        default=None, dest="middle_entropy")
-        p.add_argument("--threads", type=int, default=None)
     return parser
 
 
 _FIELD_PARSERS = {
     "beta": float, "n_max": int, "seed": int, "theta": float,
-    "n_samples": int, "threads": int, "out_dir": Path,
+    "n_samples": int, "out_dir": Path,
 }
 
 
@@ -186,22 +181,24 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     overrides = {name: getattr(args, name, None)
                  for name in ("beta", "n_max", "seed", "grid_spec", "beta_grid",
                               "theta", "n_samples", "entropy_base", "degeneracy",
-                              "middle_entropy", "threads")}
+                              "middle_entropy")}
     for key, value in overrides.items():
         if value is not None:
             setattr(config, key, value)
     if args.out is not None:
         config.out_dir = args.out
-    if config.threads == 1:
-        config.threads = int(os.environ.get("WORKREAL_THREADS", "1") or 1)
     return config
 
 
 def _base_meta(config: SweepConfig) -> dict:
+    """The library version and the run's settings.  The sample count is echoed
+    only by the Monte Carlo cross-check, the one experiment that samples."""
     meta = {"library": f"workreal {__version__}", "experiment": config.experiment}
-    for name in ("beta", "n_max", "seed", "grid_spec", "beta_grid", "theta",
-                 "n_samples", "entropy_base", "degeneracy", "middle_entropy",
-                 "threads"):
+    names = ["beta", "n_max", "seed", "grid_spec", "beta_grid", "theta",
+             "entropy_base", "degeneracy", "middle_entropy"]
+    if config.experiment == "mc-crosscheck":
+        names.append("n_samples")
+    for name in names:
         value = getattr(config, name)
         if value is not None:
             meta[name] = value
@@ -222,8 +219,7 @@ def _run_squeeze_grid(config: SweepConfig) -> list[Path]:
     grid = parse_grid_spec(config.grid_spec) if config.grid_spec else None
     table = squeeze_grid_sweep(beta=beta, r1_grid=grid, r2_grid=grid,
                                n_max=config.n_max, degeneracy=config.degeneracy,
-                               base=config.base, threads=config.threads,
-                               middle_entropy=config.middle_entropy)
+                               base=config.base, middle_entropy=config.middle_entropy)
     contours = table.meta.pop("contours")
     table.meta = {**_base_meta(config), **table.meta}
     written = [config.out_dir / "squeeze_grid.csv"]

@@ -1,32 +1,36 @@
 """Truncated-Fock squeezing propagator and the oscillator sweeps.
 
 The transition matrix G_{mn}(r) = <m|U_r|n> of the squeeze unitary
-U_r = exp[(r/2)(adag^2 - a^2)] is evaluated from its closed-form series over
-number-state paths:
+U_r = exp[(r/2)(adag^2 - a^2)] couples only levels of equal parity.  On the
+levels p, p + 2, ... the generator is r times a fixed antisymmetric tridiagonal
+matrix T with T[k+1, k] = sqrt((l_k + 1)(l_k + 2)) / 2, l_k = p + 2k.
+Conjugating by diag(i^k) turns T into -i S with S real symmetric tridiagonal, so
+one eigendecomposition S = V diag(lam) V^T, independent of r, serves every
+amplitude:
 
-    G_{mn} = (-1)^{floor(n/2)} sqrt(m! n!) sech(r)^{1/2}
-             * sum_i (-4)^i sinh(r)^{(m+n)/2 - 2i - p} (2 cosh(r))^{-(m+n)/2}
-                     * 2^p / [(2i+p)! ((m-p)/2 - i)! ((n-p)/2 - i)!]
+    G[j, k] = i^(j-k) * (V cos(r lam) V^T - i V sin(r lam) V^T)[j, k],
 
-with p = 0 (1) for even (odd) m, n and zero whenever m + n is odd.  The series is
-summed in log space with signed accumulation, which keeps 200!-scale factorials
-finite but cannot help where the alternating terms cancel almost completely (large
-m and n simultaneously).  Elements whose cancellation exceeds what float64 can
-certify are therefore recomputed from the exponential of the generator's
-antisymmetric tridiagonal parity blocks via an orthogonal eigendecomposition,
-which is unconditionally stable.  An independent scaling-and-squaring matrix
-exponential is kept as the ground-truth oracle for gate comparisons.
+which is +-(V cos V^T)[j, k] for even j - k and +-(V sin V^T)[j, k] for odd.
+
+The eigenbasis is taken on PADDING levels beyond the requested truncation and
+cached per size.  A truncated G is the top-left block of that padded
+exponential, and the mass each column puts on the padded rows is its leak past
+n_max (`SqueezeMatrix.column_defects`), the quantity `select_n_max` certifies.
+The padding is exact to float64 wherever that leak is far below the tolerance,
+since the squeezed amplitude then never reaches the padded edge.  An independent
+scaling-and-squaring matrix exponential is kept as the oracle for gate
+comparisons; the tests add the closed-form series of Kim, de Oliveira & Knight
+(PRA 40, 2494 (1989)) in arbitrary precision as a second one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
-from scipy.special import gammaln
 
 from .entropy import shannon_entropy, work_entropy
 from .errors import InvalidParameterError, TruncationError
@@ -34,11 +38,11 @@ from .hilbert import EnergySpectrum, UnitaryPropagator, build_thermal_state
 from .protocol import JointDistribution, JointDistribution3, work_distribution
 from .tables import SweepTable, contour_points
 
-EPS = float(np.finfo(float).eps)
 THERMAL_TAIL_TOL = 1e-12
 COLUMN_DEFECT_TOL = 1e-10
 SUPPORT_TOL = 1e-10
-SERIES_REL_TOL = 1e-12
+PADDING = 128
+N_MAX_CAP = 8192
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -69,108 +73,43 @@ class SqueezeParams:
 
 @dataclass
 class SqueezeMatrix:
-    """Real transition matrix G_{mn}(r) on a truncated number basis.
+    """Real transition matrix G_{mn}(r) on the levels 0..n_max.
 
-    `column_defects[n]` is |1 - sum_m G_{mn}^2|, the mass a unit population on level
-    n would leak past the truncation.  `series_fraction` reports how much of the
-    matrix came straight from the series (the rest from the eigendecomposition
-    fallback); it is 1.0 wherever float64 can certify the series.
+    `g` is the top-left block of the squeeze exponential on n_max + 1 + PADDING
+    levels.  `column_defects[n]` is the probability that a unit population on
+    level n is carried past n_max: the squared weight column n puts on the padded
+    rows.  It is the true leak wherever it is far below one, because the padded
+    edge then lies beyond the squeezed amplitude's reach.
     """
 
     g: np.ndarray
     r: float
     n_max: int
-    column_defects: np.ndarray = field(init=False)
-    series_fraction: float = 1.0
-
-    def __post_init__(self):
-        self.column_defects = np.abs(1.0 - (self.g * self.g).sum(axis=0))
+    column_defects: np.ndarray
 
     @property
     def transition_probabilities(self) -> np.ndarray:
         return self.g * self.g
 
 
-@lru_cache(maxsize=64)
-def _log_factorials(size: int) -> np.ndarray:
-    return gammaln(np.arange(size, dtype=float) + 1.0)
+@lru_cache(maxsize=8)
+def _parity_basis(size: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of S on the levels p, p + 2, ... below `size` (see module doc)."""
+    levels = np.arange(p, size - 2, 2, dtype=float)
+    return eigh_tridiagonal(np.zeros(levels.size + 1),
+                            0.5 * np.sqrt((levels + 1.0) * (levels + 2.0)))
 
 
-def _series_blocks(r: float, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signed log-space evaluation of the closed-form series.
-
-    Returns (values, certified).  certified[m, n] is False where the alternating
-    sum cancelled past the float64 noise floor, i.e. where `values` cannot be
-    trusted to ~1e-12 relative or 1e-16 absolute.
-    """
-    g = np.zeros((size, size))
-    certified = np.ones((size, size), dtype=bool)
-    lf = _log_factorials(2 * size + 2)
-    ls = math.log(math.sinh(r))
-    lc2 = math.log(2.0 * math.cosh(r))
-    lch = math.log(math.cosh(r))
-    for p in (0, 1):
-        levels = np.arange(p, size, 2)
-        n_half = levels.size
-        if n_half == 0:
-            continue
-        half = np.arange(n_half)
-        base = 0.5 * lf[levels] + half * (ls - lc2)
-        running_max = np.full((n_half, n_half), -np.inf)
-        acc = np.zeros((n_half, n_half))
-        for i in range(n_half):
-            c_i = -2.0 * i * (ls - lc2) - (2 * i + p + 0.5) * lch - lf[2 * i + p]
-            u = base[i:] - lf[: n_half - i]
-            term = u[:, None] + u[None, :] + c_i
-            view_max = running_max[i:, i:]
-            new_max = np.maximum(view_max, term)
-            acc[i:, i:] = acc[i:, i:] * np.exp(view_max - new_max) \
-                + (-1.0) ** i * np.exp(term - new_max)
-            running_max[i:, i:] = new_max
-        n_terms = np.minimum(half[:, None], half[None, :]) + 1.0
-        noise = EPS * n_terms
-        abs_acc = np.abs(acc)
-        with np.errstate(divide="ignore", over="ignore"):
-            ok = (noise < SERIES_REL_TOL * abs_acc) \
-                | (running_max + np.log(noise) < math.log(1e-16))
-            log_val = running_max + np.log(np.where(abs_acc > 0.0, abs_acc, 1.0))
-            vals = np.where((abs_acc > 0.0) & ok,
-                            np.sign(acc) * np.exp(np.minimum(log_val, 700.0)), 0.0)
-        sign = np.where(half % 2 == 0, 1.0, -1.0)  # (-1)^{floor(n/2)}
-        idx = np.ix_(levels, levels)
-        g[idx] = vals * sign[None, :]
-        certified[idx] = ok
-    return g, certified
-
-
-def _eigen_exponential(r: float, size: int) -> np.ndarray:
-    """exp of the squeeze generator via its antisymmetric tridiagonal parity blocks.
-
-    i*T is Hermitian; conjugating by diag(i^x) turns it into a real symmetric
-    tridiagonal matrix, so exp(T) = V f(Lambda) V^T up to i-power phases that
-    reduce to cos/sin selections on the (row - column) offset.
-    """
-    g = np.zeros((size, size))
-    for p in (0, 1):
-        levels = np.arange(p, size, 2)
-        n_half = levels.size
-        if n_half == 0:
-            continue
-        if n_half == 1:
-            g[levels[0], levels[0]] = 1.0 if r == 0.0 else math.cosh(r) ** -0.5 \
-                if p == 0 else math.cosh(r) ** -1.5
-            continue
-        lev = levels.astype(float)
-        off_diag = 0.5 * r * np.sqrt((lev[:-1] + 1.0) * (lev[:-1] + 2.0))
-        lam, vec = eigh_tridiagonal(np.zeros(n_half), off_diag)
-        cos_part = (vec * np.cos(lam)) @ vec.T
-        sin_part = (vec * np.sin(lam)) @ vec.T
-        offset = np.arange(n_half)[:, None] - np.arange(n_half)[None, :]
-        block = np.where(offset % 2 == 0,
-                         np.where(offset % 4 == 0, cos_part, -cos_part),
-                         np.where(offset % 4 == 1, sin_part, -sin_part))
-        g[np.ix_(levels, levels)] = block
-    return g
+def _parity_columns(r: float, size: int, n_cols: int, p: int) -> np.ndarray:
+    """G[m, n] for m = p, p + 2, ... below size + PADDING and n = p, p + 2, ...
+    below n_cols, from the eigenbasis padded past `size`."""
+    lam, vec = _parity_basis(size + PADDING, p)
+    right = vec[: (n_cols - p + 1) // 2].T
+    cos_part = vec @ (np.cos(r * lam)[:, None] * right)
+    sin_part = vec @ (np.sin(r * lam)[:, None] * right)
+    offset = np.arange(vec.shape[0])[:, None] - np.arange(right.shape[1])[None, :]
+    sign = np.where(offset % 4 < 2, 1.0, -1.0)  # the real or imaginary part of i^offset
+    return sign * np.where(offset % 2 == 0, cos_part, sin_part)
 
 
 def _validate_squeeze_args(r: float, n_max: int) -> None:
@@ -180,73 +119,36 @@ def _validate_squeeze_args(r: float, n_max: int) -> None:
         raise InvalidParameterError("n_max must be at least 1")
 
 
-def _closed_form_uncached(r: float, n_max: int) -> SqueezeMatrix:
-    size = n_max + 1
-    if r == 0.0:
-        return SqueezeMatrix(np.eye(size), r, n_max, series_fraction=1.0)
-    values, certified = _series_blocks(r, size)
-    if certified.all():
-        return SqueezeMatrix(values, r, n_max, series_fraction=1.0)
-    filled = np.where(certified, values, _eigen_exponential(r, size))
-    return SqueezeMatrix(filled, r, n_max, series_fraction=float(certified.mean()))
-
-
-@lru_cache(maxsize=12)
-def _closed_form_cached(r: float, n_max: int) -> SqueezeMatrix:
-    return _closed_form_uncached(r, n_max)
-
-
 def squeeze_matrix_closed_form(r: float, n_max: int) -> SqueezeMatrix:
-    """Closed-form squeeze transition matrix; see the module docstring."""
+    """Squeeze transition matrix from the padded eigenbasis; see the module docstring."""
     _validate_squeeze_args(r, n_max)
-    return _closed_form_cached(float(r), int(n_max))
-
-
-def squeeze_matrix_legacy_transcription(r: float, n_max: int) -> np.ndarray:
-    """A known mis-transcription of the series, retained only for diagnosis.
-
-    Sums start at i = 1 instead of 0, the prefactor is 1/cosh(r) instead of
-    sech(r)^{1/2} with sign (-1)^{floor(m/2)}, and the odd branch scales as
-    (2 cosh r)^{-(m+n)/2 - 1}.  It fails the oracle comparison badly (already
-    G_{00} = 0), which is how the corrected transcription above was pinned down.
-    """
-    _validate_squeeze_args(r, n_max)
-    if n_max > 64:
-        raise InvalidParameterError("diagnostic transcription is capped at n_max = 64")
-    size = n_max + 1
+    size = int(n_max) + 1
     if r == 0.0:
-        return np.eye(size)
+        return SqueezeMatrix(np.eye(size), 0.0, n_max, np.zeros(size))
     g = np.zeros((size, size))
-    sh, ch = math.sinh(r), math.cosh(r)
-    for m in range(size):
-        for n in range(size):
-            if (m + n) % 2:
-                continue
-            p = m % 2
-            total = 0.0
-            for i in range(1, min((m - p) // 2, (n - p) // 2) + 1):
-                log_mag = (0.5 * (gammaln(m + 1) + gammaln(n + 1))
-                           + i * math.log(4.0)
-                           + (0.5 * (m + n) - 2 * i - p) * math.log(sh)
-                           - (0.5 * (m + n) + p) * math.log(2.0 * ch)
-                           - gammaln(2 * i + p + 1)
-                           - gammaln((m - p) // 2 - i + 1)
-                           - gammaln((n - p) // 2 - i + 1))
-                total += (-1.0) ** i * math.exp(min(log_mag, 700.0))
-            g[m, n] = (-1.0) ** (m // 2) / ch * total
-    return g
+    defects = np.empty(size)
+    for p in (0, 1):
+        levels = np.arange(p, size, 2)
+        columns = _parity_columns(float(r), size, size, p)
+        g[np.ix_(levels, levels)] = columns[: levels.size]
+        defects[levels] = (columns[levels.size:] ** 2).sum(axis=0)
+    return SqueezeMatrix(g, float(r), n_max, defects)
 
 
 def squeeze_matrix_exponential_oracle(r: float, n_max: int) -> SqueezeMatrix:
-    """Ground truth by scaling-and-squaring: expm of (r/2)(adag^2 - a^2)."""
+    """Ground truth by scaling-and-squaring: expm of (r/2)(adag^2 - a^2).
+
+    The generator itself is truncated here, so `column_defects` is |1 - column
+    norm| of this matrix, not a leak past n_max."""
     _validate_squeeze_args(r, n_max)
     size = n_max + 1
-    if r == 0.0:
-        return SqueezeMatrix(np.eye(size), r, n_max)
-    raising_sq = np.zeros((size, size))
-    for m in range(size - 2):
-        raising_sq[m + 2, m] = math.sqrt((m + 1.0) * (m + 2.0))
-    return SqueezeMatrix(expm(0.5 * r * (raising_sq - raising_sq.T)), r, n_max)
+    g = np.eye(size)
+    if r != 0.0:
+        raising_sq = np.zeros((size, size))
+        for m in range(size - 2):
+            raising_sq[m + 2, m] = math.sqrt((m + 1.0) * (m + 2.0))
+        g = expm(0.5 * r * (raising_sq - raising_sq.T))
+    return SqueezeMatrix(g, r, n_max, np.abs(1.0 - (g * g).sum(axis=0)))
 
 
 def squeeze_propagator(sq: SqueezeMatrix,
@@ -283,28 +185,60 @@ def _thermal_support(beta: float, tol: float) -> int:
     return max(0, int(math.ceil(-math.log(tol) / beta)) - 1)
 
 
+def _vacuum_cut(r: float) -> int:
+    """Smallest multiple of 64 past which the squeezed vacuum keeps less than
+    COLUMN_DEFECT_TOL, or N_MAX_CAP + 64 if none up to the cap.  Column 0 is
+    always occupied, so no truncation below this can pass `select_n_max`.
+
+    |<2k|U_r|0>|^2 = (2k)! / (4^k k!^2) tanh(r)^(2k) / cosh(r).
+    """
+    k = np.arange(1, N_MAX_CAP // 2 + 1)
+    ratios = (2.0 * k - 1.0) / (2.0 * k) * math.tanh(r) ** 2
+    probs = np.cumprod(np.concatenate(([1.0 / math.cosh(min(r, 700.0))], ratios)))
+    leak = 1.0 - np.cumsum(probs)  # leak[k]: mass above level 2k
+    cuts = np.arange(64, N_MAX_CAP + 1, 64)
+    passing = cuts[leak[cuts // 2] < COLUMN_DEFECT_TOL]
+    return int(passing[0]) if passing.size else N_MAX_CAP + 64
+
+
 @lru_cache(maxsize=256)
 def _select_n_max_cached(beta: float, r_total: float) -> int:
     support_hi = _thermal_support(beta, SUPPORT_TOL)
     n_thermal = _thermal_support(beta, THERMAL_TAIL_TOL)
-    guess = max(n_thermal + 1, int((support_hi + 8) * math.exp(2.0 * r_total)) + 8, 48)
-    candidate = 64 * int(math.ceil(guess / 64.0))
-    while candidate <= 8192:
-        matrix = _closed_form_cached(r_total, candidate)
-        if matrix.column_defects[: support_hi + 1].max() < COLUMN_DEFECT_TOL:
-            return candidate
-        candidate += max(64, (candidate // 128) * 64)
+    lower = max(64 * max(1, math.ceil(n_thermal / 64)), _vacuum_cut(r_total))
+    # first build: the occupied columns' squeezed reach plus one step; the exponent
+    # is clamped where the guess is past the cap anyway
+    guess = int((support_hi + 8) * math.exp(min(2.0 * r_total, 10.0))) + 72
+    upper = min(N_MAX_CAP, max(lower, 64 * math.ceil(guess / 64)))
+    while lower <= N_MAX_CAP:
+        # worst[p][j]: largest mass any occupied column of parity p puts on the
+        # levels p + 2j, p + 2j + 2, ... of an eigenbasis padded past `upper`
+        worst = []
+        for p in (0, 1):
+            columns = _parity_columns(r_total, upper + 1, support_hi + 1, p)
+            worst.append(np.cumsum((columns ** 2)[::-1], axis=0)[::-1].max(axis=1,
+                                                                         initial=0.0))
+        for cut in range(lower, upper + 1, 64):
+            if max(worst[p][(cut - p) // 2 + 1] for p in (0, 1)) < COLUMN_DEFECT_TOL:
+                return cut
+        lower, upper = upper + 64, min(N_MAX_CAP, 2 * upper)
     raise TruncationError(
-        f"no truncation below 8192 levels meets the budget for beta={beta}, r={r_total}")
+        f"no truncation up to {N_MAX_CAP} levels meets the budget for "
+        f"beta={beta}, r={r_total}")
 
 
 def select_n_max(beta: float, r_total: float) -> int:
-    """Smallest multiple-of-64 truncation with thermal tail below 1e-12 and
-    squeeze-column defects below 1e-10 on the thermally occupied support.
+    """Smallest multiple-of-64 truncation with thermal tail below 1e-12 and a leak
+    below 1e-10 past it from every column on the thermally occupied support (the
+    levels up to the first one with less than 1e-10 thermal mass above it).
 
     `r_total` is the largest squeeze amplitude the run will compose (r1 + r2).
     The amplitude is quantized upward to 0.02 so repeated nearby queries share a
-    cached answer; a larger amplitude never yields a smaller truncation.
+    cached answer; a larger amplitude never yields a smaller truncation.  The
+    leaks of every candidate are read off one padded build by a reverse
+    cumulative sum over its rows; the build doubles only when no candidate in it
+    passes.  Raises TruncationError, without building
+    anything, when the squeezed vacuum alone already needs more than 8192 levels.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise InvalidParameterError("beta must be positive and finite")
@@ -440,7 +374,7 @@ def entropic_k3_oscillator(beta: float, r1: float, r2: float,
             f"thermal tail {tail:.3e} too large at beta={beta}, r1={r1}, r2={r2}, "
             f"n_max={n_max}", leaked_mass=tail)
     t1 = squeeze_matrix_closed_form(r1, n_max).transition_probabilities
-    t2 = squeeze_matrix_closed_form(r2, n_max).transition_probabilities
+    t2 = t1 if r2 == r1 else squeeze_matrix_closed_form(r2, n_max).transition_probabilities
     t_total = squeeze_matrix_closed_form(r1 + r2, n_max).transition_probabilities
     levels = np.arange(n_max + 1.0)
     weights = np.exp(-beta * levels)
@@ -531,14 +465,15 @@ def diagonal_scan(beta: float, r_grid: np.ndarray, degeneracy: str = "fine",
 def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
                        r2_grid: np.ndarray | None = None, n_max: int | None = None,
                        degeneracy: str = "fine", base: float = math.e,
-                       threads: int = 1,
                        contour_levels: tuple[float, ...] = (0.0, -0.05),
                        middle_entropy: str = "initial") -> SweepTable:
     """K_en over a rectangular (r1, r2) grid, plus contour point sets.
 
-    The fine-grained convention lets every cell reduce to dot products between
-    per-r1 marginals and per-r2 column-entropy vectors, so each distinct squeeze
-    amplitude is built exactly once.  Contours are in meta["contours"].
+    Every distinct amplitude among r1, r2 and r1 + r2 is built once and reduced
+    to the vectors its cells need, so in the fine-grained convention each cell is
+    a few dot products between per-r1 marginals and per-r2 column entropies.  The
+    grouped convention needs the whole r2 joint per cell, so it rebuilds the r2
+    matrix once per grid column.  Contours are in meta["contours"].
     """
     _check_conventions(degeneracy, middle_entropy)
     if r1_grid is None:
@@ -558,71 +493,52 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
             f"thermal tail {tail:.3e} too large at beta={beta}, "
             f"r grid up to ({r1_grid.max():g}, {r2_grid.max():g}), n_max={n_max}",
             leaked_mass=tail)
+    fine = degeneracy == "fine"
     levels = np.arange(n_max + 1.0)
     weights = np.exp(-beta * levels)
     pops = weights / weights.sum()
+    h_pops = _entropy(pops)
 
     def transitions(r: float) -> np.ndarray:
-        return _closed_form_uncached(float(r), n_max).transition_probabilities
+        return squeeze_matrix_closed_form(float(r), n_max).transition_probabilities
 
-    def map_in_order(fn, values):
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(fn, values))
-        return [fn(v) for v in values]
+    stats: dict[float, tuple] = {}
 
-    def leg1_stats(r1: float):
-        t = transitions(r1)
-        p1 = t @ pops
-        h_w10 = float(pops @ _column_entropies(t)) if degeneracy == "fine" \
-            else _grouped_work_entropy(t * pops[None, :])
-        shift = _entropy(p1) - _entropy(pops) if middle_entropy == "initial" else 0.0
-        return p1, h_w10, shift
-
-    leg1 = map_in_order(leg1_stats, r1_grid)
-
-    sums: dict[float, tuple[float, float]] = {}
-    for r1 in r1_grid:
-        for r2 in r2_grid:
-            sums.setdefault(round(float(r1 + r2), 12), (0.0, 0.0))
-
-    def no_middle_stats(r_sum: float):
-        t = transitions(r_sum)
-        deficit = 1.0 - float(t.sum(axis=0) @ pops)
-        value = float(pops @ _column_entropies(t)) if degeneracy == "fine" \
-            else _grouped_work_entropy(t * pops[None, :])
-        return value, deficit
-
-    sum_keys = sorted(sums)
-    for key, stats in zip(sum_keys, map_in_order(no_middle_stats, sum_keys)):
-        sums[key] = stats
+    def leg(r: float) -> tuple:
+        """(p1, H(W) from the thermal state, column entropies, column sums,
+        H(p1), leak from the thermal state) of the squeeze r."""
+        key = round(float(r), 12)
+        if key not in stats:
+            t = transitions(r)
+            p1 = t @ pops
+            entropies = _column_entropies(t) if fine else None
+            h_w = float(pops @ entropies) if fine \
+                else _grouped_work_entropy(t * pops[None, :])
+            colsum = t.sum(axis=0)
+            stats[key] = (p1, h_w, entropies, colsum, _entropy(p1),
+                          1.0 - float(colsum @ pops))
+        return stats[key]
 
     log_base = math.log(base)
     rows = np.empty((r1_grid.size * r2_grid.size, 4))
     z = np.empty((r1_grid.size, r2_grid.size))
-
-    def fill_column(j: int) -> float:
-        t2 = transitions(r2_grid[j])
-        colsum2 = t2.sum(axis=0)
-        col_entropy2 = _column_entropies(t2) if degeneracy == "fine" else None
-        column_worst = 0.0
+    worst_budget = 0.0
+    for j, r2 in enumerate(r2_grid):
+        _, _, entropies2, colsum2, _, _ = leg(r2)
+        t2 = None if fine else transitions(r2)
         for i, r1 in enumerate(r1_grid):
-            p1, h_w10, shift = leg1[i]
-            h20, deficit_nm = sums[round(float(r1 + r2_grid[j]), 12)]
-            if degeneracy == "fine":
-                value = 0.5 * (p1 @ col_entropy2 + h_w10 - h20 + shift)
+            p1, h_w10, _, _, h_p1, _ = leg(r1)
+            _, h_w20, _, _, _, deficit_no_middle = leg(r1 + r2)
+            shift = h_p1 - h_pops if middle_entropy == "initial" else 0.0
+            if fine:
+                value = 0.5 * (p1 @ entropies2 + h_w10 - h_w20 + shift)
             else:
                 h_w21 = _grouped_work_entropy(t2 * p1[None, :])
-                value = 0.5 * (h_w21 + h_w10 - h20 - _entropy(p1) + shift)
-            deficit_measured = 1.0 - float(colsum2 @ p1)
-            budget = _budget(tail, deficit_measured, deficit_nm)
-            column_worst = max(column_worst, budget)
+                value = 0.5 * (h_w21 + h_w10 - h_w20 - h_p1 + shift)
+            budget = _budget(tail, 1.0 - float(colsum2 @ p1), deficit_no_middle)
+            worst_budget = max(worst_budget, budget)
             z[i, j] = value / log_base
-            rows[i * r2_grid.size + j] = (r1, r2_grid[j], z[i, j], budget)
-        return column_worst
-
-    worst_budget = max(map_in_order(fill_column, range(r2_grid.size)))
+            rows[i * r2_grid.size + j] = (r1, r2, z[i, j], budget)
     contours = {level: contour_points(r1_grid, r2_grid, z, level)
                 for level in contour_levels}
     return SweepTable(

@@ -67,17 +67,22 @@ class TestSqueezeGrid:
         assert zero_contour.rows.shape[0] > 0
         assert (tmp_path / "squeeze_grid_contour_-0.05.csv").exists()
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
+    def test_byte_identical_reruns(self, tmp_path):
         args = ["squeeze-grid", "--beta", "1.0", "--grid-spec", "0:0.2:5",
                 "--n-max", "96"]
-        run_cli(args + ["--out", tmp_path / "a", "--threads", "1"])
-        run_cli(args + ["--out", tmp_path / "b", "--threads", "4"])
+        assert run_cli(args + ["--out", tmp_path / "a"]) == 0
+        assert run_cli(args + ["--out", tmp_path / "b"]) == 0
         a = (tmp_path / "a" / "squeeze_grid.csv").read_bytes()
         b = (tmp_path / "b" / "squeeze_grid.csv").read_bytes()
-        # the threads flag is echoed in the manifest; every data byte must match
-        data_a = [line for line in a.split(b"\n") if not line.startswith(b"#")]
-        data_b = [line for line in b.split(b"\n") if not line.startswith(b"#")]
-        assert data_a == data_b and len(data_a) == 27
+        assert a == b
+        assert len([line for line in a.split(b"\n") if not line.startswith(b"#")]) == 27
+
+    def test_manifest_echoes_only_used_settings(self, tmp_path):
+        run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "1.0",
+                 "--grid-spec", "0:0.1:2", "--n-max", "64"])
+        table = read_table_csv(tmp_path / "squeeze_grid.csv")
+        assert "n_samples" not in table.meta
+        assert table.meta["n_max"] == "64"
 
     def test_truncation_failure_names_the_point(self, tmp_path, capsys):
         code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "0.05",
@@ -85,6 +90,20 @@ class TestSqueezeGrid:
         assert code == 3
         message = capsys.readouterr().err
         assert "beta" in message and "0.05" in message
+
+    def test_cap_failure_builds_nothing(self, tmp_path, capsys, monkeypatch):
+        """r1 + r2 = 4 at beta = 0.1 needs more than 8192 levels: exit 3 with the
+        point named, before any squeeze matrix is built."""
+        import workreal.squeezing as squeezing
+
+        def no_build(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(squeezing, "_parity_columns", no_build)
+        code = run_cli(["squeeze-grid", "--out", tmp_path, "--grid-spec", "0:2:3"])
+        assert code == 3
+        message = capsys.readouterr().err
+        assert "beta=0.1" in message and "r=4" in message
 
 
 class TestSqueezeBeta:
@@ -123,6 +142,7 @@ class TestMcCrosscheck:
                  "--n-samples", "50000"])
         table = read_table_csv(tmp_path / "mc_crosscheck.csv")
         assert float(table.meta["chi_squared_pvalue"]) > 0.001
+        assert table.meta["n_samples"] == "50000"
         np.testing.assert_allclose(table.column("empirical").sum(), 1.0, atol=1e-12)
 
     def test_seed_required(self, tmp_path, capsys):
@@ -156,13 +176,3 @@ class TestConfigFile:
     def test_invalid_values_diagnosed(self, tmp_path, capsys):
         assert run_cli(["tls-theta", "--out", tmp_path, "--beta", "-1"]) == 2
         assert "beta" in capsys.readouterr().err
-
-
-def test_env_var_thread_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("WORKREAL_THREADS", "3")
-    from workreal.cli import build_config, build_parser
-    args = build_parser().parse_args(["tls-theta", "--out", str(tmp_path)])
-    assert build_config(args).threads == 3
-    monkeypatch.setenv("WORKREAL_THREADS", "1")
-    args = build_parser().parse_args(["tls-theta", "--threads", "2"])
-    assert build_config(args).threads == 2

@@ -24,10 +24,35 @@ from workreal.squeezing import (
     SqueezeParams,
     golden_section_minimum,
     oscillator_entropy_reports,
-    squeeze_matrix_legacy_transcription,
 )
 
 G00_HALF = 0.94171061583167571  # sech(1/2)^(1/2), frozen at 40 digits
+
+
+def series_element(m, n, r, dps=60):
+    """<m|exp[(r/2)(adag^2 - a^2)]|n> from the closed-form series of Kim,
+    de Oliveira & Knight (PRA 40, 2494 (1989)), summed in arbitrary precision:
+
+        G_mn = (-1)^floor(n/2) sqrt(m! n!) sech(r)^(1/2) (2 cosh r)^(-(m+n)/2)
+               * sum_i (-4)^i sinh(r)^((m+n)/2 - 2i - p) 2^p
+                       / [(2i+p)! ((m-p)/2 - i)! ((n-p)/2 - i)!]
+
+    with p = m mod 2, and zero when m + n is odd.  The alternating sum cancels
+    badly in float64 at large m and n; 60 digits keep every term exact enough.
+    """
+    import mpmath as mp
+    if (m + n) % 2:
+        return 0.0
+    p = m % 2
+    with mp.workdps(dps):
+        sh, ch = mp.sinh(mp.mpf(r)), mp.cosh(mp.mpf(r))
+        total = mp.fsum((-4) ** i * sh ** ((m + n) // 2 - 2 * i - p) * 2 ** p
+                        / (mp.factorial(2 * i + p) * mp.factorial((m - p) // 2 - i)
+                           * mp.factorial((n - p) // 2 - i))
+                        for i in range(min(m, n) // 2 + 1))
+        value = (-1) ** (n // 2) * mp.sqrt(mp.factorial(m) * mp.factorial(n) / ch) \
+            * total / (2 * ch) ** ((m + n) // 2)
+        return float(value)
 
 
 class TestSqueezeParams:
@@ -77,17 +102,33 @@ class TestClosedForm:
             oracle = squeeze_matrix_exponential_oracle(r, 240)
             assert np.abs(closed.g[:21, :21] - oracle.g[:21, :21]).max() < 1e-8
 
-    def test_gate_block_is_mostly_pure_series(self):
-        """The dual route stays honest: at the sweep-regime amplitudes every gate
-        element comes straight from the series; at r = 1 only the deepest corner
-        falls back to the eigendecomposition (which is still not the oracle)."""
-        from workreal.squeezing import _series_blocks
-        even = (np.indices((21, 21)).sum(axis=0) % 2) == 0
-        for r in (0.02, 0.2):
-            _, certified = _series_blocks(r, 41)
-            assert certified[:21, :21][even].all()
-        _, certified = _series_blocks(1.0, 41)
-        assert certified[:21, :21][even].mean() > 0.95
+    def test_low_corner_matches_the_series(self):
+        """Every element with m, n <= 20 against the arbitrary-precision series, at
+        weak, moderate and strong squeezing."""
+        for r in (0.02, 0.2, 1.0):
+            g = squeeze_matrix_closed_form(r, 20).g
+            series = np.array([[series_element(m, n, r) for n in range(21)]
+                               for m in range(21)])
+            assert np.abs(g - series).max() < 1e-13
+
+    def test_deep_elements_match_the_series(self):
+        """Where the float64 series cancels (m, n in the hundreds), the kernel still
+        holds to 1e-12 absolute."""
+        g = squeeze_matrix_closed_form(0.2, 384).g
+        for m, n in ((100, 100), (120, 180), (200, 160), (250, 250), (300, 300),
+                     (300, 240), (151, 201), (101, 299), (280, 220)):
+            assert g[m, n] == pytest.approx(series_element(m, n, 0.2), abs=1e-12)
+
+    def test_column_defects_are_the_leak_past_n_max(self):
+        """At beta = 0.1, r = 0.2 and n_max = 384, the worst occupied column leaks
+        more than the selection tolerance; the defect must report that leak as an
+        expm oracle on twice the levels sees it."""
+        defects = squeeze_matrix_closed_form(0.2, 384).column_defects[:231]
+        oracle = squeeze_matrix_exponential_oracle(0.2, 784).g
+        leak = (oracle[385:, :231] ** 2).sum(axis=0)
+        assert defects.max() == pytest.approx(leak.max(), rel=1e-6)
+        assert int(np.argmax(defects)) == int(np.argmax(leak))
+        assert defects.max() > 1e-10
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidParameterError):
@@ -141,14 +182,6 @@ class TestExponentialOracle:
         assert np.abs(small.g[:33, :33] - large.g[:33, :33]).max() < 1e-10
 
 
-def test_legacy_transcription_documents_the_discrepancy():
-    """The mis-transcribed series loses the vacuum element entirely, which is the
-    smoking gun that pinned the corrected form."""
-    legacy = squeeze_matrix_legacy_transcription(0.5, 12)
-    assert legacy[0, 0] == 0.0
-    assert np.abs(legacy - squeeze_matrix_closed_form(0.5, 12).g).max() > 0.5
-
-
 class TestComposition:
     def test_squeezes_compose_additively(self):
         # trusted band: columns whose squeezed support clears the truncation edge
@@ -183,6 +216,23 @@ class TestTruncationSelection:
         defects = squeeze_matrix_closed_form(0.2, n_max).column_defects
         support = int(math.ceil(-math.log(1e-10) / 0.1))
         assert defects[:support].max() < 1e-10
+        # smallest such multiple of 64: one step down breaks the leak criterion
+        assert thermal_tail_mass(0.1, n_max - 64) < 1e-12
+        below = squeeze_matrix_closed_form(0.2, n_max - 64).column_defects
+        assert below[:support].max() >= 1e-10
+
+    def test_cap_fails_before_building(self, monkeypatch):
+        """When the squeezed vacuum alone needs more than 8192 levels, the search
+        raises without a single eigendecomposition."""
+        import workreal.squeezing as squeezing
+
+        def no_build(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(squeezing, "_parity_columns", no_build)
+        with pytest.raises(TruncationError) as excinfo:
+            select_n_max(0.1, 4.0)
+        assert "beta=0.1" in str(excinfo.value) and "r=4" in str(excinfo.value)
 
     def test_low_temperature_needs_few_levels(self):
         assert select_n_max(10.0, 0.5) <= 128
