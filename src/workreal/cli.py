@@ -190,15 +190,23 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     return config
 
 
+# the settings each experiment reads, in manifest order
+USED_SETTINGS = {
+    "tls-theta": ("beta", "grid_spec", "entropy_base"),
+    "squeeze-grid": ("beta", "n_max", "grid_spec", "entropy_base", "degeneracy",
+                     "middle_entropy"),
+    "squeeze-beta": ("grid_spec", "beta_grid", "entropy_base", "degeneracy",
+                     "middle_entropy"),
+    "jarzynski-check": ("n_max", "seed"),
+    "mc-crosscheck": ("beta", "seed", "theta", "n_samples"),
+}
+
+
 def _base_meta(config: SweepConfig) -> dict:
-    """The library version and the run's settings.  The sample count is echoed
-    only by the Monte Carlo cross-check, the one experiment that samples."""
+    """The library version and the settings the experiment reads, so a manifest
+    never echoes a setting that had no effect on the data."""
     meta = {"library": f"workreal {__version__}", "experiment": config.experiment}
-    names = ["beta", "n_max", "seed", "grid_spec", "beta_grid", "theta",
-             "entropy_base", "degeneracy", "middle_entropy"]
-    if config.experiment == "mc-crosscheck":
-        names.append("n_samples")
-    for name in names:
+    for name in USED_SETTINGS[config.experiment]:
         value = getattr(config, name)
         if value is not None:
             meta[name] = value

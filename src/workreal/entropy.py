@@ -18,6 +18,20 @@ from .protocol import JointDistribution, WorkDistribution
 
 SUM_TOL = 1e-8
 _SILENT_SUM_TOL = 1e-12
+RANGE_TOL = 1e-9
+
+
+def _check_range(values, base: float, support_sizes) -> None:
+    """Every entropy must lie in [0, log(support size)], within RANGE_TOL."""
+    values = np.asarray(values, dtype=float)
+    support_sizes = np.asarray(support_sizes)
+    bounds = np.log(np.maximum(support_sizes, 1)) / math.log(base)
+    outside = ~((-RANGE_TOL <= values) & (values <= bounds + RANGE_TOL))
+    if np.any(outside):
+        k = np.argmax(outside)
+        raise InvalidParameterError(
+            f"entropy {values.flat[k]} outside [0, log {support_sizes.flat[k]}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -27,23 +41,21 @@ class EntropyReport:
     support_size: int
 
     def __post_init__(self):
-        bound = math.log(max(self.support_size, 1)) / math.log(self.base)
-        if not (-1e-9 <= self.value <= bound + 1e-9):
-            raise InvalidParameterError(
-                f"entropy {self.value} outside [0, log {self.support_size}]"
-            )
+        _check_range(self.value, self.base, self.support_size)
 
 
 def _checked_probs(probs) -> np.ndarray:
+    """Check and renormalize a distribution, or each row of a stack of them."""
     probs = np.asarray(probs, dtype=float)
     if np.any(probs < 0):
         raise InvalidParameterError("probabilities must be non-negative")
-    total = probs.sum()
-    if abs(total - 1.0) > SUM_TOL:
-        raise InvalidParameterError(f"probabilities sum to {total}, expected 1")
-    if abs(total - 1.0) > _SILENT_SUM_TOL:
-        warnings.warn(f"renormalizing probabilities off by {total - 1.0:.3e}",
-                      stacklevel=3)
+    total = probs.sum(axis=-1, keepdims=True)
+    k = np.argmax(np.abs(total - 1.0))
+    worst = float(total.flat[k] - 1.0)
+    if abs(worst) > SUM_TOL:
+        raise InvalidParameterError(f"probabilities sum to {total.flat[k]}, expected 1")
+    if abs(worst) > _SILENT_SUM_TOL:
+        warnings.warn(f"renormalizing probabilities off by {worst:.3e}", stacklevel=3)
     return probs / total
 
 
@@ -52,11 +64,22 @@ def _nats(probs: np.ndarray) -> float:
     return float(-(nz * np.log(nz)).sum())
 
 
+def _row_nats(probs: np.ndarray) -> np.ndarray:
+    """_nats of each row.  Zero entries add an exact +0, so a row equals _nats of
+    its nonzero entries in order whenever the row sum runs left to right."""
+    return -(probs * np.log(np.where(probs > 0, probs, 1.0))).sum(axis=-1)
+
+
 def shannon_entropy(probs, base: float = math.e) -> EntropyReport:
     """-sum p log p over the nonzero entries of `probs`."""
     probs = _checked_probs(probs)
     return EntropyReport(_nats(probs) / math.log(base), base,
                          int((probs > 0).sum()))
+
+
+def shannon_entropy_rows(probs, base: float = math.e) -> np.ndarray:
+    """shannon_entropy(row).value for each row of `probs`, with the same checks."""
+    return entropy_rows(_checked_probs(probs), base)
 
 
 def conditional_entropy(joint: JointDistribution, base: float = math.e) -> EntropyReport:
@@ -136,3 +159,11 @@ def work_entropy(workdist: WorkDistribution, view: str | None = None,
         )
     return EntropyReport(_nats(target.probabilities) / math.log(base), base,
                          int((target.probabilities > 0).sum()))
+
+
+def entropy_rows(probs: np.ndarray, base: float = math.e) -> np.ndarray:
+    """-sum p log p of each row of already normalized probabilities, range-checked
+    like EntropyReport.  On `work_probability_rows` output this is work_entropy."""
+    values = _row_nats(probs) / math.log(base)
+    _check_range(values, base, (probs > 0).sum(axis=-1))
+    return values

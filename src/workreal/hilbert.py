@@ -94,12 +94,30 @@ class ThermodynamicPotentials:
 
 
 def validate_unitary(matrix: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> float:
-    """Return max |(U^dag U - 1)_{mn}|; the caller compares against `tol`."""
+    """Return max |(U^dag U - 1)_{mn}|; the caller compares against `tol`.
+
+    A stack of matrices (shape (..., d, d)) gives the worst deviation over the stack.
+    """
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-2] != matrix.shape[-1]:
         raise InvalidParameterError("propagator matrix must be square")
-    gram = matrix.conj().T @ matrix
-    return float(np.max(np.abs(gram - np.eye(matrix.shape[0]))))
+    gram = matrix.conj().swapaxes(-2, -1) @ matrix
+    return float(np.max(np.abs(gram - np.eye(matrix.shape[-1]))))
+
+
+def require_unitary(matrix: np.ndarray, tol: float) -> float:
+    """validate_unitary, raising InvalidParameterError when the deviation exceeds `tol`."""
+    deviation = validate_unitary(matrix, tol)
+    if deviation > tol:
+        raise InvalidParameterError(
+            f"matrix is not unitary: deviation {deviation:.3e} > tol {tol:.3e}"
+        )
+    return deviation
+
+
+def composed_unitarity_tol(tol10: float, tol21: float, dim: int) -> float:
+    """Unitarity tolerance of the product of two propagators with the given tolerances."""
+    return tol10 + tol21 + 16 * np.finfo(float).eps * dim
 
 
 @dataclass(frozen=True)
@@ -116,11 +134,7 @@ class UnitaryPropagator:
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=complex)
-        deviation = validate_unitary(matrix, self.unitarity_tol)
-        if deviation > self.unitarity_tol:
-            raise InvalidParameterError(
-                f"matrix is not unitary: deviation {deviation:.3e} > tol {self.unitarity_tol:.3e}"
-            )
+        deviation = require_unitary(matrix, self.unitarity_tol)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "unitarity_deviation", deviation)
 
@@ -184,5 +198,5 @@ def compose_propagators(u10: UnitaryPropagator, u21: UnitaryPropagator) -> Unita
         raise InvalidParameterError(
             f"dimension mismatch: {u21.dim} x {u21.dim} after {u10.dim} x {u10.dim}"
         )
-    tol = u10.unitarity_tol + u21.unitarity_tol + 16 * np.finfo(float).eps * u10.dim
+    tol = composed_unitarity_tol(u10.unitarity_tol, u21.unitarity_tol, u10.dim)
     return UnitaryPropagator(u21.matrix @ u10.matrix, unitarity_tol=tol)

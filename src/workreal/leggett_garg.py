@@ -14,18 +14,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyReport, shannon_entropy, work_entropy
+from .entropy import (
+    EntropyReport,
+    entropy_rows,
+    shannon_entropy,
+    shannon_entropy_rows,
+    work_entropy,
+)
 from .errors import InvalidParameterError
 from .hilbert import DiagonalDensity, EnergySpectrum, UnitaryPropagator
 from .protocol import (
     JointDistribution,
+    check_joint_probs,
     three_time_joint,
     two_time_joint,
     two_time_joint_skipping_middle,
     work_distribution,
+    work_probability_rows,
 )
 
-REPORTING_TOL = 1e-12
+CORRELATOR_TOL = 1e-12
+
+
+def _check_correlator(name: str, c) -> None:
+    c = np.asarray(c, dtype=float)
+    worst = float(c.flat[np.argmax(np.abs(c))])
+    if abs(worst) > 1.0 + CORRELATOR_TOL:
+        raise InvalidParameterError(f"{name} = {worst} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -61,8 +76,7 @@ class CorrelatorSet:
 
     def __post_init__(self):
         for name, c in (("c01", self.c01), ("c12", self.c12), ("c02", self.c02)):
-            if abs(c) > 1.0 + 1e-12:
-                raise InvalidParameterError(f"{name} = {c} outside [-1, 1]")
+            _check_correlator(name, c)
 
 
 @dataclass(frozen=True)
@@ -110,9 +124,21 @@ def correlator_set(rho0: DiagonalDensity, u10: UnitaryPropagator, u21: UnitaryPr
     )
 
 
+def _k_cor(c01, c12, c02):
+    return 0.25 * (1.0 - c01 - c12 + c02)
+
+
+def _k_cor_flipped(c01, c12, c02):
+    return 0.25 * (1.0 + c01 + c12 + c02)
+
+
+def _k_en(h_w21, h_w10, h_w20, h_e1):
+    return 0.5 * (h_w21 + h_w10 - h_w20 - h_e1)
+
+
 def k3_correlator(c: CorrelatorSet) -> float:
     """(1/4)(1 - C01 - C12 + C02); negative iff the two-time correlation bound fails."""
-    return 0.25 * (1.0 - c.c01 - c.c12 + c.c02)
+    return _k_cor(c.c01, c.c12, c.c02)
 
 
 def k3_correlator_swapped(c: CorrelatorSet) -> float:
@@ -126,7 +152,7 @@ def k3_correlator_swapped(c: CorrelatorSet) -> float:
 
 def k3_correlator_flipped(c: CorrelatorSet) -> float:
     """Same bound after Q1 -> -Q1, which flips every correlator touching t1."""
-    return 0.25 * (1.0 + c.c01 + c.c12 + c.c02)
+    return _k_cor_flipped(c.c01, c.c12, c.c02)
 
 
 def _require_common_base(*reports: EntropyReport) -> None:
@@ -143,7 +169,7 @@ def k3_entropic(h_w21: EntropyReport, h_w10: EntropyReport, h_w20: EntropyReport
     marginal of the measured protocol.
     """
     _require_common_base(h_w21, h_w10, h_w20, h_e1)
-    return 0.5 * (h_w21.value + h_w10.value - h_w20.value - h_e1.value)
+    return _k_en(h_w21.value, h_w10.value, h_w20.value, h_e1.value)
 
 
 def k3_entropic_weak(h_w21: EntropyReport, h_w10: EntropyReport,
@@ -175,3 +201,42 @@ def entropic_k3_from_protocol(rho0: DiagonalDensity, u10: UnitaryPropagator,
     h_w20 = work_entropy(work_distribution(no_middle, view=view), base=base)
     h_e1 = shannon_entropy(joint3.marginal_t1(), base=base)
     return k3_entropic(h_w21, h_w10, h_w20, h_e1)
+
+
+def lg_parameter_rows(populations: np.ndarray, trans10: np.ndarray, trans21: np.ndarray,
+                      trans20: np.ndarray,
+                      spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum],
+                      base: float = math.e) -> dict[str, np.ndarray]:
+    """k_cor, k_cor_flipped, k_en_fine and k_en_grouped for N protocols at once.
+
+    `trans10` and `trans21` are the (N, d, d) transition matrices of the measured
+    legs, `trans20` those of the composed propagator of the no-middle branch, and
+    `populations` the initial populations shared by every protocol; the
+    correlators use the GROUND_EXCITED mapping.  Each value is the one the
+    object pipeline (three_time_joint, work_distribution, work_entropy, ...)
+    gives for that protocol, bit for bit, and every check of that pipeline is
+    applied to the whole stack: joint non-negativity and normalization, the
+    correlator bound, work-distribution normalization, the middle-marginal sum
+    check with its renormalization warning and the entropy range.
+    """
+    s0, s1, s2 = spectra
+    q = GROUND_EXCITED.values
+    if trans10.shape[-2:] != (q.size, q.size):
+        raise InvalidParameterError("mapping does not cover every outcome index")
+    p1 = trans10 @ populations
+    j10 = trans10 * populations
+    j21 = trans21 * p1[:, None, :]
+    j20 = trans20 * populations
+    correlators = []
+    for name, joints in (("c01", j10), ("c12", j21), ("c02", j20)):
+        check_joint_probs(joints)
+        correlators.append(q @ joints @ q)
+        _check_correlator(name, correlators[-1])
+    out = {"k_cor": _k_cor(*correlators), "k_cor_flipped": _k_cor_flipped(*correlators)}
+    h_e1 = shannon_entropy_rows(p1, base)
+    for view in ("fine", "grouped"):
+        h_w10 = entropy_rows(work_probability_rows(j10, s0, s1, view), base)
+        h_w21 = entropy_rows(work_probability_rows(j21, s1, s2, view), base)
+        h_w20 = entropy_rows(work_probability_rows(j20, s0, s2, view), base)
+        out[f"k_en_{view}"] = _k_en(h_w21, h_w10, h_w20, h_e1)
+    return out

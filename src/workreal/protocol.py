@@ -37,6 +37,22 @@ def _relabel(spectrum: EnergySpectrum, label: int) -> EnergySpectrum:
     return EnergySpectrum(spectrum.levels, label=label)
 
 
+def _require_normalized(totals, norm_tol: float, what: str) -> None:
+    deviation = np.asarray(totals, dtype=float) - 1.0
+    worst = float(deviation.flat[np.argmax(np.abs(deviation))])
+    if abs(worst) > norm_tol:
+        raise InvalidParameterError(
+            f"{what} not normalized: sum deviates by {worst:.3e} (tol {norm_tol:.1e})"
+        )
+
+
+def check_joint_probs(probs: np.ndarray, norm_tol: float = JOINT_NORM_TOL) -> None:
+    """The JointDistribution checks, for one joint (d_later, d_earlier) or a stack of them."""
+    if np.any(probs < 0):
+        raise InvalidParameterError("joint probabilities must be non-negative")
+    _require_normalized(probs.sum(axis=(-2, -1)), norm_tol, "joint")
+
+
 @dataclass(frozen=True)
 class JointDistribution:
     """p(k_later, k_earlier) for two sequential energy measurements.
@@ -54,13 +70,7 @@ class JointDistribution:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (self.spectrum_later.dim, self.spectrum_earlier.dim):
             raise InvalidParameterError("joint shape must match the two spectra")
-        if np.any(probs < 0):
-            raise InvalidParameterError("joint probabilities must be non-negative")
-        total = probs.sum()
-        if abs(total - 1.0) > self.norm_tol:
-            raise InvalidParameterError(
-                f"joint not normalized: sum deviates by {total - 1.0:.3e} (tol {self.norm_tol:.1e})"
-            )
+        check_joint_probs(probs, self.norm_tol)
         object.__setattr__(self, "probs", probs)
 
     def marginal_earlier(self) -> np.ndarray:
@@ -234,10 +244,7 @@ class WorkDistribution:
             raise InvalidParameterError("works and probabilities must be 1-d and aligned")
         if self.view not in ("fine", "grouped"):
             raise InvalidParameterError(f"unknown view {self.view!r}")
-        if abs(probs.sum() - 1.0) > self.norm_tol:
-            raise InvalidParameterError(
-                f"work distribution not normalized: off by {probs.sum() - 1.0:.3e}"
-            )
+        _require_normalized(probs.sum(), self.norm_tol, "work distribution")
         if self.view == "grouped" and np.any(np.diff(works) <= 0):
             raise InvalidParameterError("grouped work values must be strictly increasing")
         object.__setattr__(self, "works", works)
@@ -251,7 +258,7 @@ class WorkDistribution:
         works = self.works[order]
         probs = self.probabilities[order]
         sources = [self.sources[k] for k in order]
-        boundaries = np.flatnonzero(np.diff(works) >= tol) + 1
+        boundaries = _group_starts(works, tol)
         merged_w, merged_p, merged_src = [], [], []
         for chunk in np.split(np.arange(works.size), boundaries):
             p = probs[chunk].sum()
@@ -262,13 +269,23 @@ class WorkDistribution:
                                 tuple(merged_src), "grouped", norm_tol=self.norm_tol)
 
 
+def _fine_order(works: np.ndarray, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """The fine view's order: by work value, then later index, then earlier index."""
+    return np.lexsort((earlier, later, works))
+
+
+def _group_starts(sorted_works: np.ndarray, tol: float) -> np.ndarray:
+    """Positions that open a new group: adjacent gaps of at least `tol`."""
+    return np.flatnonzero(np.diff(sorted_works) >= tol) + 1
+
+
 def work_distribution(joint: JointDistribution, view: str = "grouped",
                       degeneracy_tol: float = WORK_DEGENERACY_TOL) -> WorkDistribution:
     """Distribution of w = E_later(k_j) - E_earlier(k_i) under `joint`."""
     later, earlier = np.nonzero(joint.probs)
     works = joint.spectrum_later.levels[later] - joint.spectrum_earlier.levels[earlier]
     probs = joint.probs[later, earlier]
-    order = np.lexsort((earlier, later, works))
+    order = _fine_order(works, later, earlier)
     fine = WorkDistribution(works[order], probs[order],
                             tuple(((int(later[k]), int(earlier[k])),) for k in order),
                             "fine", norm_tol=joint.norm_tol)
@@ -277,6 +294,43 @@ def work_distribution(joint: JointDistribution, view: str = "grouped",
     if view == "grouped":
         return fine.grouped(degeneracy_tol)
     raise InvalidParameterError(f"unknown view {view!r}")
+
+
+def work_probability_rows(joints: np.ndarray, spectrum_earlier: EnergySpectrum,
+                          spectrum_later: EnergySpectrum, view: str = "grouped") -> np.ndarray:
+    """`work_distribution(joint, view).probabilities` for each joint of a stack.
+
+    `joints` has shape (N, d_later, d_earlier) and holds already checked joints.
+    Row k lists the probabilities of joint k in the order of that view, except
+    that index pairs of zero probability stay in place as zeros instead of being
+    dropped, and grouped rows are zero-padded to the largest group count.  Zeros
+    change no sum and no entropy.  The fine order depends on the spectra alone;
+    the grouped partition also depends on which pairs a joint supports, so it is
+    derived once per distinct support pattern.
+    """
+    later, earlier = np.indices(joints.shape[1:]).reshape(2, -1)
+    works = spectrum_later.levels[later] - spectrum_earlier.levels[earlier]
+    order = _fine_order(works, later, earlier)
+    rows = joints.reshape(joints.shape[0], -1)[:, order]
+    if view == "grouped":
+        works = works[order]
+        patterns, inverse = np.unique(rows > 0, axis=0, return_inverse=True)
+        inverse = inverse.reshape(-1)
+        partitions = []
+        for pattern in patterns:
+            present = np.flatnonzero(pattern)
+            starts = _group_starts(works[present], WORK_DEGENERACY_TOL)
+            partitions.append(np.split(present, starts))
+        grouped = np.zeros((rows.shape[0], max(len(groups) for groups in partitions)))
+        for k, groups in enumerate(partitions):
+            members = inverse == k
+            grouped[members, :len(groups)] = np.stack(
+                [rows[members][:, group].sum(axis=1) for group in groups], axis=1)
+        rows = grouped
+    elif view != "fine":
+        raise InvalidParameterError(f"unknown view {view!r}")
+    _require_normalized(rows.sum(axis=1), JOINT_NORM_TOL, "work distribution")
+    return rows
 
 
 def total_work_distribution(joint3: JointDistribution3, view: str = "grouped",

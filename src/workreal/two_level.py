@@ -8,6 +8,13 @@ The propagator between measurement bases is the standard SU(2) matrix
 which reduces to a real rotation for alpha = beta = 0.  theta controls how much
 population transfers between the instantaneous eigenstates; theta = 0 is the
 adiabatic limit.  Both evolution intervals use the same matrix in the sweep.
+
+`tls_lg_parameters` is the per-angle public API: it runs one angle through the
+object pipeline (propagators, joints, work distributions, entropy reports).
+`tls_theta_sweep` is array code: it builds the propagators of every angle as one
+(N, 2, 2) stack and evaluates all angles at once with `lg_parameter_rows`,
+applying every check of the object pipeline to the whole stack.  The tests use
+`tls_lg_parameters` as the sweep's oracle and require equal bits.
 """
 
 from __future__ import annotations
@@ -17,21 +24,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import shannon_entropy, work_entropy
 from .errors import InvalidParameterError
-from .hilbert import DiagonalDensity, EnergySpectrum, UnitaryPropagator, build_thermal_state
+from .hilbert import (
+    EnergySpectrum,
+    UnitaryPropagator,
+    build_thermal_state,
+    composed_unitarity_tol,
+    require_unitary,
+)
 from .leggett_garg import (
     GROUND_EXCITED,
     LGResult,
     correlator_set,
+    entropic_k3_from_protocol,
     k3_correlator,
     k3_correlator_flipped,
-    k3_entropic,
+    lg_parameter_rows,
 )
-from .protocol import three_time_joint, two_time_joint_skipping_middle, work_distribution
 from .tables import SweepTable
 
 TWO_PI = 2.0 * math.pi
+TLS_UNITARITY_TOL = 1e-14
+
+
+def _require_finite(**angles) -> None:
+    for name, value in angles.items():
+        if not np.all(np.isfinite(value)):
+            raise InvalidParameterError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -41,23 +60,29 @@ class TlsAngles:
     beta_angle: float = 0.0
 
     def __post_init__(self):
-        for name in ("theta", "alpha", "beta_angle"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
+        _require_finite(theta=self.theta, alpha=self.alpha, beta_angle=self.beta_angle)
         object.__setattr__(self, "theta", self.theta % TWO_PI)
+
+
+def _su2_matrices(theta, alpha: float, beta_angle: float) -> np.ndarray:
+    """The propagator matrix for each canonical theta, shape theta.shape + (2, 2)."""
+    theta = np.asarray(theta, dtype=float)
+    c = np.cos(theta / 2.0)
+    s = np.sin(theta / 2.0)
+    plus = 0.5 * (alpha + beta_angle)
+    minus = 0.5 * (alpha - beta_angle)
+    matrices = np.empty(theta.shape + (2, 2), dtype=complex)
+    matrices[..., 0, 0] = np.exp(1j * plus) * c
+    matrices[..., 0, 1] = np.exp(1j * minus) * s
+    matrices[..., 1, 0] = -np.exp(-1j * minus) * s
+    matrices[..., 1, 1] = np.exp(-1j * plus) * c
+    return matrices
 
 
 def tls_propagator(angles: TlsAngles) -> UnitaryPropagator:
     """The 2x2 adiabatic-basis propagator for the given angles."""
-    c = math.cos(angles.theta / 2.0)
-    s = math.sin(angles.theta / 2.0)
-    plus = 0.5 * (angles.alpha + angles.beta_angle)
-    minus = 0.5 * (angles.alpha - angles.beta_angle)
-    matrix = np.array([
-        [np.exp(1j * plus) * c, np.exp(1j * minus) * s],
-        [-np.exp(-1j * minus) * s, np.exp(-1j * plus) * c],
-    ])
-    return UnitaryPropagator(matrix, unitarity_tol=1e-14)
+    return UnitaryPropagator(_su2_matrices(angles.theta, angles.alpha, angles.beta_angle),
+                             unitarity_tol=TLS_UNITARITY_TOL)
 
 
 def tls_spectrum(label: int = 0, levels=(0.0, 1.0)) -> EnergySpectrum:
@@ -79,28 +104,22 @@ def default_theta_grid(n_points: int = 721) -> np.ndarray:
 
 def tls_lg_parameters(beta: float, angles: TlsAngles,
                       spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum] | None = None,
-                      base: float = math.e,
-                      rho0: DiagonalDensity | None = None) -> dict[str, float]:
-    """All macrorealism parameters for one angle setting (both intervals equal)."""
+                      base: float = math.e) -> dict[str, float]:
+    """All macrorealism parameters for one angle setting (both intervals equal),
+    through the object pipeline."""
     if spectra is None:
         spectra = (tls_spectrum(0), tls_spectrum(1), tls_spectrum(2))
-    s0, s1, s2 = spectra
-    if rho0 is None:
-        rho0 = build_thermal_state(s0, beta)
+    rho0 = build_thermal_state(spectra[0], beta)
     u = tls_propagator(angles)
     correlators = correlator_set(rho0, u, u, GROUND_EXCITED)
-    joint3 = three_time_joint(rho0, u, u, spectrum_1=s1, spectrum_2=s2)
-    no_middle = two_time_joint_skipping_middle(rho0, u, u, spectrum_later=s2)
-    h_e1 = shannon_entropy(joint3.marginal_t1(), base=base)
     out = {
         "k_cor": k3_correlator(correlators),
         "k_cor_flipped": k3_correlator_flipped(correlators),
     }
     for view in ("fine", "grouped"):
-        h_w10 = work_entropy(work_distribution(joint3.marginal_t1_t0(), view=view), base=base)
-        h_w21 = work_entropy(work_distribution(joint3.marginal_t2_t1(), view=view), base=base)
-        h_w20 = work_entropy(work_distribution(no_middle, view=view), base=base)
-        out[f"k_en_{view}"] = k3_entropic(h_w21, h_w10, h_w20, h_e1)
+        out[f"k_en_{view}"] = entropic_k3_from_protocol(
+            rho0, u, u, spectrum_1=spectra[1], spectrum_2=spectra[2], degeneracy=view,
+            base=base)
     return out
 
 
@@ -115,22 +134,28 @@ def tls_lg_result(beta: float, angles: TlsAngles, degeneracy: str = "fine",
 def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None,
                     spectra=None, alpha: float = 0.0, beta_angle: float = 0.0,
                     base: float = math.e) -> SweepTable:
-    """Macrorealism parameters on a theta grid at fixed inverse temperature."""
+    """Macrorealism parameters on a theta grid at fixed inverse temperature.
+
+    Row k equals tls_lg_parameters(beta, TlsAngles(theta_grid[k], alpha,
+    beta_angle), spectra, base) bit for bit; all angles are computed at once.
+    """
     if theta_grid is None:
         theta_grid = default_theta_grid()
     theta_grid = np.asarray(theta_grid, dtype=float)
-    if theta_grid.size == 0 or not np.all(np.isfinite(theta_grid)):
-        raise InvalidParameterError("theta grid must be non-empty and finite")
+    if theta_grid.ndim != 1 or theta_grid.size == 0:
+        raise InvalidParameterError("theta grid must be a non-empty 1-d array")
+    _require_finite(theta=theta_grid, alpha=alpha, beta_angle=beta_angle)
     if spectra is None:
         spectra = (tls_spectrum(0), tls_spectrum(1), tls_spectrum(2))
-    rho0 = build_thermal_state(spectra[0], beta)
+    u = _su2_matrices(np.mod(theta_grid, TWO_PI), alpha, beta_angle)
+    require_unitary(u, TLS_UNITARITY_TOL)
+    u20 = u @ u
+    require_unitary(u20, composed_unitarity_tol(TLS_UNITARITY_TOL, TLS_UNITARITY_TOL, 2))
+    trans = np.abs(u) ** 2
+    values = lg_parameter_rows(build_thermal_state(spectra[0], beta).populations,
+                               trans, trans, np.abs(u20) ** 2, spectra, base=base)
     columns = ["theta", "k_cor", "k_cor_flipped", "k_en_fine", "k_en_grouped"]
-    rows = np.empty((theta_grid.size, len(columns)))
-    for k, theta in enumerate(theta_grid):
-        values = tls_lg_parameters(beta, TlsAngles(theta, alpha, beta_angle),
-                                   spectra=spectra, base=base, rho0=rho0)
-        rows[k] = (theta, values["k_cor"], values["k_cor_flipped"],
-                   values["k_en_fine"], values["k_en_grouped"])
+    rows = np.column_stack([theta_grid] + [values[name] for name in columns[1:]])
     return SweepTable(columns, rows, meta={
         "experiment": "tls-theta", "beta": beta,
         "entropy_base": "2" if base == 2 else "e",

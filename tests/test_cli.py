@@ -83,6 +83,29 @@ class TestSqueezeGrid:
         table = read_table_csv(tmp_path / "squeeze_grid.csv")
         assert "n_samples" not in table.meta
         assert table.meta["n_max"] == "64"
+        # every experiment, given every setting: only the ones it reads are echoed
+        settings = {"beta": "1.0", "n_max": "128", "seed": "5", "beta_grid": "1.0",
+                    "theta": "0.5", "n_samples": "1000", "entropy_base": "2",
+                    "degeneracy": "grouped", "middle_entropy": "measured"}
+        runs = [
+            ("tls-theta", "0:1:3", "tls_theta.csv",
+             {"beta", "grid_spec", "entropy_base"}),
+            ("squeeze-grid", "0:0.1:2", "squeeze_grid.csv",
+             {"beta", "n_max", "grid_spec", "entropy_base", "degeneracy",
+              "middle_entropy"}),
+            ("squeeze-beta", "geom:0.05:0.4:6", "squeeze_beta.csv",
+             {"grid_spec", "beta_grid", "entropy_base", "degeneracy", "middle_entropy"}),
+            ("jarzynski-check", "0:1:3", "jarzynski_check.csv", {"n_max", "seed"}),
+            ("mc-crosscheck", "0:1:3", "mc_crosscheck.csv",
+             {"beta", "seed", "theta", "n_samples"}),
+        ]
+        for experiment, grid_spec, csv, used in runs:
+            flags = [f"--{name.replace('_', '-')}={value}"
+                     for name, value in {**settings, "grid_spec": grid_spec}.items()]
+            out = tmp_path / experiment
+            assert run_cli([experiment, "--out", out] + flags) == 0
+            meta = read_table_csv(out / csv).meta
+            assert set(meta) & (set(settings) | {"grid_spec"}) == used, experiment
 
     def test_truncation_failure_names_the_point(self, tmp_path, capsys):
         code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "0.05",

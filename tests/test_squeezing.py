@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from workreal import (
     InvalidParameterError,
@@ -21,6 +23,7 @@ from workreal import (
 )
 from workreal.leggett_garg import k3_entropic
 from workreal.squeezing import (
+    SUPPORT_TOL,
     SqueezeParams,
     golden_section_minimum,
     oscillator_entropy_reports,
@@ -239,6 +242,32 @@ class TestTruncationSelection:
 
     def test_beta_point_one_lands_near_four_hundred(self):
         assert 256 <= select_n_max(0.1, 0.2) <= 512
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0])
+@pytest.mark.parametrize("r", [0.02, 0.2])
+def test_transition_matrix_doubly_stochastic_on_occupied_band(beta, r):
+    """The "initial" middle-entropy witness rests on this: a doubly stochastic
+    transition matrix cannot lower the entropy of the populations it carries.
+    Rows and columns of the levels below the thermal support sum to one within
+    the truncation budget of the run at n_max = select_n_max(beta, r)."""
+    protocol = oscillator_three_time(beta, r, 0.0)
+    assert protocol.n_max == select_n_max(beta, r)
+    t = squeeze_matrix_closed_form(r, protocol.n_max).transition_probabilities
+    band = int(math.ceil(-math.log(SUPPORT_TOL) / beta))
+    assert np.abs(t.sum(axis=0)[:band] - 1.0).max() <= protocol.truncation_budget
+    assert np.abs(t.sum(axis=1)[:band] - 1.0).max() <= protocol.truncation_budget
+
+
+@given(beta=st.floats(0.1, 10.0), r1=st.floats(0.0, 0.3), r2=st.floats(0.0, 0.3))
+@settings(max_examples=15, deadline=None)
+def test_k_en_converged_within_its_budget(beta, r1, r2):
+    """128 more levels than the automatic truncation move K_en by less than the
+    truncation budget the run reports."""
+    n_max = select_n_max(beta, r1 + r2)
+    value, budget = entropic_k3_oscillator(beta, r1, r2)
+    padded, _ = entropic_k3_oscillator(beta, r1, r2, n_max=n_max + 128)
+    assert abs(value - padded) <= budget
 
 
 class TestOscillatorProtocol:

@@ -10,6 +10,7 @@ from workreal.two_level import (
     incommensurate_tls_spectra,
     tls_lg_parameters,
     tls_propagator,
+    tls_spectrum,
     tls_theta_sweep,
 )
 
@@ -132,3 +133,60 @@ def test_lg_result_summary_flags():
     assert result.violated_cor
     assert not result.violated_cor_flipped
     assert result.k_en == pytest.approx(k_en_closed_form(math.pi / 3), abs=1e-12)
+
+
+# angles where the off-diagonal transition probabilities are exactly 0 (0, 2 pi and
+# 1e-170, whose sin(theta/2)^2 underflows), plus a negative and two special angles
+EDGE_GRID = np.array([0.0, 1e-170, 2 * math.pi, -0.5, math.pi / 2, math.pi])
+# levels 0.6e-9 apart: work values chain into groups under the 1e-9 gap rule
+NEAR_DEGENERATE = tuple(tls_spectrum(k, (0.0, 0.6e-9 * (k + 1))) for k in range(3))
+
+
+def per_angle_rows(beta, grid, spectra=None, alpha=0.0, beta_angle=0.0, base=math.e):
+    rows = []
+    for theta in grid:
+        values = tls_lg_parameters(beta, TlsAngles(theta, alpha, beta_angle),
+                                   spectra=spectra, base=base)
+        rows.append((theta, values["k_cor"], values["k_cor_flipped"],
+                     values["k_en_fine"], values["k_en_grouped"]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("beta, grid, options", [
+    (1.0, default_theta_grid(), {}),
+    (1.0, default_theta_grid(), {"base": 2.0}),
+    (0.4, default_theta_grid(181), {"spectra": incommensurate_tls_spectra()}),
+    (1.0, default_theta_grid(181), {"alpha": 0.3, "beta_angle": 1.1}),
+    (1.0, EDGE_GRID, {}),
+    (1.0, np.concatenate([EDGE_GRID, default_theta_grid(181)]),
+     {"spectra": NEAR_DEGENERATE}),
+    # ground-state start: the excited column of every joint is empty, which splits
+    # the near-degenerate groups the full support would chain together
+    (math.inf, np.concatenate([EDGE_GRID, default_theta_grid(181)]),
+     {"spectra": NEAR_DEGENERATE}),
+], ids=["base-e", "base-2", "incommensurate", "phases", "zero-transitions",
+        "near-degenerate", "near-degenerate-ground-state"])
+def test_array_sweep_equals_per_angle_oracle(beta, grid, options):
+    rows = tls_theta_sweep(beta=beta, theta_grid=grid, **options).rows
+    expected = per_angle_rows(beta, grid, **options)
+    assert np.array_equal(rows, expected)
+    assert np.array_equal(np.signbit(rows), np.signbit(expected))
+
+
+def test_oracle_cases_reach_their_edges():
+    """The edge rows really have empty transitions, and the near-degenerate
+    ground-state rows really group differently from the fine view."""
+    for theta in EDGE_GRID[:3]:
+        matrix = tls_propagator(TlsAngles(theta)).matrix
+        assert np.abs(matrix[0, 1]) ** 2 == 0.0
+    values = tls_lg_parameters(math.inf, TlsAngles(1.0), spectra=NEAR_DEGENERATE)
+    assert values["k_en_grouped"] != values["k_en_fine"]
+
+
+def test_sweep_rejects_bad_grids():
+    from workreal import InvalidParameterError
+    for grid in (np.array([]), np.array([0.0, math.nan]), np.zeros((2, 2))):
+        with pytest.raises(InvalidParameterError):
+            tls_theta_sweep(theta_grid=grid)
+    with pytest.raises(InvalidParameterError):
+        tls_theta_sweep(theta_grid=np.array([1.0]), alpha=math.inf)
