@@ -93,8 +93,8 @@ class ThermodynamicPotentials:
             raise InvalidParameterError("free energy must be finite")
 
 
-def validate_unitary(matrix: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> float:
-    """Return max |(U^dag U - 1)_{mn}|; the caller compares against `tol`.
+def validate_unitary(matrix: np.ndarray) -> float:
+    """Return max |(U^dag U - 1)_{mn}|; `require_unitary` compares it with a tolerance.
 
     A stack of matrices (shape (..., d, d)) gives the worst deviation over the stack.
     """
@@ -107,7 +107,7 @@ def validate_unitary(matrix: np.ndarray, tol: float = DEFAULT_UNITARITY_TOL) -> 
 
 def require_unitary(matrix: np.ndarray, tol: float) -> float:
     """validate_unitary, raising InvalidParameterError when the deviation exceeds `tol`."""
-    deviation = validate_unitary(matrix, tol)
+    deviation = validate_unitary(matrix)
     if deviation > tol:
         raise InvalidParameterError(
             f"matrix is not unitary: deviation {deviation:.3e} > tol {tol:.3e}"

@@ -27,7 +27,6 @@ from .protocol import (
     JointDistribution,
     check_joint_probs,
     three_time_joint,
-    two_time_joint,
     two_time_joint_skipping_middle,
     work_distribution,
     work_probability_rows,

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import logsumexp
+from scipy.special import chdtrc, logsumexp
 
 from .errors import InvalidParameterError
 from .hilbert import (
@@ -369,8 +368,9 @@ def sample_trajectories(rho0: DiagonalDensity, u10: UnitaryPropagator,
                         spectrum_2: EnergySpectrum | None = None) -> JointDistribution3:
     """Monte Carlo frequency table of (k0, k1, k2) outcome triples.
 
-    Draws are inverse-CDF per conditioning column, so two runs with the same seed
-    produce bit-identical tables.
+    Each stage (k0, then k1, then k2) draws one uniform u per sample and takes as
+    the outcome the count of CDF entries <= u in the sample's conditioning column,
+    bit-identical to per-column inversion.  Equal seeds give bit-identical tables.
     """
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be at least 1")
@@ -378,10 +378,9 @@ def sample_trajectories(rho0: DiagonalDensity, u10: UnitaryPropagator,
     s1 = spectrum_1 if spectrum_1 is not None else _relabel(s0, s0.label + 1)
     s2 = spectrum_2 if spectrum_2 is not None else _relabel(s0, s0.label + 2)
     rng = np.random.default_rng(seed)
-    k0 = _sample_categorical(rng, np.broadcast_to(rho0.populations[:, None],
-                                                  (rho0.dim, 1)), np.zeros(n_samples, int))
-    k1 = _sample_categorical(rng, transition_probabilities(u10), k0)
-    k2 = _sample_categorical(rng, transition_probabilities(u21), k1)
+    k0 = _sample_categorical(rho0.populations[:, None], 0, rng.random(n_samples))
+    k1 = _sample_categorical(transition_probabilities(u10), k0, rng.random(n_samples))
+    k2 = _sample_categorical(transition_probabilities(u21), k1, rng.random(n_samples))
     dims = (u21.dim, u10.dim, rho0.dim)
     flat = np.ravel_multi_index((k2, k1, k0), dims)
     counts = np.bincount(flat, minlength=int(np.prod(dims))).reshape(dims)
@@ -389,16 +388,19 @@ def sample_trajectories(rho0: DiagonalDensity, u10: UnitaryPropagator,
                                         sample_count=n_samples)
 
 
-def _sample_categorical(rng, columns: np.ndarray, conditions: np.ndarray) -> np.ndarray:
-    """Draw outcome[j] ~ columns[:, conditions[j]] via per-column CDF inversion."""
+def _sample_categorical(columns: np.ndarray, conditions, u: np.ndarray) -> np.ndarray:
+    """outcome[j] ~ columns[:, conditions[j]], inverted at the uniform u[j].
+
+    Each CDF column is non-decreasing, so counting entries <= u gives
+    `searchsorted(cdf[:, col], u, side="right")`; the last row, x / x = 1 > u,
+    never counts.  A one-column stage passes the scalar column index 0.
+    """
     cdf = np.cumsum(columns, axis=0)
     cdf /= cdf[-1, :]
-    u = rng.random(conditions.size)
-    out = np.empty(conditions.size, dtype=int)
-    for col in np.unique(conditions):
-        idx = np.nonzero(conditions == col)[0]
-        out[idx] = np.searchsorted(cdf[:, col], u[idx], side="right")
-    return np.minimum(out, columns.shape[0] - 1)
+    out = np.zeros(u.size, dtype=np.intp)
+    for row in cdf[:-1]:
+        out += row[conditions] <= u
+    return out
 
 
 def total_variation_distance(a: JointDistribution, b: JointDistribution) -> float:
@@ -427,4 +429,4 @@ def empirical_chi_squared_pvalue(empirical: JointDistribution3,
     dof = int(support.sum()) - 1
     if dof <= 0:
         return 1.0
-    return float(stats.chi2.sf(statistic, dof))
+    return float(chdtrc(dof, statistic))

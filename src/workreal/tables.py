@@ -16,8 +16,7 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
-def format_float(x: float) -> str:
-    return f"{x:.17g}"
+format_float = "{:.17g}".format
 
 
 @dataclass
@@ -52,8 +51,7 @@ def write_table_csv(path: str | Path, table: SweepTable) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = _manifest_lines(table.meta)
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(format_float(x) for x in row))
+    lines.extend(",".join(map(format_float, row)) for row in table.rows.tolist())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

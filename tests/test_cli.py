@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from workreal.cli import main, parse_grid_spec, parse_value_list
 from workreal.errors import InvalidParameterError
-from workreal.tables import format_float, read_table_csv
+from workreal.tables import SweepTable, format_float, read_table_csv, write_table_csv
 
 
 def run_cli(args):
@@ -25,6 +29,30 @@ def test_grid_spec_forms():
 def test_seventeen_digit_round_trip():
     for x in (math.pi, 1 / 3, 2.0 ** -52, -1.2345678901234567e-8):
         assert float(format_float(x)) == x
+
+
+def test_edge_values_csv_text(tmp_path):
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+              1.7976931348623157e308, 0.1]
+    table = SweepTable([f"c{k}" for k in range(len(values))], np.array([values]),
+                       {"x": -0.0})
+    write_table_csv(tmp_path / "edge.csv", table)
+    assert (tmp_path / "edge.csv").read_text().splitlines() == [
+        "# x = -0",
+        "c0,c1,c2,c3,c4,c5,c6,c7",
+        "0,-0,inf,-inf,nan,4.9406564584124654e-324,1.7976931348623157e+308,"
+        "0.10000000000000001",
+    ]
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    import workreal
+    src = str(Path(workreal.__file__).resolve().parents[1])
+    code = "import sys, workreal.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestTlsTheta:

@@ -290,6 +290,76 @@ class TestSampler:
             sample_trajectories(thermal(), rotation(0.3), rotation(0.3),
                                 n_samples=0, seed=0)
 
+    def test_frozen_counts(self):
+        """The count cube of one seeded call, recorded when each stage still
+        inverted its conditioning columns one at a time; a change in how the
+        random stream is consumed moves it."""
+        empirical = sample_trajectories(thermal(), rotation(1.1), rotation(0.4),
+                                        n_samples=10_000, seed=2024)
+        counts = [[[5134, 689], [74, 71]], [[217, 22], [1862, 1931]]]
+        assert np.array_equal(empirical.probs * 10_000, counts)
+
+
+def _per_column_oracle(columns, conditions, u):
+    """The sampler's former stage draw: one searchsorted per conditioning column."""
+    cdf = np.cumsum(columns, axis=0)
+    cdf /= cdf[-1, :]
+    out = np.empty(conditions.size, dtype=int)
+    for col in np.unique(conditions):
+        idx = np.nonzero(conditions == col)[0]
+        out[idx] = np.searchsorted(cdf[:, col], u[idx], side="right")
+    return np.minimum(out, columns.shape[0] - 1)
+
+
+def _stochastic_columns(rng, dim, n_cols, zero_fraction):
+    columns = rng.random((dim, n_cols))
+    columns[rng.random((dim, n_cols)) < zero_fraction] = 0.0
+    columns[(np.arange(n_cols) + 1) % dim, np.arange(n_cols)] += 0.1
+    return columns / columns.sum(axis=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("zero_fraction", [0.0, 0.4])
+def test_stage_draw_equals_per_column_oracle(dim, zero_fraction, seed):
+    from workreal.protocol import _sample_categorical
+    gen = np.random.default_rng([dim, seed])
+    columns = _stochastic_columns(gen, dim, dim, zero_fraction)
+    if zero_fraction:  # a zero first row in one column, a zero last row in another
+        columns[0, 0] = columns[-1, -1] = 0.0
+        columns /= columns.sum(axis=0)
+    conditions = gen.integers(dim, size=20_000)
+    u = np.random.default_rng(seed).random(conditions.size)
+    assert np.array_equal(_sample_categorical(columns, conditions, u),
+                          _per_column_oracle(columns, conditions, u))
+
+    single = _stochastic_columns(gen, dim, 1, zero_fraction)
+    assert np.array_equal(_sample_categorical(single, 0, u),
+                          _per_column_oracle(single, np.zeros(u.size, dtype=int), u))
+
+    # uniforms that land exactly on CDF entries, where `<` and `<=` part ways
+    cdf = np.cumsum(columns, axis=0)
+    cdf /= cdf[-1, :]
+    conditions = np.repeat(np.arange(dim), dim)
+    u = np.concatenate([np.append(cdf[:-1, col], 0.0) for col in range(dim)])
+    assert np.array_equal(_sample_categorical(columns, conditions, u),
+                          _per_column_oracle(columns, conditions, u))
+
+
+def test_pvalue_equals_scipy_stats_chi2():
+    from scipy.stats import chi2
+    for theta, beta, seed in ((0.8, 1.0, 0), (1.9, 0.3, 1), (math.pi / 3, 2.0, 5)):
+        exact = three_time_joint(thermal(beta), rotation(theta), rotation(theta))
+        empirical = sample_trajectories(thermal(beta), rotation(theta), rotation(theta),
+                                        n_samples=5_000, seed=seed)
+        observed = empirical.probs * 5_000
+        expected = exact.probs * 5_000
+        support = expected > 0
+        statistic = float(((observed[support] - expected[support]) ** 2
+                           / expected[support]).sum())
+        reference = float(chi2.sf(statistic, int(support.sum()) - 1))
+        assert empirical_chi_squared_pvalue(empirical, exact) == reference
+
 
 def test_normalization_tolerance_enforced():
     from workreal import JointDistribution

@@ -157,7 +157,7 @@ class TestClosedForm:
         import mpmath as mp
         from workreal import validate_unitary
         matrix = squeeze_matrix_closed_form(0.5, 100)
-        reported = validate_unitary(matrix.g, tol=1.0)
+        reported = validate_unitary(matrix.g)
         gram = matrix.g.T @ matrix.g - np.eye(101)
         a, b = np.unravel_index(np.abs(gram).argmax(), gram.shape)
         mp.mp.dps = 40
