@@ -11,6 +11,15 @@ amplitude:
     G[j, k] = i^(j-k) * (V cos(r lam) V^T - i V sin(r lam) V^T)[j, k],
 
 which is +-(V cos V^T)[j, k] for even j - k and +-(V sin V^T)[j, k] for odd.
+The entries with odd j - k form two strided sub-blocks, and the sign is
+(-1)^(floor(j/2) + floor(k/2)), negated where j is even and k odd.
+
+The sweeps need only |G|^2.  `_squeeze_transitions` squares the unsigned parity
+blocks in place and writes them straight into the transition matrix, bit for bit
+what squaring the signed `SqueezeMatrix.g` gives.  A `_Workspace` holds its
+buffers (GEMM operand and outputs, the matrix, the log matrix of the column
+entropies); `squeeze_grid_sweep` keeps one for all its builds at one n_max, so
+they reuse memory instead of allocating and faulting it in per build.
 
 The eigenbasis is taken on PADDING levels beyond the requested truncation and
 cached per size.  A truncated G is the top-left block of that padded
@@ -100,16 +109,50 @@ def _parity_basis(size: int, p: int) -> tuple[np.ndarray, np.ndarray]:
                             0.5 * np.sqrt((levels + 1.0) * (levels + 2.0)))
 
 
-def _parity_columns(r: float, size: int, n_cols: int, p: int) -> np.ndarray:
+def _parity_columns(r: float, size: int, n_cols: int, p: int, signed: bool = True,
+                    out: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """G[m, n] for m = p, p + 2, ... below size + PADDING and n = p, p + 2, ...
-    below n_cols, from the eigenbasis padded past `size`."""
+    below n_cols, from the eigenbasis padded past `size`.  Unsigned (|G| up to
+    the sign of each entry) unless `signed`.  `out` is three flat buffers, large
+    enough for the block, that hold the GEMM operand and the cos and sin parts;
+    the result is then a view of the second."""
     lam, vec = _parity_basis(size + PADDING, p)
     right = vec[: (n_cols - p + 1) // 2].T
-    cos_part = vec @ (np.cos(r * lam)[:, None] * right)
-    sin_part = vec @ (np.sin(r * lam)[:, None] * right)
-    offset = np.arange(vec.shape[0])[:, None] - np.arange(right.shape[1])[None, :]
-    sign = np.where(offset % 4 < 2, 1.0, -1.0)  # the real or imaginary part of i^offset
-    return sign * np.where(offset % 2 == 0, cos_part, sin_part)
+    shape = (vec.shape[0], right.shape[1])
+    operand = cos_part = sin_part = None
+    if out is not None:
+        operand, cos_part, sin_part = (b[: shape[0] * shape[1]].reshape(shape) for b in out)
+    cos_part = np.matmul(vec, np.multiply(np.cos(r * lam)[:, None], right, out=operand),
+                         out=cos_part)
+    sin_part = np.matmul(vec, np.multiply(np.sin(r * lam)[:, None], right, out=operand),
+                         out=sin_part)
+    # entries with odd j - k take the sine part
+    cos_part[0::2, 1::2] = sin_part[0::2, 1::2]
+    cos_part[1::2, 0::2] = sin_part[1::2, 0::2]
+    if signed:
+        # the real or imaginary part of i^(j - k) is (-1)^(floor(j/2) + floor(k/2)),
+        # negated where j is even and k odd
+        half = 1.0 - 2.0 * (np.arange(max(cos_part.shape)) // 2 % 2)
+        cos_part *= half[: cos_part.shape[0], None]
+        cos_part *= half[: cos_part.shape[1]]
+        cos_part[0::2, 1::2] *= -1.0
+    return cos_part
+
+
+class _Workspace:
+    """Buffers that every `_squeeze_transitions` build at one n_max can reuse: the
+    three flat GEMM buffers of `_parity_columns` (both parities use them in turn,
+    sized for the larger even block), the transition matrix with its column
+    defects, and the log matrix of `_column_entropies`.  Entries of t and logs
+    that couple levels of opposite parity stay zero."""
+
+    def __init__(self, n_max: int):
+        size = int(n_max) + 1
+        self.t = np.zeros((size, size))
+        self.defects = np.empty(size)
+        self.logs = np.zeros((size, size))
+        block = ((size + PADDING + 1) // 2) * ((size + 1) // 2)
+        self.gemm = tuple(np.empty(block) for _ in range(3))
 
 
 def _validate_squeeze_args(r: float, n_max: int) -> None:
@@ -128,11 +171,35 @@ def squeeze_matrix_closed_form(r: float, n_max: int) -> SqueezeMatrix:
     g = np.zeros((size, size))
     defects = np.empty(size)
     for p in (0, 1):
-        levels = np.arange(p, size, 2)
+        n_levels = (size - p + 1) // 2
         columns = _parity_columns(float(r), size, size, p)
-        g[np.ix_(levels, levels)] = columns[: levels.size]
-        defects[levels] = (columns[levels.size:] ** 2).sum(axis=0)
+        g[p::2, p::2] = columns[:n_levels]
+        defects[p::2] = (columns[n_levels:] ** 2).sum(axis=0)
     return SqueezeMatrix(g, float(r), n_max, defects)
+
+
+def _squeeze_transitions(r: float, n_max: int,
+                         work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(|G|^2, column_defects) of `squeeze_matrix_closed_form(r, n_max)`, bit for
+    bit, from the unsigned parity blocks squared in place.  Both are `work`'s
+    buffers (a fresh workspace's by default) and stay valid until its next build."""
+    _validate_squeeze_args(r, n_max)
+    size = int(n_max) + 1
+    if work is None:
+        work = _Workspace(n_max)
+    t, defects = work.t, work.defects
+    if r == 0.0:
+        t.fill(0.0)
+        np.fill_diagonal(t, 1.0)
+        defects.fill(0.0)
+        return t, defects
+    for p in (0, 1):
+        n_levels = (size - p + 1) // 2
+        columns = _parity_columns(float(r), size, size, p, signed=False, out=work.gemm)
+        np.multiply(columns, columns, out=columns)
+        t[p::2, p::2] = columns[:n_levels]
+        defects[p::2] = columns[n_levels:].sum(axis=0)
+    return t, defects
 
 
 def squeeze_matrix_exponential_oracle(r: float, n_max: int) -> SqueezeMatrix:
@@ -215,13 +282,16 @@ def _select_n_max_cached(beta: float, r_total: float) -> int:
         # levels p + 2j, p + 2j + 2, ... of an eigenbasis padded past `upper`
         worst = []
         for p in (0, 1):
-            columns = _parity_columns(r_total, upper + 1, support_hi + 1, p)
-            worst.append(np.cumsum((columns ** 2)[::-1], axis=0)[::-1].max(axis=1,
-                                                                         initial=0.0))
+            columns = _parity_columns(r_total, upper + 1, support_hi + 1, p, signed=False)
+            columns *= columns
+            worst.append(np.cumsum(columns[::-1], axis=0)[::-1].max(axis=1, initial=0.0))
         for cut in range(lower, upper + 1, 64):
             if max(worst[p][(cut - p) // 2 + 1] for p in (0, 1)) < COLUMN_DEFECT_TOL:
                 return cut
         lower, upper = upper + 64, min(N_MAX_CAP, 2 * upper)
+    # the failed search filled the basis cache with bases of up to the cap's size
+    # (two 4161 x 4161 eigenvector matrices at 8192 levels); drop them
+    _parity_basis.cache_clear()
     raise TruncationError(
         f"no truncation up to {N_MAX_CAP} levels meets the budget for "
         f"beta={beta}, r={r_total}")
@@ -294,9 +364,7 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
             f"beta={beta}, n_max={n_max}", leaked_mass=tail)
     spectra = tuple(oscillator_spectrum(n_max, label=k) for k in range(3))
     rho0 = build_thermal_state(spectra[0], beta)
-    t1 = squeeze_matrix_closed_form(r1, n_max).transition_probabilities
-    t2 = squeeze_matrix_closed_form(r2, n_max).transition_probabilities
-    t_total = squeeze_matrix_closed_form(r1 + r2, n_max).transition_probabilities
+    t1, t2, t_total = (_squeeze_transitions(r, n_max)[0] for r in (r1, r2, r1 + r2))
     pops = rho0.populations
     deficit_measured = 1.0 - float(t2.sum(axis=0) @ (t1 @ pops))
     deficit_no_middle = 1.0 - float(t_total.sum(axis=0) @ pops)
@@ -313,9 +381,19 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
                               deficit_measured, deficit_no_middle, budget, spectra)
 
 
-def _column_entropies(t: np.ndarray) -> np.ndarray:
-    logs = np.log(np.where(t > 0.0, t, 1.0))
-    return -np.einsum("mn,mn->n", t, logs)
+def _column_entropies(t: np.ndarray, work: _Workspace) -> np.ndarray:
+    """-sum_m t log t per column of a squeeze transition matrix at work's n_max.
+    The log is taken on the two parity blocks only, in a GEMM buffer of `work`
+    (free once a build has returned), and lands in `work.logs`, which stays zero
+    between opposite parities, so the full einsum sums what log(t or 1) gives."""
+    for p in (0, 1):
+        block = t[p::2, p::2]
+        logs = work.gemm[0][: block.size].reshape(block.shape)
+        np.copyto(logs, block)
+        logs[block <= 0.0] = 1.0
+        np.log(logs, out=logs)
+        work.logs[p::2, p::2] = logs
+    return -np.einsum("mn,mn->n", t, work.logs)
 
 
 _GROUPING_OFFSETS: dict[int, np.ndarray] = {}
@@ -373,9 +451,10 @@ def entropic_k3_oscillator(beta: float, r1: float, r2: float,
         raise TruncationError(
             f"thermal tail {tail:.3e} too large at beta={beta}, r1={r1}, r2={r2}, "
             f"n_max={n_max}", leaked_mass=tail)
-    t1 = squeeze_matrix_closed_form(r1, n_max).transition_probabilities
-    t2 = t1 if r2 == r1 else squeeze_matrix_closed_form(r2, n_max).transition_probabilities
-    t_total = squeeze_matrix_closed_form(r1 + r2, n_max).transition_probabilities
+    work = _Workspace(n_max)
+    t1 = _squeeze_transitions(r1, n_max)[0]
+    t2 = t1 if r2 == r1 else _squeeze_transitions(r2, n_max)[0]
+    t_total = _squeeze_transitions(r1 + r2, n_max, work)[0]
     levels = np.arange(n_max + 1.0)
     weights = np.exp(-beta * levels)
     pops = weights / weights.sum()
@@ -385,9 +464,9 @@ def entropic_k3_oscillator(beta: float, r1: float, r2: float,
     budget = _budget(tail, deficit_measured, deficit_no_middle)
     h_e1_shift = _entropy(p1) - _entropy(pops) if middle_entropy == "initial" else 0.0
     if degeneracy == "fine":
-        value = 0.5 * (p1 @ _column_entropies(t2)
-                       + pops @ _column_entropies(t1)
-                       - pops @ _column_entropies(t_total)
+        value = 0.5 * (p1 @ _column_entropies(t2, work)
+                       + pops @ _column_entropies(t1, work)
+                       - pops @ _column_entropies(t_total, work)
                        + h_e1_shift)
     else:
         h_w10 = _grouped_work_entropy(t1 * pops[None, :])
@@ -469,11 +548,12 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
                        middle_entropy: str = "initial") -> SweepTable:
     """K_en over a rectangular (r1, r2) grid, plus contour point sets.
 
-    Every distinct amplitude among r1, r2 and r1 + r2 is built once and reduced
-    to the vectors its cells need, so in the fine-grained convention each cell is
-    a few dot products between per-r1 marginals and per-r2 column entropies.  The
-    grouped convention needs the whole r2 joint per cell, so it rebuilds the r2
-    matrix once per grid column.  Contours are in meta["contours"].
+    Every distinct amplitude among r1, r2 and r1 + r2 is built once, into one
+    workspace for the whole sweep, and reduced to the vectors its cells need, so
+    in the fine-grained convention each cell is a few dot products between per-r1
+    marginals and per-r2 column entropies.  The grouped convention needs the
+    whole r2 joint per cell, so it rebuilds the r2 matrix once per grid column and
+    keeps a copy of it.  Contours are in meta["contours"].
     """
     _check_conventions(degeneracy, middle_entropy)
     if r1_grid is None:
@@ -499,9 +579,7 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
     pops = weights / weights.sum()
     h_pops = _entropy(pops)
 
-    def transitions(r: float) -> np.ndarray:
-        return squeeze_matrix_closed_form(float(r), n_max).transition_probabilities
-
+    work = _Workspace(n_max)
     stats: dict[float, tuple] = {}
 
     def leg(r: float) -> tuple:
@@ -509,9 +587,9 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
         H(p1), leak from the thermal state) of the squeeze r."""
         key = round(float(r), 12)
         if key not in stats:
-            t = transitions(r)
+            t = _squeeze_transitions(float(r), n_max, work)[0]
             p1 = t @ pops
-            entropies = _column_entropies(t) if fine else None
+            entropies = _column_entropies(t, work) if fine else None
             h_w = float(pops @ entropies) if fine \
                 else _grouped_work_entropy(t * pops[None, :])
             colsum = t.sum(axis=0)
@@ -525,7 +603,8 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
     worst_budget = 0.0
     for j, r2 in enumerate(r2_grid):
         _, _, entropies2, colsum2, _, _ = leg(r2)
-        t2 = None if fine else transitions(r2)
+        # the r1 legs below overwrite the workspace, so the grouped cells keep a copy
+        t2 = None if fine else _squeeze_transitions(float(r2), n_max, work)[0].copy()
         for i, r1 in enumerate(r1_grid):
             p1, h_w10, _, _, h_p1, _ = leg(r1)
             _, h_w20, _, _, _, deficit_no_middle = leg(r1 + r2)
@@ -584,16 +663,17 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
         hi = coarse[min(len(coarse) - 1, i0 + 1)][0]
         n_max = select_n_max(float(beta), 2.0 * hi)
 
-        def k_of_r(r: float, _beta=float(beta), _n=n_max) -> float:
-            return entropic_k3_oscillator(_beta, r, r, n_max=_n,
-                                          degeneracy=degeneracy, base=base,
-                                          middle_entropy=middle_entropy)[0]
+        budgets: dict[float, float] = {}
 
+        def k_of_r(r: float, _beta=float(beta), _n=n_max, _budgets=budgets) -> float:
+            value, _budgets[r] = entropic_k3_oscillator(_beta, r, r, n_max=_n,
+                                                        degeneracy=degeneracy, base=base,
+                                                        middle_entropy=middle_entropy)
+            return value
+
+        # the minimizer is always a point golden_section_minimum evaluated
         argmin_r, min_value = golden_section_minimum(k_of_r, lo, hi, xtol=refine_xtol)
-        _, budget = entropic_k3_oscillator(float(beta), argmin_r, argmin_r, n_max=n_max,
-                                           degeneracy=degeneracy, base=base,
-                                           middle_entropy=middle_entropy)
-        rows.append((float(beta), min_value, argmin_r, n_max, budget))
+        rows.append((float(beta), min_value, argmin_r, n_max, budgets[argmin_r]))
     table = SweepTable(
         ["beta", "min_k_en", "argmin_r", "n_max", "truncation_budget"],
         np.array(rows),

@@ -157,6 +157,16 @@ class TestSqueezeGrid:
         assert "beta=0.1" in message and "r=4" in message
 
 
+    @pytest.mark.parametrize("beta, n_max", [(0.03, 960), (0.01, 2816)])
+    def test_small_beta_stays_within_budget(self, tmp_path, beta, n_max):
+        code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", beta,
+                        "--grid-spec", "0:0.04:3"])
+        assert code == 0
+        meta = read_table_csv(tmp_path / "squeeze_grid.csv").meta
+        assert int(meta["n_max"]) == n_max
+        assert float(meta["worst_truncation_budget"]) <= 1e-6
+
+
 class TestSqueezeBeta:
     def test_trend_columns(self, tmp_path):
         code = run_cli(["squeeze-beta", "--out", tmp_path,

@@ -23,13 +23,22 @@ from workreal import (
 )
 from workreal.leggett_garg import k3_entropic
 from workreal.squeezing import (
+    PADDING,
     SUPPORT_TOL,
     SqueezeParams,
+    _column_entropies,
+    _parity_basis,
+    _parity_columns,
+    _squeeze_transitions,
+    _Workspace,
     golden_section_minimum,
     oscillator_entropy_reports,
+    squeeze_grid_sweep,
 )
 
 G00_HALF = 0.94171061583167571  # sech(1/2)^(1/2), frozen at 40 digits
+KERNEL_SIZES = (1, 2, 3, 64, 65, 128, 191, 448, 1024)
+KERNEL_AMPLITUDES = (0.0, 0.01, 0.05, 0.2, 1.0)
 
 
 def series_element(m, n, r, dps=60):
@@ -56,6 +65,67 @@ def series_element(m, n, r, dps=60):
         value = (-1) ** (n // 2) * mp.sqrt(mp.factorial(m) * mp.factorial(n) / ch) \
             * total / (2 * ch) ** ((m + n) // 2)
         return float(value)
+
+
+def parity_columns_oracle(r, size, n_cols, p):
+    """The signed parity block of `_parity_columns` in its original formulation:
+    the real or imaginary part of i^(j - k) read off an `offset % 4` table, and
+    the cos or sin part picked per entry by `np.where` on the parity of j - k."""
+    lam, vec = _parity_basis(size + PADDING, p)
+    right = vec[: (n_cols - p + 1) // 2].T
+    cos_part = vec @ (np.cos(r * lam)[:, None] * right)
+    sin_part = vec @ (np.sin(r * lam)[:, None] * right)
+    offset = np.arange(vec.shape[0])[:, None] - np.arange(right.shape[1])[None, :]
+    sign = np.where(offset % 4 < 2, 1.0, -1.0)
+    return sign * np.where(offset % 2 == 0, cos_part, sin_part)
+
+
+def column_entropies_oracle(t):
+    """-sum_m t log t per column, with the log over the whole matrix."""
+    return -np.einsum("mn,mn->n", t, np.log(np.where(t > 0.0, t, 1.0)))
+
+
+class TestKernelPaths:
+    """The unsigned transitions path and the strided signs must reproduce the
+    signed kernel bit for bit."""
+
+    @pytest.mark.parametrize("n_max", KERNEL_SIZES)
+    def test_signed_blocks_equal_the_offset_table_oracle(self, n_max):
+        size = n_max + 1
+        for r in KERNEL_AMPLITUDES[1:]:
+            for n_cols in {size, (size + 1) // 2}:
+                for p in (0, 1):
+                    got = _parity_columns(r, size, n_cols, p)
+                    want = parity_columns_oracle(r, size, n_cols, p)
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("n_max", KERNEL_SIZES)
+    def test_transitions_equal_the_squared_closed_form(self, n_max):
+        """With a fresh workspace and with one shared across amplitudes (revisiting
+        0.05 and 0 after larger ones, so stale buffer contents would show)."""
+        work = _Workspace(n_max)
+        for r in KERNEL_AMPLITUDES + (0.05, 0.0, 0.01):
+            closed = squeeze_matrix_closed_form(r, n_max)
+            for shared in (None, work):
+                t, defects = _squeeze_transitions(r, n_max, shared)
+                assert np.array_equal(t, closed.transition_probabilities)
+                assert np.array_equal(defects, closed.column_defects)
+                entropies = _column_entropies(t, shared or _Workspace(n_max))
+                assert np.array_equal(entropies, column_entropies_oracle(t))
+
+    def test_grid_sweep_reruns_are_equal(self):
+        """Two sweeps of each convention in one process give the same rows; the
+        grouped ones hold their r2 matrix while the r1 legs rebuild the workspace."""
+        grid = np.array([0.0, 0.03, 0.08])
+        rows = {}
+        for degeneracy in ("fine", "grouped", "fine", "grouped"):
+            table = squeeze_grid_sweep(beta=1.0, r1_grid=grid, r2_grid=grid[::-1],
+                                       n_max=96, degeneracy=degeneracy)
+            rows.setdefault(degeneracy, []).append(table.rows)
+        for first, second in rows.values():
+            assert np.array_equal(first, second)
+        assert not np.array_equal(rows["fine"][0], rows["grouped"][0])
 
 
 class TestSqueezeParams:
@@ -236,6 +306,24 @@ class TestTruncationSelection:
         with pytest.raises(TruncationError) as excinfo:
             select_n_max(0.1, 4.0)
         assert "beta=0.1" in str(excinfo.value) and "r=4" in str(excinfo.value)
+
+    def test_failed_search_drops_its_bases(self, monkeypatch):
+        """A search that builds up to the cap and fails leaves no eigenbasis in the
+        cache (at the 8192 cap, two 4161 x 4161 matrices, about 277 MB).  The cap
+        is lowered to 512 so that the search fails after a few small builds."""
+        import workreal.squeezing as squeezing
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args[1] + PADDING)
+            return _parity_columns(*args, **kwargs)
+
+        monkeypatch.setattr(squeezing, "N_MAX_CAP", 512)
+        monkeypatch.setattr(squeezing, "_parity_columns", counting)
+        with pytest.raises(TruncationError):
+            select_n_max(0.123, 0.6)
+        assert max(built) == 513 + PADDING
+        assert _parity_basis.cache_info().currsize == 0
 
     def test_low_temperature_needs_few_levels(self):
         assert select_n_max(10.0, 0.5) <= 128
