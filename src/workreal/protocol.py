@@ -30,6 +30,7 @@ from .hilbert import (
 
 JOINT_NORM_TOL = 1e-10
 WORK_DEGENERACY_TOL = 1e-9
+_CHUNK = 1 << 15  # samples drawn and counted at a time by sample_trajectories
 
 
 def _relabel(spectrum: EnergySpectrum, label: int) -> EnergySpectrum:
@@ -226,15 +227,19 @@ class WorkDistribution:
 
     `view` is "fine" (one entry per contributing index pair, zero-probability pairs
     dropped) or "grouped" (entries within `WORK_DEGENERACY_TOL` of each other merged,
-    values strictly increasing).  `sources` lists the contributing
-    (k_later, k_earlier) pairs of each entry.
+    values strictly increasing).  `pairs` is an (n, 2) integer array of the
+    contributing (k_later, k_earlier) index pairs in view order, one row per fine
+    entry.  A grouped view also holds `starts`, the row at which each group after
+    the first opens.  `sources` builds the same pairs as nested tuples on demand,
+    one tuple of pairs per entry.
     """
 
     works: np.ndarray
     probabilities: np.ndarray
-    sources: tuple[tuple[tuple[int, int], ...], ...]
+    pairs: np.ndarray
     view: str
     norm_tol: float = JOINT_NORM_TOL
+    starts: np.ndarray | None = None
 
     def __post_init__(self):
         works = np.asarray(self.works, dtype=float)
@@ -246,8 +251,20 @@ class WorkDistribution:
         _require_normalized(probs.sum(), self.norm_tol, "work distribution")
         if self.view == "grouped" and np.any(np.diff(works) <= 0):
             raise InvalidParameterError("grouped work values must be strictly increasing")
+        if self.view == "grouped" and (self.starts is None
+                                       or len(self.starts) != works.size - 1):
+            raise InvalidParameterError("a grouped view needs the start of each group after the first")
         object.__setattr__(self, "works", works)
         object.__setattr__(self, "probabilities", probs)
+
+    @property
+    def sources(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The contributing (k_later, k_earlier) pairs of each entry."""
+        pairs = [tuple(pair) for pair in self.pairs.tolist()]
+        if self.view == "fine":
+            return tuple((pair,) for pair in pairs)
+        bounds = [0, *self.starts.tolist(), len(pairs)]
+        return tuple(tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     def grouped(self, tol: float = WORK_DEGENERACY_TOL) -> "WorkDistribution":
         """Merge entries whose work values coincide within `tol` (adjacent-gap clustering)."""
@@ -256,16 +273,14 @@ class WorkDistribution:
         order = np.argsort(self.works, kind="stable")
         works = self.works[order]
         probs = self.probabilities[order]
-        sources = [self.sources[k] for k in order]
         boundaries = _group_starts(works, tol)
-        merged_w, merged_p, merged_src = [], [], []
+        merged_w, merged_p = [], []
         for chunk in np.split(np.arange(works.size), boundaries):
             p = probs[chunk].sum()
             merged_w.append(float(np.dot(works[chunk], probs[chunk]) / p))
             merged_p.append(float(p))
-            merged_src.append(tuple(pair for k in chunk for pair in sources[k]))
-        return WorkDistribution(np.array(merged_w), np.array(merged_p),
-                                tuple(merged_src), "grouped", norm_tol=self.norm_tol)
+        return WorkDistribution(np.array(merged_w), np.array(merged_p), self.pairs[order],
+                                "grouped", norm_tol=self.norm_tol, starts=boundaries)
 
 
 def _fine_order(works: np.ndarray, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -286,7 +301,7 @@ def work_distribution(joint: JointDistribution, view: str = "grouped",
     probs = joint.probs[later, earlier]
     order = _fine_order(works, later, earlier)
     fine = WorkDistribution(works[order], probs[order],
-                            tuple(((int(later[k]), int(earlier[k])),) for k in order),
+                            np.stack((later[order], earlier[order]), axis=1),
                             "fine", norm_tol=joint.norm_tol)
     if view == "fine":
         return fine
@@ -363,28 +378,43 @@ def jarzynski_deviation(workdist: WorkDistribution, beta: float, delta_f: float)
 
 
 def sample_trajectories(rho0: DiagonalDensity, u10: UnitaryPropagator,
-                        u21: UnitaryPropagator, n_samples: int, seed: int,
+                        u21: UnitaryPropagator, n_samples: int, seed: int | None,
                         spectrum_1: EnergySpectrum | None = None,
                         spectrum_2: EnergySpectrum | None = None) -> JointDistribution3:
     """Monte Carlo frequency table of (k0, k1, k2) outcome triples.
 
     Each stage (k0, then k1, then k2) draws one uniform u per sample and takes as
     the outcome the count of CDF entries <= u in the sample's conditioning column,
-    bit-identical to per-column inversion.  Equal seeds give bit-identical tables.
+    bit-identical to per-column inversion.  The uniforms are those of three
+    successive `default_rng(seed).random(n_samples)` calls: one PCG64 stream, of
+    which stage s reads its n_samples draws through a generator advanced to
+    s * n_samples.  Samples are drawn and counted in chunks of `_CHUNK`, so memory
+    does not grow with `n_samples`.  Equal seeds give bit-identical tables.
     """
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be at least 1")
     s0 = rho0.spectrum
     s1 = spectrum_1 if spectrum_1 is not None else _relabel(s0, s0.label + 1)
     s2 = spectrum_2 if spectrum_2 is not None else _relabel(s0, s0.label + 2)
-    rng = np.random.default_rng(seed)
-    k0 = _sample_categorical(rho0.populations[:, None], 0, rng.random(n_samples))
-    k1 = _sample_categorical(transition_probabilities(u10), k0, rng.random(n_samples))
-    k2 = _sample_categorical(transition_probabilities(u21), k1, rng.random(n_samples))
+    seeds = np.random.SeedSequence(seed)
+    g0, g1, g2 = (np.random.Generator(np.random.PCG64(seeds).advance(s * n_samples))
+                  for s in range(3))
+    populations = rho0.populations[:, None]
+    trans10 = transition_probabilities(u10)
+    trans21 = transition_probabilities(u21)
     dims = (u21.dim, u10.dim, rho0.dim)
-    flat = np.ravel_multi_index((k2, k1, k0), dims)
-    counts = np.bincount(flat, minlength=int(np.prod(dims))).reshape(dims)
-    return JointDistribution3.from_cube(counts / n_samples, (s0, s1, s2),
+    counts = np.zeros(dims[0] * dims[1] * dims[2], dtype=np.int64)
+    for start in range(0, n_samples, _CHUNK):
+        size = min(_CHUNK, n_samples - start)
+        k0 = _sample_categorical(populations, 0, g0.random(size))
+        k1 = _sample_categorical(trans10, k0, g1.random(size))
+        k2 = _sample_categorical(trans21, k1, g2.random(size))
+        k2 *= dims[1]
+        k2 += k1
+        k2 *= dims[2]
+        k2 += k0  # the flat (k2, k1, k0) index
+        counts += np.bincount(k2, minlength=counts.size)
+    return JointDistribution3.from_cube(counts.reshape(dims) / n_samples, (s0, s1, s2),
                                         sample_count=n_samples)
 
 

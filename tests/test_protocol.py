@@ -204,6 +204,73 @@ class TestWorkDistribution:
             assert marginal[round(w, 9)] == pytest.approx(p, abs=1e-14)
 
 
+def _former_work_distribution(joint, view):
+    """The former `work_distribution`: (works, probabilities, sources), with the
+    sources built as one tuple of index pairs per entry and concatenated per group."""
+    later, earlier = np.nonzero(joint.probs)
+    works = joint.spectrum_later.levels[later] - joint.spectrum_earlier.levels[earlier]
+    probs = joint.probs[later, earlier]
+    order = np.lexsort((earlier, later, works))
+    works, probs = works[order], probs[order]
+    sources = tuple(((int(later[k]), int(earlier[k])),) for k in order)
+    if view == "fine":
+        return works, probs, sources
+    boundaries = np.flatnonzero(np.diff(works) >= 1e-9) + 1
+    merged_w, merged_p, merged_src = [], [], []
+    for chunk in np.split(np.arange(works.size), boundaries):
+        p = probs[chunk].sum()
+        merged_w.append(float(np.dot(works[chunk], probs[chunk]) / p))
+        merged_p.append(float(p))
+        merged_src.append(tuple(pair for k in chunk for pair in sources[k]))
+    return np.array(merged_w), np.array(merged_p), tuple(merged_src)
+
+
+@pytest.mark.parametrize("view", ["fine", "grouped"])
+def test_index_pairs_equal_former_tuples(view):
+    from workreal import oscillator_three_time
+    oscillator = oscillator_three_time(1.0, 0.15, 0.15, n_max=32)
+    joints = [two_time_joint(thermal(), rotation(math.pi / 2)),  # w = 0 from two pairs
+              two_time_joint(thermal(0.3), rotation(1.1)),
+              oscillator.joint3.marginal_t1_t0(), oscillator.joint3.marginal_t2_t0(),
+              oscillator.no_middle]
+    for joint in joints:
+        dist = work_distribution(joint, view=view)
+        works, probs, sources = _former_work_distribution(joint, view)
+        assert np.array_equal(dist.works, works)
+        assert np.array_equal(dist.probabilities, probs)
+        assert dist.sources == sources
+        assert dist.pairs.shape == (sum(map(len, sources)), 2)
+    if view == "grouped":  # the oscillator's equally spaced levels merge many pairs
+        assert len(sources) == 33 and max(map(len, sources)) > 1
+
+
+def test_frozen_work_distribution():
+    """Values recorded when the sources were still built as per-entry tuples."""
+    from workreal import JointDistribution
+    levels = np.array([0.0, 0.3, 0.7])
+    joint = JointDistribution(np.array([[0.1, 0.0, 0.05], [0.2, 0.15, 0.0],
+                                        [0.05, 0.25, 0.2]]),
+                              EnergySpectrum(levels, label=0), EnergySpectrum(levels, label=1))
+    fine = work_distribution(joint, view="fine")
+    assert np.array_equal(fine.works, [-0.7, 0.0, 0.0, 0.0, 0.3, 0.39999999999999997, 0.7])
+    assert np.array_equal(fine.probabilities, [0.05, 0.1, 0.15, 0.2, 0.2, 0.25, 0.05])
+    assert fine.pairs.tolist() == [[0, 2], [0, 0], [1, 1], [2, 2], [1, 0], [2, 1], [2, 0]]
+    grouped = fine.grouped()
+    assert np.array_equal(grouped.works, [-0.6999999999999998, 0.0, 0.3,
+                                          0.39999999999999997, 0.6999999999999998])
+    assert np.array_equal(grouped.probabilities, [0.05, 0.45, 0.2, 0.25, 0.05])
+    assert grouped.starts.tolist() == [1, 4, 5, 6]
+    assert grouped.sources == (((0, 2),), ((0, 0), (1, 1), (2, 2)), ((1, 0),), ((2, 1),),
+                               ((2, 0),))
+
+
+def test_grouped_view_requires_its_starts():
+    from workreal import WorkDistribution
+    with pytest.raises(InvalidParameterError):
+        WorkDistribution(np.array([-1.0, 1.0]), np.array([0.5, 0.5]),
+                         np.array([[0, 1], [1, 0]]), "grouped")
+
+
 class TestJarzynski:
     def test_equal_spectra_any_unitary(self, rng):
         for _ in range(20):
@@ -344,6 +411,60 @@ def test_stage_draw_equals_per_column_oracle(dim, zero_fraction, seed):
     u = np.concatenate([np.append(cdf[:-1, col], 0.0) for col in range(dim)])
     assert np.array_equal(_sample_categorical(columns, conditions, u),
                           _per_column_oracle(columns, conditions, u))
+
+
+def _one_shot_counts(rho0, u10, u21, n, seed):
+    """The sampler's former draw: all uniforms of each stage at once from
+    `default_rng(seed)`, then one flat index for all samples."""
+    rng = np.random.default_rng(seed)
+    k0 = _per_column_oracle(rho0.populations[:, None], np.zeros(n, dtype=int), rng.random(n))
+    k1 = _per_column_oracle(abs(u10.matrix) ** 2, k0, rng.random(n))
+    k2 = _per_column_oracle(abs(u21.matrix) ** 2, k1, rng.random(n))
+    dims = (u21.dim, u10.dim, rho0.dim)
+    flat = np.ravel_multi_index((k2, k1, k0), dims)
+    return np.bincount(flat, minlength=int(np.prod(dims))).reshape(dims)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_chunked_draw_equals_one_shot_oracle(dim):
+    from workreal.protocol import _CHUNK
+    gen = np.random.default_rng(dim)
+    rho0 = build_thermal_state(EnergySpectrum(np.sort(gen.uniform(0, 2, dim))), 0.7)
+    u10 = UnitaryPropagator(random_unitary(gen, dim))
+    u21 = UnitaryPropagator(random_unitary(gen, dim))
+    for n in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5):
+        for seed in (0, 7, 2024):
+            empirical = sample_trajectories(rho0, u10, u21, n, seed)
+            counts = _one_shot_counts(rho0, u10, u21, n, seed)
+            assert np.array_equal(empirical.probs, counts / n)
+    n = 3 * _CHUNK + 5
+    unseeded = sample_trajectories(rho0, u10, u21, n, None)
+    assert np.rint(unseeded.probs * n).sum() == n
+
+
+def test_sampler_memory_does_not_grow_with_sample_count():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import workreal
+    src = str(Path(workreal.__file__).resolve().parents[1])
+    code = (
+        "import math, resource\n"
+        "from workreal import (TlsAngles, build_thermal_state, sample_trajectories,\n"
+        "                      tls_propagator, tls_spectrum)\n"
+        "u = tls_propagator(TlsAngles(math.pi / 3))\n"
+        "rho0 = build_thermal_state(tls_spectrum(0), 1.0)\n"
+        "sample_trajectories(rho0, u, u, 1000, 1)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "sample_trajectories(rho0, u, u, 4_000_000, 1)\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 16.0  # MiB; the one-shot draw grew by about 156
 
 
 def test_pvalue_equals_scipy_stats_chi2():
