@@ -18,8 +18,13 @@ The sweeps need only |G|^2.  `_squeeze_transitions` squares the unsigned parity
 blocks in place and writes them straight into the transition matrix, bit for bit
 what squaring the signed `SqueezeMatrix.g` gives.  A `_Workspace` holds its
 buffers (GEMM operand and outputs, the matrix, the log matrix of the column
-entropies); `squeeze_grid_sweep` keeps one for all its builds at one n_max, so
-they reuse memory instead of allocating and faulting it in per build.
+entropies), so builds at one n_max reuse memory instead of allocating and
+faulting it in per build.
+
+Every oscillator K_en (the point function, each grid cell, each beta-sweep
+point) goes through one per-(beta, n_max) routine, `_Legs`.  Its oracles are
+`oscillator_three_time` and `oscillator_entropy_reports`, which reach the same
+numbers through the generic joint and work-distribution objects.
 
 The eigenbasis is taken on PADDING levels beyond the requested truncation and
 cached per size.  A truncated G is the top-left block of that padded
@@ -43,7 +48,7 @@ from scipy.linalg import eigh_tridiagonal, expm
 
 from .entropy import shannon_entropy, work_entropy
 from .errors import InvalidParameterError, TruncationError
-from .hilbert import EnergySpectrum, UnitaryPropagator, build_thermal_state
+from .hilbert import EnergySpectrum, UnitaryPropagator, _gibbs_populations
 from .protocol import JointDistribution, JointDistribution3, work_distribution
 from .tables import SweepTable, contour_points
 
@@ -218,21 +223,22 @@ def squeeze_matrix_exponential_oracle(r: float, n_max: int) -> SqueezeMatrix:
     return SqueezeMatrix(g, r, n_max, np.abs(1.0 - (g * g).sum(axis=0)))
 
 
-def squeeze_propagator(sq: SqueezeMatrix,
-                       unitarity_tol: float | None = None) -> UnitaryPropagator:
+def squeeze_propagator(sq: SqueezeMatrix) -> UnitaryPropagator:
     """Wrap a truncated squeeze matrix as a propagator.
 
-    A truncated squeeze is orthogonal only away from the truncation edge, so the
-    whole-matrix deviation is dominated by the top corner no matter how large the
-    basis is.  By default the measured deviation itself is declared as the
-    tolerance; accuracy inside the trusted band is certified separately by the
-    per-column defects.
+    G is the top-left block of an orthogonal matrix whose remaining rows carry
+    the leak d = `column_defects`, so G^T G - 1 = -L^T L and, by Cauchy-Schwarz
+    on the leak rows L, |(G^T G - 1)[m, n]| <= sqrt(d_m d_n).  Raises
+    InvalidParameterError where an entry exceeds that bound by more than 1e-12;
+    the largest defect (plus 1e-12) is then the propagator's unitarity tolerance.
     """
-    from .hilbert import validate_unitary
-    matrix = sq.g.astype(complex)
-    if unitarity_tol is None:
-        unitarity_tol = validate_unitary(matrix) * (1.0 + 1e-9) + 1e-12
-    return UnitaryPropagator(matrix, unitarity_tol=unitarity_tol)
+    g, defects = sq.g, sq.column_defects
+    excess = np.abs(g.T @ g - np.eye(g.shape[1])) - np.sqrt(np.outer(defects, defects))
+    if excess.max() > 1e-12:
+        raise InvalidParameterError(
+            f"squeeze matrix at r={sq.r}, n_max={sq.n_max} is not a block of an "
+            f"orthogonal matrix: G^T G - 1 exceeds its leak bound by {excess.max():.3e}")
+    return UnitaryPropagator(g.astype(complex), unitarity_tol=float(defects.max()) + 1e-12)
 
 
 def oscillator_spectrum(n_max: int, label: int = 0, omega: float = 1.0) -> EnergySpectrum:
@@ -245,6 +251,18 @@ def thermal_tail_mass(beta: float, n_max: int) -> float:
     if not (beta > 0 and math.isfinite(beta)):
         raise InvalidParameterError("beta must be positive and finite")
     return math.exp(-beta * (n_max + 1.0))
+
+
+def _thermal_run(beta: float, n_max: int, point: str) -> tuple[np.ndarray, float]:
+    """Gibbs populations of the oscillator on the levels 0..n_max and the thermal
+    mass above them.  Raises TruncationError, naming beta, n_max and `point`, when
+    that tail exceeds THERMAL_TAIL_TOL."""
+    tail = thermal_tail_mass(beta, n_max)
+    if tail > THERMAL_TAIL_TOL:
+        raise TruncationError(
+            f"thermal tail {tail:.3e} above {THERMAL_TAIL_TOL:.1e} at "
+            f"beta={beta}, {point}, n_max={n_max}", leaked_mass=tail)
+    return _gibbs_populations(np.arange(n_max + 1.0), beta), tail
 
 
 def _thermal_support(beta: float, tol: float) -> int:
@@ -357,15 +375,9 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
             raise InvalidParameterError(f"{name} must be >= 0, got {r}")
     if n_max is None:
         n_max = select_n_max(beta, r1 + r2)
-    tail = thermal_tail_mass(beta, n_max)
-    if tail > THERMAL_TAIL_TOL:
-        raise TruncationError(
-            f"thermal tail {tail:.3e} above {THERMAL_TAIL_TOL:.1e} at "
-            f"beta={beta}, n_max={n_max}", leaked_mass=tail)
+    pops, tail = _thermal_run(beta, n_max, f"r1={r1}, r2={r2}")
     spectra = tuple(oscillator_spectrum(n_max, label=k) for k in range(3))
-    rho0 = build_thermal_state(spectra[0], beta)
     t1, t2, t_total = (_squeeze_transitions(r, n_max)[0] for r in (r1, r2, r1 + r2))
-    pops = rho0.populations
     deficit_measured = 1.0 - float(t2.sum(axis=0) @ (t1 @ pops))
     deficit_no_middle = 1.0 - float(t_total.sum(axis=0) @ pops)
     budget = _budget(tail, deficit_measured, deficit_no_middle)
@@ -396,21 +408,6 @@ def _column_entropies(t: np.ndarray, work: _Workspace) -> np.ndarray:
     return -np.einsum("mn,mn->n", t, work.logs)
 
 
-_GROUPING_OFFSETS: dict[int, np.ndarray] = {}
-
-
-def _grouped_work_entropy(joint_probs: np.ndarray) -> float:
-    """Work entropy for an equal-ladder joint, where w is set by m - n alone."""
-    size = joint_probs.shape[0]
-    offsets = _GROUPING_OFFSETS.get(size)
-    if offsets is None:
-        offsets = (np.arange(size)[:, None] - np.arange(size)[None, :] + size - 1).ravel()
-        _GROUPING_OFFSETS[size] = offsets
-    pw = np.bincount(offsets, weights=joint_probs.ravel(), minlength=2 * size - 1)
-    nz = pw[pw > 0.0]
-    return float(-(nz * np.log(nz)).sum())
-
-
 def _entropy(p: np.ndarray) -> float:
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
@@ -422,6 +419,67 @@ def _check_conventions(degeneracy: str, middle_entropy: str) -> None:
     if middle_entropy not in ("initial", "measured"):
         raise InvalidParameterError(
             f"unknown middle-entropy convention {middle_entropy!r}")
+
+
+class _Legs:
+    """The thermal run at one (beta, n_max), one workspace for all its builds,
+    and per amplitude r the statistics of squeeze(r) on the thermal state
+    (`leg`), which `cell` combines into K_en and its budget.  In the fine-grained
+    convention most marginal entropies cancel, so a cell is a few dot products
+    and forms no joint.  Any degeneracy other than "fine" is taken as grouped,
+    so public entries check their conventions first."""
+
+    def __init__(self, beta: float, n_max: int, degeneracy: str, point: str):
+        self.n_max = n_max
+        self.pops, self.tail = _thermal_run(beta, n_max, point)
+        self.h_pops = _entropy(self.pops)
+        self.work = _Workspace(n_max)
+        self.stats: dict[float, tuple] = {}
+        # grouped: equal-ladder works are set by m - n alone, so entry (m, n) of a
+        # joint goes to work bin m - n + n_max
+        self.offsets = None if degeneracy == "fine" else \
+            np.add.outer(np.arange(n_max + 1), np.arange(n_max, -1, -1)).ravel()
+
+    def _grouped_work_entropy(self, joint_probs: np.ndarray) -> float:
+        return _entropy(np.bincount(self.offsets, weights=joint_probs.ravel(),
+                                    minlength=2 * self.n_max + 1))
+
+    def leg(self, r: float, t: np.ndarray | None = None) -> tuple:
+        """(p1, H(W) from the thermal state, column entropies, column sums, H(p1),
+        leak from the thermal state) of the squeeze r.  `t` is its transition
+        matrix when the caller has already built it."""
+        key = round(float(r), 12)
+        if key not in self.stats:
+            if t is None:
+                t = _squeeze_transitions(float(r), self.n_max, self.work)[0]
+            pops = self.pops
+            p1 = t @ pops
+            entropies = _column_entropies(t, self.work) if self.offsets is None else None
+            h_w = float(pops @ entropies) if self.offsets is None \
+                else self._grouped_work_entropy(t * pops[None, :])
+            colsum = t.sum(axis=0)
+            self.stats[key] = (p1, h_w, entropies, colsum, _entropy(p1),
+                               1.0 - float(colsum @ pops))
+        return self.stats[key]
+
+    def cell(self, r1: float, r2: float, middle_entropy: str,
+             t2: np.ndarray | None = None) -> tuple[float, float]:
+        """(K_en in nats, truncation budget) of squeeze(r1), measure, squeeze(r2).
+        The grouped convention needs the whole r2 matrix `t2`; without one it is
+        built here into a copy, since the other legs reuse the workspace."""
+        fine = self.offsets is None
+        if not fine and t2 is None:
+            t2 = _squeeze_transitions(float(r2), self.n_max, self.work)[0].copy()
+        _, _, entropies2, colsum2, _, _ = self.leg(r2, t2)
+        p1, h_w10, _, _, h_p1, _ = self.leg(r1)
+        _, h_w20, _, _, _, deficit_no_middle = self.leg(r1 + r2)
+        shift = h_p1 - self.h_pops if middle_entropy == "initial" else 0.0
+        if fine:
+            value = 0.5 * (p1 @ entropies2 + h_w10 - h_w20 + shift)
+        else:
+            h_w21 = self._grouped_work_entropy(t2 * p1[None, :])
+            value = 0.5 * (h_w21 + h_w10 - h_w20 - h_p1 + shift)
+        return value, _budget(self.tail, 1.0 - float(colsum2 @ p1), deficit_no_middle)
 
 
 def entropic_k3_oscillator(beta: float, r1: float, r2: float,
@@ -439,40 +497,13 @@ def entropic_k3_oscillator(beta: float, r1: float, r2: float,
     temperature dependence of the violation depth monotone, which the strict
     variant does not.  Both are cross-checked in the module tests.
 
-    In the fine-grained convention most marginal entropies cancel, so the value
-    reduces to conditional entropies evaluated directly from transition columns
-    without forming any joint.
+    One `_Legs` cell, the routine every oscillator sweep runs.
     """
     _check_conventions(degeneracy, middle_entropy)
     if n_max is None:
         n_max = select_n_max(beta, r1 + r2)
-    tail = thermal_tail_mass(beta, n_max)
-    if tail > THERMAL_TAIL_TOL:
-        raise TruncationError(
-            f"thermal tail {tail:.3e} too large at beta={beta}, r1={r1}, r2={r2}, "
-            f"n_max={n_max}", leaked_mass=tail)
-    work = _Workspace(n_max)
-    t1 = _squeeze_transitions(r1, n_max)[0]
-    t2 = t1 if r2 == r1 else _squeeze_transitions(r2, n_max)[0]
-    t_total = _squeeze_transitions(r1 + r2, n_max, work)[0]
-    levels = np.arange(n_max + 1.0)
-    weights = np.exp(-beta * levels)
-    pops = weights / weights.sum()
-    p1 = t1 @ pops
-    deficit_measured = 1.0 - float(t2.sum(axis=0) @ p1)
-    deficit_no_middle = 1.0 - float(t_total.sum(axis=0) @ pops)
-    budget = _budget(tail, deficit_measured, deficit_no_middle)
-    h_e1_shift = _entropy(p1) - _entropy(pops) if middle_entropy == "initial" else 0.0
-    if degeneracy == "fine":
-        value = 0.5 * (p1 @ _column_entropies(t2, work)
-                       + pops @ _column_entropies(t1, work)
-                       - pops @ _column_entropies(t_total, work)
-                       + h_e1_shift)
-    else:
-        h_w10 = _grouped_work_entropy(t1 * pops[None, :])
-        h_w21 = _grouped_work_entropy(t2 * p1[None, :])
-        h_w20 = _grouped_work_entropy(t_total * pops[None, :])
-        value = 0.5 * (h_w21 + h_w10 - h_w20 - _entropy(p1) + h_e1_shift)
+    value, budget = _Legs(beta, n_max, degeneracy, f"r1={r1}, r2={r2}").cell(
+        r1, r2, middle_entropy)
     return float(value) / math.log(base), budget
 
 
@@ -548,12 +579,10 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
                        middle_entropy: str = "initial") -> SweepTable:
     """K_en over a rectangular (r1, r2) grid, plus contour point sets.
 
-    Every distinct amplitude among r1, r2 and r1 + r2 is built once, into one
-    workspace for the whole sweep, and reduced to the vectors its cells need, so
-    in the fine-grained convention each cell is a few dot products between per-r1
-    marginals and per-r2 column entropies.  The grouped convention needs the
-    whole r2 joint per cell, so it rebuilds the r2 matrix once per grid column and
-    keeps a copy of it.  Contours are in meta["contours"].
+    One `_Legs` serves the whole sweep: every distinct amplitude among r1, r2 and
+    r1 + r2 is built once and reduced to the vectors its cells need.  The grouped
+    convention needs the whole r2 joint per cell, so it builds the r2 matrix once
+    per grid column and keeps a copy of it.  Contours are in meta["contours"].
     """
     _check_conventions(degeneracy, middle_entropy)
     if r1_grid is None:
@@ -567,54 +596,18 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
             raise InvalidParameterError("grids must be non-empty, finite, non-negative")
     if n_max is None:
         n_max = select_n_max(beta, float(r1_grid.max() + r2_grid.max()))
-    tail = thermal_tail_mass(beta, n_max)
-    if tail > THERMAL_TAIL_TOL:
-        raise TruncationError(
-            f"thermal tail {tail:.3e} too large at beta={beta}, "
-            f"r grid up to ({r1_grid.max():g}, {r2_grid.max():g}), n_max={n_max}",
-            leaked_mass=tail)
-    fine = degeneracy == "fine"
-    levels = np.arange(n_max + 1.0)
-    weights = np.exp(-beta * levels)
-    pops = weights / weights.sum()
-    h_pops = _entropy(pops)
-
-    work = _Workspace(n_max)
-    stats: dict[float, tuple] = {}
-
-    def leg(r: float) -> tuple:
-        """(p1, H(W) from the thermal state, column entropies, column sums,
-        H(p1), leak from the thermal state) of the squeeze r."""
-        key = round(float(r), 12)
-        if key not in stats:
-            t = _squeeze_transitions(float(r), n_max, work)[0]
-            p1 = t @ pops
-            entropies = _column_entropies(t, work) if fine else None
-            h_w = float(pops @ entropies) if fine \
-                else _grouped_work_entropy(t * pops[None, :])
-            colsum = t.sum(axis=0)
-            stats[key] = (p1, h_w, entropies, colsum, _entropy(p1),
-                          1.0 - float(colsum @ pops))
-        return stats[key]
-
+    legs = _Legs(beta, n_max, degeneracy,
+                 f"r grid up to ({r1_grid.max():g}, {r2_grid.max():g})")
     log_base = math.log(base)
     rows = np.empty((r1_grid.size * r2_grid.size, 4))
     z = np.empty((r1_grid.size, r2_grid.size))
     worst_budget = 0.0
     for j, r2 in enumerate(r2_grid):
-        _, _, entropies2, colsum2, _, _ = leg(r2)
-        # the r1 legs below overwrite the workspace, so the grouped cells keep a copy
-        t2 = None if fine else _squeeze_transitions(float(r2), n_max, work)[0].copy()
+        # the r1 legs overwrite the workspace, so the grouped cells keep a copy
+        t2 = None if degeneracy == "fine" \
+            else _squeeze_transitions(float(r2), n_max, legs.work)[0].copy()
         for i, r1 in enumerate(r1_grid):
-            p1, h_w10, _, _, h_p1, _ = leg(r1)
-            _, h_w20, _, _, _, deficit_no_middle = leg(r1 + r2)
-            shift = h_p1 - h_pops if middle_entropy == "initial" else 0.0
-            if fine:
-                value = 0.5 * (p1 @ entropies2 + h_w10 - h_w20 + shift)
-            else:
-                h_w21 = _grouped_work_entropy(t2 * p1[None, :])
-                value = 0.5 * (h_w21 + h_w10 - h_w20 - h_p1 + shift)
-            budget = _budget(tail, 1.0 - float(colsum2 @ p1), deficit_no_middle)
+            value, budget = legs.cell(r1, r2, middle_entropy, t2)
             worst_budget = max(worst_budget, budget)
             z[i, j] = value / log_base
             rows[i * r2_grid.size + j] = (r1, r2, z[i, j], budget)
@@ -625,7 +618,7 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
         meta={"experiment": "squeeze-grid", "beta": beta, "n_max": n_max,
               "degeneracy": degeneracy, "middle_entropy": middle_entropy,
               "entropy_base": "2" if base == 2 else "e",
-              "thermal_tail": tail, "worst_truncation_budget": worst_budget,
+              "thermal_tail": legs.tail, "worst_truncation_budget": worst_budget,
               "contours": contours},
     )
 
@@ -638,21 +631,29 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
 
     A coarse geometric scan brackets the single dip (stopping once the parameter
     has risen well past it), then golden-section search refines the minimizer to
-    `refine_xtol`.  The truncation is re-selected per beta and held fixed through
-    the refinement.
+    `refine_xtol`.  The coarse scan selects the truncation per point and the
+    refinement holds it fixed; each (beta, n_max) gets one `_Legs`.
     """
+    _check_conventions(degeneracy, middle_entropy)
     if r_grid is None:
         r_grid = np.geomspace(0.004, 0.8, 20)
-    r_grid = np.asarray(r_grid, dtype=float)
+    log_base = math.log(base)
     rows = []
-    for beta in np.asarray(beta_grid, dtype=float):
+    for beta in map(float, np.asarray(beta_grid, dtype=float)):
+        legs: dict[int, _Legs] = {}
+        budgets: dict[float, float] = {}
+
+        def k_of_r(r: float, n_max: int, _beta=beta, _legs=legs, _budgets=budgets) -> float:
+            if n_max not in _legs:
+                _legs[n_max] = _Legs(_beta, n_max, degeneracy, f"r1=r2={r}")
+            value, _budgets[r] = _legs[n_max].cell(r, r, middle_entropy)
+            return float(value) / log_base
+
         coarse: list[tuple[float, float]] = []
         best = math.inf
-        for r in r_grid:
-            value, _ = entropic_k3_oscillator(beta, float(r), float(r),
-                                              degeneracy=degeneracy, base=base,
-                                              middle_entropy=middle_entropy)
-            coarse.append((float(r), value))
+        for r in map(float, np.asarray(r_grid, dtype=float)):
+            value = k_of_r(r, select_n_max(beta, r + r))
+            coarse.append((r, value))
             best = min(best, value)
             if best < 0.0 and value >= 0.0:
                 break
@@ -661,19 +662,11 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
         i0 = min(range(len(coarse)), key=lambda k: coarse[k][1])
         lo = coarse[max(0, i0 - 1)][0]
         hi = coarse[min(len(coarse) - 1, i0 + 1)][0]
-        n_max = select_n_max(float(beta), 2.0 * hi)
-
-        budgets: dict[float, float] = {}
-
-        def k_of_r(r: float, _beta=float(beta), _n=n_max, _budgets=budgets) -> float:
-            value, _budgets[r] = entropic_k3_oscillator(_beta, r, r, n_max=_n,
-                                                        degeneracy=degeneracy, base=base,
-                                                        middle_entropy=middle_entropy)
-            return value
-
-        # the minimizer is always a point golden_section_minimum evaluated
-        argmin_r, min_value = golden_section_minimum(k_of_r, lo, hi, xtol=refine_xtol)
-        rows.append((float(beta), min_value, argmin_r, n_max, budgets[argmin_r]))
+        n_max = select_n_max(beta, 2.0 * hi)
+        # the minimizer is always a point golden_section_minimum evaluated, at n_max
+        argmin_r, min_value = golden_section_minimum(lambda r: k_of_r(r, n_max), lo, hi,
+                                                     xtol=refine_xtol)
+        rows.append((beta, min_value, argmin_r, n_max, budgets[argmin_r]))
     table = SweepTable(
         ["beta", "min_k_en", "argmin_r", "n_max", "truncation_budget"],
         np.array(rows),

@@ -21,16 +21,22 @@ from workreal import (
     total_work_distribution,
     work_distribution,
 )
+import workreal.squeezing as squeezing
 from workreal.leggett_garg import k3_entropic
 from workreal.squeezing import (
     PADDING,
     SUPPORT_TOL,
+    THERMAL_TAIL_TOL,
     SqueezeParams,
+    _budget,
+    _check_conventions,
     _column_entropies,
+    _entropy,
     _parity_basis,
     _parity_columns,
     _squeeze_transitions,
     _Workspace,
+    beta_sweep_min_k,
     golden_section_minimum,
     oscillator_entropy_reports,
     squeeze_grid_sweep,
@@ -507,3 +513,206 @@ def test_golden_section_finds_quadratic_minimum():
     x, fx = golden_section_minimum(lambda x: (x - 0.3) ** 2, 0.0, 1.0, xtol=1e-6)
     assert x == pytest.approx(0.3, abs=1e-5)
     assert fx == pytest.approx(0.0, abs=1e-9)
+
+
+def test_propagator_certificate_fails_on_a_flipped_sign():
+    """The unitarity certificate of `squeeze_propagator` is the leak bound
+    |(G^T G - 1)[m, n]| <= sqrt(d_m d_n); one flipped sign in a low corner
+    breaks the orthogonality of the padded exponential far beyond it."""
+    sq = squeeze_matrix_closed_form(0.2, 64)
+    sq.g[3, 1] = -sq.g[3, 1]
+    with pytest.raises(InvalidParameterError):
+        squeeze_propagator(sq)
+
+
+def oracle_grouped_work_entropy(joint_probs):
+    size = joint_probs.shape[0]
+    offsets = (np.arange(size)[:, None] - np.arange(size)[None, :] + size - 1).ravel()
+    pw = np.bincount(offsets, weights=joint_probs.ravel(), minlength=2 * size - 1)
+    nz = pw[pw > 0.0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def oracle_entropic_k3_oscillator(beta, r1, r2, n_max=None, degeneracy="fine",
+                                  base=math.e, middle_entropy="initial"):
+    """K_en as a standalone point function: fresh buffers for t1 and t2, one
+    workspace for t_total and the column entropies, and the fine and grouped
+    formulas written out.  Builds go through the module attributes so that a
+    monkeypatched counter sees them."""
+    _check_conventions(degeneracy, middle_entropy)
+    if n_max is None:
+        n_max = select_n_max(beta, r1 + r2)
+    tail = thermal_tail_mass(beta, n_max)
+    if tail > THERMAL_TAIL_TOL:
+        raise TruncationError(
+            f"thermal tail {tail:.3e} too large at beta={beta}, r1={r1}, r2={r2}, "
+            f"n_max={n_max}", leaked_mass=tail)
+    work = squeezing._Workspace(n_max)
+    t1 = squeezing._squeeze_transitions(r1, n_max)[0]
+    t2 = t1 if r2 == r1 else squeezing._squeeze_transitions(r2, n_max)[0]
+    t_total = squeezing._squeeze_transitions(r1 + r2, n_max, work)[0]
+    levels = np.arange(n_max + 1.0)
+    weights = np.exp(-beta * levels)
+    pops = weights / weights.sum()
+    p1 = t1 @ pops
+    deficit_measured = 1.0 - float(t2.sum(axis=0) @ p1)
+    deficit_no_middle = 1.0 - float(t_total.sum(axis=0) @ pops)
+    budget = _budget(tail, deficit_measured, deficit_no_middle)
+    h_e1_shift = _entropy(p1) - _entropy(pops) if middle_entropy == "initial" else 0.0
+    if degeneracy == "fine":
+        value = 0.5 * (p1 @ _column_entropies(t2, work)
+                       + pops @ _column_entropies(t1, work)
+                       - pops @ _column_entropies(t_total, work)
+                       + h_e1_shift)
+    else:
+        h_w10 = oracle_grouped_work_entropy(t1 * pops[None, :])
+        h_w21 = oracle_grouped_work_entropy(t2 * p1[None, :])
+        h_w20 = oracle_grouped_work_entropy(t_total * pops[None, :])
+        value = 0.5 * (h_w21 + h_w10 - h_w20 - _entropy(p1) + h_e1_shift)
+    return float(value) / math.log(base), budget
+
+
+def oracle_beta_sweep_rows(beta_grid, r_grid=None, refine_xtol=1e-4, degeneracy="fine",
+                           base=math.e, middle_entropy="initial"):
+    """The rows of `beta_sweep_min_k` from a loop over the oracle point function."""
+    if r_grid is None:
+        r_grid = np.geomspace(0.004, 0.8, 20)
+    rows = []
+    for beta in np.asarray(beta_grid, dtype=float):
+        coarse = []
+        best = math.inf
+        for r in r_grid:
+            value, _ = oracle_entropic_k3_oscillator(beta, float(r), float(r),
+                                                     degeneracy=degeneracy, base=base,
+                                                     middle_entropy=middle_entropy)
+            coarse.append((float(r), value))
+            best = min(best, value)
+            if best < 0.0 and value >= 0.0:
+                break
+            if len(coarse) > 4 and value > best + 0.5 * abs(best):
+                break
+        i0 = min(range(len(coarse)), key=lambda k: coarse[k][1])
+        lo = coarse[max(0, i0 - 1)][0]
+        hi = coarse[min(len(coarse) - 1, i0 + 1)][0]
+        n_max = select_n_max(float(beta), 2.0 * hi)
+        budgets = {}
+
+        def k_of_r(r, _beta=float(beta), _n=n_max, _budgets=budgets):
+            value, _budgets[r] = oracle_entropic_k3_oscillator(
+                _beta, r, r, n_max=_n, degeneracy=degeneracy, base=base,
+                middle_entropy=middle_entropy)
+            return value
+
+        argmin_r, min_value = golden_section_minimum(k_of_r, lo, hi, xtol=refine_xtol)
+        rows.append((float(beta), min_value, argmin_r, n_max, budgets[argmin_r]))
+    return np.array(rows)
+
+
+CONVENTIONS = [(degeneracy, middle, base) for degeneracy in ("fine", "grouped")
+               for middle in ("initial", "measured") for base in (math.e, 2.0)]
+
+
+class TestOnePath:
+    """Every oscillator K_en runs through one per-(beta, n_max) routine; it must
+    reproduce the standalone point function bit for bit."""
+
+    @pytest.mark.parametrize("degeneracy, middle, base", CONVENTIONS)
+    def test_point_function_equals_the_oracle(self, degeneracy, middle, base):
+        for r1, r2, n_max in ((0.12, 0.2, 96), (0.1, 0.1, 96), (0.0, 0.15, 96),
+                              (0.15, 0.0, 96), (0.0, 0.0, 96), (0.05, 0.3, None)):
+            kwargs = dict(n_max=n_max, degeneracy=degeneracy, base=base,
+                          middle_entropy=middle)
+            assert (entropic_k3_oscillator(1.0, r1, r2, **kwargs)
+                    == oracle_entropic_k3_oscillator(1.0, r1, r2, **kwargs))
+
+    @pytest.mark.parametrize("degeneracy, middle, base", CONVENTIONS)
+    def test_grid_cells_equal_the_oracle(self, degeneracy, middle, base):
+        """Dyadic amplitudes, so every r1 + r2 is exact and no two cache keys of
+        the grid stand for different floats."""
+        r1_grid = np.array([0.0, 0.0625, 0.125])
+        r2_grid = np.array([0.0, 0.0625, 0.1875])
+        table = squeeze_grid_sweep(beta=1.0, r1_grid=r1_grid, r2_grid=r2_grid, n_max=96,
+                                   degeneracy=degeneracy, base=base,
+                                   middle_entropy=middle)
+        for r1, r2, value, budget in table.rows:
+            assert (value, budget) == oracle_entropic_k3_oscillator(
+                1.0, r1, r2, n_max=96, degeneracy=degeneracy, base=base,
+                middle_entropy=middle)
+
+    @pytest.mark.parametrize("degeneracy", ["fine", "grouped"])
+    def test_beta_sweep_rows_equal_the_oracle_loop(self, degeneracy):
+        r_grid = np.geomspace(0.05, 0.4, 6)
+        table = beta_sweep_min_k([0.3, 1.0], r_grid=r_grid, degeneracy=degeneracy)
+        assert np.array_equal(table.rows, oracle_beta_sweep_rows(
+            [0.3, 1.0], r_grid=r_grid, degeneracy=degeneracy))
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """Counts `_Workspace` constructions (by n_max) and `_squeeze_transitions` builds."""
+    made = {"workspaces": [], "builds": 0}
+
+    class CountingWorkspace(_Workspace):
+        def __init__(self, n_max):
+            made["workspaces"].append(n_max)
+            super().__init__(n_max)
+
+    build = squeezing._squeeze_transitions
+
+    def counting_build(*args, **kwargs):
+        made["builds"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(squeezing, "_Workspace", CountingWorkspace)
+    monkeypatch.setattr(squeezing, "_squeeze_transitions", counting_build)
+    return made
+
+
+class TestWorkspaces:
+    @pytest.mark.parametrize("degeneracy", ["fine", "grouped"])
+    @pytest.mark.parametrize("r1, r2", [(0.1, 0.1), (0.05, 0.15)])
+    def test_point_function_makes_one_workspace(self, made, degeneracy, r1, r2):
+        entropic_k3_oscillator(1.0, r1, r2, n_max=96, degeneracy=degeneracy)
+        assert made["workspaces"] == [96]
+        builds = made["builds"]
+        made["workspaces"].clear()
+        made["builds"] = 0
+        oracle_entropic_k3_oscillator(1.0, r1, r2, n_max=96, degeneracy=degeneracy)
+        assert len(made["workspaces"]) == (2 if r1 == r2 else 3)
+        assert builds <= made["builds"]
+
+    @pytest.mark.parametrize("degeneracy", ["fine", "grouped"])
+    def test_beta_sweep_makes_one_workspace_per_truncation(self, made, degeneracy):
+        """At beta = 0.3 the coarse scan steps from n_max 128 to 192 and the
+        refinement returns to 128 (fine convention)."""
+        beta_sweep_min_k([0.3], degeneracy=degeneracy)
+        workspaces, builds = list(made["workspaces"]), made["builds"]
+        assert 0 < len(workspaces) == len(set(workspaces))
+        made["builds"] = 0
+        oracle_beta_sweep_rows([0.3], degeneracy=degeneracy)
+        assert builds <= made["builds"]
+
+    def test_unknown_convention_fails_before_building(self, made):
+        with pytest.raises(InvalidParameterError):
+            beta_sweep_min_k([1.0], degeneracy="other")
+        with pytest.raises(InvalidParameterError):
+            beta_sweep_min_k([1.0], middle_entropy="other")
+        assert made == {"workspaces": [], "builds": 0}
+
+
+@pytest.mark.parametrize("run", [
+    lambda: oscillator_three_time(0.1, 0.02, 0.02, n_max=64),
+    lambda: entropic_k3_oscillator(0.1, 0.02, 0.02, n_max=64),
+    lambda: squeeze_grid_sweep(beta=0.1, r1_grid=[0.0, 0.02], r2_grid=[0.02], n_max=64),
+], ids=["three_time", "point", "grid"])
+def test_thermal_tail_fails_before_building(monkeypatch, run):
+    """Every oscillator entry raises on the thermal tail, with the tail as the
+    leaked mass and beta and n_max in the message, before any matrix is built."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(squeezing, "_parity_columns", no_build)
+    with pytest.raises(TruncationError) as excinfo:
+        run()
+    assert excinfo.value.leaked_mass == thermal_tail_mass(0.1, 64)
+    assert "beta=0.1" in str(excinfo.value) and "n_max=64" in str(excinfo.value)
