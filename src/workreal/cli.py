@@ -1,9 +1,8 @@
 """Configuration-driven command line for the named experiments.
 
 One experiment per invocation; every run writes CSV files whose bytes are a pure
-function of (config, seed) on the same machine and BLAS thread count (large
-truncations can move the last digits with the thread count).  Wall time and other
-run chatter go to stdout and a sidecar .log file so they never break byte-level
+function of (config, seed) on the same machine.  Wall time and other run chatter
+go to stdout and a sidecar .log file so they never break byte-level
 reproducibility of the data.
 
 Exit codes: 0 success (all budgets met), 2 invalid configuration, 3 truncation

@@ -14,12 +14,27 @@ which is +-(V cos V^T)[j, k] for even j - k and +-(V sin V^T)[j, k] for odd.
 The entries with odd j - k form two strided sub-blocks, and the sign is
 (-1)^(floor(j/2) + floor(k/2)), negated where j is even and k odd.
 
-The sweeps need only |G|^2.  `_squeeze_transitions` squares the unsigned parity
-blocks in place and writes them straight into the transition matrix, bit for bit
-what squaring the signed `SqueezeMatrix.g` gives.  A `_Workspace` holds its
-buffers (GEMM operand and outputs, the matrix, the log matrix of the column
-entropies), so builds at one n_max reuse memory instead of allocating and
-faulting it in per build.
+`_parity_columns` is the one kernel; every build goes through it.  Entry
+(j, k) of a parity block takes the cosine part when j - k is even and the sine
+part when it is odd, so with V_even and V_odd the eigenvector rows at even and
+odd positions, the rows at even positions multiply [cos V_even ; sin V_odd]^T
+and the rows at odd positions [sin V_even ; cos V_odd]^T, the columns coming out
+grouped by position parity.  Every entry computed is an entry kept, and each
+caller asks only for the rows it reads: the sweeps (`_squeeze_transitions`,
+which squares the products straight into a `_Workspace`'s transition matrix)
+the kept levels; `squeeze_matrix_closed_form` the same rows, so the two agree
+bit for bit, and then the padded ones for its column defects; `select_n_max`
+the levels from its first candidate cut down to the padded edge.
+
+The cached halves of each eigenbasis are zero-padded to a multiple of ALIGN
+rows, so every product has a multiple of ALIGN columns, and the eigen index is
+summed in panels of at most PANEL, accumulated in a fixed order.  OpenBLAS then
+rounds each entry the same way whatever its thread count (checked with OpenBLAS
+0.3.31 on Haswell under 1 to 4 threads), which its own splits of unaligned
+widths or of inner dimensions past PANEL do not.  The eigenbasis itself comes
+from LAPACK's `eigh_tridiagonal`, which there rounds the last bit of some
+eigenvector entries differently by thread count from about 390 levels per
+parity; no CSV checked so far has moved with it.
 
 Every oscillator K_en (the point function, each grid cell, each beta-sweep
 point) goes through one per-(beta, n_max) routine, `_Legs`.  Its oracles are
@@ -56,6 +71,8 @@ THERMAL_TAIL_TOL = 1e-12
 COLUMN_DEFECT_TOL = 1e-10
 SUPPORT_TOL = 1e-10
 PADDING = 128
+ALIGN = 8
+PANEL = 384
 N_MAX_CAP = 8192
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -106,58 +123,87 @@ class SqueezeMatrix:
         return self.g * self.g
 
 
+def _aligned(n: int) -> int:
+    return -(-n // ALIGN) * ALIGN
+
+
 @lru_cache(maxsize=8)
-def _parity_basis(size: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of S on the levels p, p + 2, ... below `size` (see module doc)."""
+def _parity_basis(size: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues of S on the levels p, p + 2, ... below `size` (see module doc),
+    and the rows of its eigenvector matrix at even and at odd positions, each a
+    contiguous array zero-padded to a multiple of ALIGN rows."""
     levels = np.arange(p, size - 2, 2, dtype=float)
-    return eigh_tridiagonal(np.zeros(levels.size + 1),
-                            0.5 * np.sqrt((levels + 1.0) * (levels + 2.0)))
+    lam, vec = eigh_tridiagonal(np.zeros(levels.size + 1),
+                                0.5 * np.sqrt((levels + 1.0) * (levels + 2.0)))
+    halves = []
+    for q in (0, 1):
+        rows = vec[q::2]
+        halves.append(np.zeros((_aligned(rows.shape[0]), lam.size)))
+        halves[q][: rows.shape[0]] = rows
+    return lam, halves[0], halves[1]
 
 
-def _parity_columns(r: float, size: int, n_cols: int, p: int, signed: bool = True,
-                    out: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-    """G[m, n] for m = p, p + 2, ... below size + PADDING and n = p, p + 2, ...
-    below n_cols, from the eigenbasis padded past `size`.  Unsigned (|G| up to
-    the sign of each entry) unless `signed`.  `out` is three flat buffers, large
-    enough for the block, that hold the GEMM operand and the cos and sin parts;
-    the result is then a view of the second."""
-    lam, vec = _parity_basis(size + PADDING, p)
-    right = vec[: (n_cols - p + 1) // 2].T
-    shape = (vec.shape[0], right.shape[1])
-    operand = cos_part = sin_part = None
-    if out is not None:
-        operand, cos_part, sin_part = (b[: shape[0] * shape[1]].reshape(shape) for b in out)
-    cos_part = np.matmul(vec, np.multiply(np.cos(r * lam)[:, None], right, out=operand),
-                         out=cos_part)
-    sin_part = np.matmul(vec, np.multiply(np.sin(r * lam)[:, None], right, out=operand),
-                         out=sin_part)
-    # entries with odd j - k take the sine part
-    cos_part[0::2, 1::2] = sin_part[0::2, 1::2]
-    cos_part[1::2, 0::2] = sin_part[1::2, 0::2]
-    if signed:
-        # the real or imaginary part of i^(j - k) is (-1)^(floor(j/2) + floor(k/2)),
-        # negated where j is even and k odd
-        half = 1.0 - 2.0 * (np.arange(max(cos_part.shape)) // 2 % 2)
-        cos_part *= half[: cos_part.shape[0], None]
-        cos_part *= half[: cos_part.shape[1]]
-        cos_part[0::2, 1::2] *= -1.0
-    return cos_part
+def _buffer(flat: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
+    return np.empty(shape) if flat is None else flat[: shape[0] * shape[1]].reshape(shape)
+
+
+def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int, int | None],
+                    out: np.ndarray | None = None, squared: bool = False,
+                    work: _Workspace | None = None) -> np.ndarray:
+    """G[p + 2j, p + 2k] up to the sign of i^(j - k) (see module doc), or its square
+    if `squared`, for the block rows j in range(*rows) (an end of None is the
+    padded edge) and the block columns k of the levels below n_cols, from the
+    eigenbasis padded past `size`.  Written into `out`, a fresh array by default,
+    which is returned; `work` lends its GEMM buffers."""
+    lam, *halves = _parity_basis(size + PADDING, p)
+    lo, hi = rows[0], lam.size if rows[1] is None else rows[1]
+    cols = (n_cols - p + 1) // 2
+    widths = (_aligned((cols + 1) // 2), _aligned(cols // 2))
+    if out is None:
+        out = np.empty((hi - lo, cols))
+    gemm = (None, None, None) if work is None else work.gemm
+    parts = (np.cos(r * lam)[:, None], np.sin(r * lam)[:, None])
+    for q in (0, 1):
+        first, stop = (lo - q + 1) // 2, (hi - q + 1) // 2
+        if stop <= first:
+            continue
+        # even columns take the cosine part on even rows and the sine part on odd
+        # rows; odd columns the other way round
+        operand = _buffer(gemm[0], (lam.size, sum(widths)))
+        np.multiply(parts[q], halves[0][: widths[0]].T, out=operand[:, : widths[0]])
+        np.multiply(parts[1 - q], halves[1][: widths[1]].T, out=operand[:, widths[0]:])
+        left = halves[q][first:stop]
+        product = np.matmul(left[:, :PANEL], operand[:PANEL],
+                            out=_buffer(gemm[1], (stop - first, operand.shape[1])))
+        for k in range(PANEL, lam.size, PANEL):
+            partial = np.matmul(left[:, k: k + PANEL], operand[k: k + PANEL],
+                                out=_buffer(gemm[2], product.shape))
+            product += partial
+        dest = out[2 * first + q - lo::2]
+        for parity, start in ((0, 0), (1, widths[0])):
+            block = product[:, start: start + (cols - parity + 1) // 2]
+            if squared:
+                np.multiply(block, block, out=dest[:, parity::2])
+            else:
+                dest[:, parity::2] = block
+    return out
 
 
 class _Workspace:
     """Buffers that every `_squeeze_transitions` build at one n_max can reuse: the
-    three flat GEMM buffers of `_parity_columns` (both parities use them in turn,
-    sized for the larger even block), the transition matrix with its column
-    defects, and the log matrix of `_column_entropies`.  Entries of t and logs
-    that couple levels of opposite parity stay zero."""
+    transition matrix, whose entries between levels of opposite parity stay zero,
+    and the three flat GEMM buffers of `_parity_columns` (operand, product and
+    panel partial), which both parities use in turn, sized for the larger even
+    block.  `_column_entropies` takes its log block from the first."""
 
     def __init__(self, n_max: int):
         size = int(n_max) + 1
         self.t = np.zeros((size, size))
-        self.defects = np.empty(size)
-        self.logs = np.zeros((size, size))
-        block = ((size + PADDING + 1) // 2) * ((size + 1) // 2)
-        self.gemm = tuple(np.empty(block) for _ in range(3))
+        n_levels = (size + 1) // 2
+        width = 2 * _aligned((n_levels + 1) // 2)
+        self.gemm = (np.empty((size + PADDING + 1) // 2 * width),
+                     np.empty((n_levels + 1) // 2 * width),
+                     np.empty((n_levels + 1) // 2 * width))
 
 
 def _validate_squeeze_args(r: float, n_max: int) -> None:
@@ -177,34 +223,35 @@ def squeeze_matrix_closed_form(r: float, n_max: int) -> SqueezeMatrix:
     defects = np.empty(size)
     for p in (0, 1):
         n_levels = (size - p + 1) // 2
-        columns = _parity_columns(float(r), size, size, p)
-        g[p::2, p::2] = columns[:n_levels]
-        defects[p::2] = (columns[n_levels:] ** 2).sum(axis=0)
+        block = _parity_columns(float(r), size, size, p, (0, n_levels), g[p::2, p::2])
+        # the real or imaginary part of i^(j - k) is (-1)^(floor(j/2) + floor(k/2)),
+        # negated where j is even and k odd
+        half = 1.0 - 2.0 * (np.arange(n_levels) // 2 % 2)
+        block *= half[:, None]
+        block *= half
+        block[0::2, 1::2] *= -1.0
+        defects[p::2] = _parity_columns(float(r), size, size, p, (n_levels, None),
+                                        squared=True).sum(axis=0)
     return SqueezeMatrix(g, float(r), n_max, defects)
 
 
-def _squeeze_transitions(r: float, n_max: int,
-                         work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(|G|^2, column_defects) of `squeeze_matrix_closed_form(r, n_max)`, bit for
-    bit, from the unsigned parity blocks squared in place.  Both are `work`'s
-    buffers (a fresh workspace's by default) and stay valid until its next build."""
+def _squeeze_transitions(r: float, n_max: int, work: _Workspace | None = None) -> np.ndarray:
+    """|G|^2 of `squeeze_matrix_closed_form(r, n_max)`, bit for bit: the kernel
+    squares its products straight into `work.t` (a fresh workspace's by default),
+    which stays valid until the workspace's next build."""
     _validate_squeeze_args(r, n_max)
     size = int(n_max) + 1
     if work is None:
         work = _Workspace(n_max)
-    t, defects = work.t, work.defects
+    t = work.t
     if r == 0.0:
         t.fill(0.0)
         np.fill_diagonal(t, 1.0)
-        defects.fill(0.0)
-        return t, defects
+        return t
     for p in (0, 1):
-        n_levels = (size - p + 1) // 2
-        columns = _parity_columns(float(r), size, size, p, signed=False, out=work.gemm)
-        np.multiply(columns, columns, out=columns)
-        t[p::2, p::2] = columns[:n_levels]
-        defects[p::2] = columns[n_levels:].sum(axis=0)
-    return t, defects
+        _parity_columns(float(r), size, size, p, (0, (size - p + 1) // 2), t[p::2, p::2],
+                        squared=True, work=work)
+    return t
 
 
 def squeeze_matrix_exponential_oracle(r: float, n_max: int) -> SqueezeMatrix:
@@ -296,15 +343,16 @@ def _select_n_max_cached(beta: float, r_total: float) -> int:
     guess = int((support_hi + 8) * math.exp(min(2.0 * r_total, 10.0))) + 72
     upper = min(N_MAX_CAP, max(lower, 64 * math.ceil(guess / 64)))
     while lower <= N_MAX_CAP:
-        # worst[p][j]: largest mass any occupied column of parity p puts on the
-        # levels p + 2j, p + 2j + 2, ... of an eigenbasis padded past `upper`
+        # worst[p][i]: largest mass any occupied column of parity p puts past the
+        # cut lower + 2i in an eigenbasis padded past `upper`, from the block rows
+        # of the levels above `lower` down to the padded edge
         worst = []
         for p in (0, 1):
-            columns = _parity_columns(r_total, upper + 1, support_hi + 1, p, signed=False)
-            columns *= columns
+            columns = _parity_columns(r_total, upper + 1, support_hi + 1, p,
+                                      ((lower - p) // 2 + 1, None), squared=True)
             worst.append(np.cumsum(columns[::-1], axis=0)[::-1].max(axis=1, initial=0.0))
         for cut in range(lower, upper + 1, 64):
-            if max(worst[p][(cut - p) // 2 + 1] for p in (0, 1)) < COLUMN_DEFECT_TOL:
+            if max(worst[p][(cut - lower) // 2] for p in (0, 1)) < COLUMN_DEFECT_TOL:
                 return cut
         lower, upper = upper + 64, min(N_MAX_CAP, 2 * upper)
     # the failed search filled the basis cache with bases of up to the cap's size
@@ -377,7 +425,9 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
         n_max = select_n_max(beta, r1 + r2)
     pops, tail = _thermal_run(beta, n_max, f"r1={r1}, r2={r2}")
     spectra = tuple(oscillator_spectrum(n_max, label=k) for k in range(3))
-    t1, t2, t_total = (_squeeze_transitions(r, n_max)[0] for r in (r1, r2, r1 + r2))
+    t1 = _squeeze_transitions(r1, n_max)
+    t2 = t1 if r2 == r1 else _squeeze_transitions(r2, n_max)
+    t_total = _squeeze_transitions(r1 + r2, n_max)
     deficit_measured = 1.0 - float(t2.sum(axis=0) @ (t1 @ pops))
     deficit_no_middle = 1.0 - float(t_total.sum(axis=0) @ pops)
     budget = _budget(tail, deficit_measured, deficit_no_middle)
@@ -394,18 +444,18 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
 
 
 def _column_entropies(t: np.ndarray, work: _Workspace) -> np.ndarray:
-    """-sum_m t log t per column of a squeeze transition matrix at work's n_max.
-    The log is taken on the two parity blocks only, in a GEMM buffer of `work`
-    (free once a build has returned), and lands in `work.logs`, which stays zero
-    between opposite parities, so the full einsum sums what log(t or 1) gives."""
+    """-sum_m t log t per column of a squeeze transition matrix at work's n_max,
+    summed over its parity block alone (t is zero between opposite parities).  The
+    log block lives in a GEMM buffer of `work`, free once a build has returned."""
+    entropies = np.empty(t.shape[1])
     for p in (0, 1):
         block = t[p::2, p::2]
         logs = work.gemm[0][: block.size].reshape(block.shape)
         np.copyto(logs, block)
         logs[block <= 0.0] = 1.0
         np.log(logs, out=logs)
-        work.logs[p::2, p::2] = logs
-    return -np.einsum("mn,mn->n", t, work.logs)
+        entropies[p::2] = -np.einsum("mn,mn->n", block, logs)
+    return entropies
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -451,7 +501,7 @@ class _Legs:
         key = round(float(r), 12)
         if key not in self.stats:
             if t is None:
-                t = _squeeze_transitions(float(r), self.n_max, self.work)[0]
+                t = _squeeze_transitions(float(r), self.n_max, self.work)
             pops = self.pops
             p1 = t @ pops
             entropies = _column_entropies(t, self.work) if self.offsets is None else None
@@ -469,7 +519,7 @@ class _Legs:
         built here into a copy, since the other legs reuse the workspace."""
         fine = self.offsets is None
         if not fine and t2 is None:
-            t2 = _squeeze_transitions(float(r2), self.n_max, self.work)[0].copy()
+            t2 = _squeeze_transitions(float(r2), self.n_max, self.work).copy()
         _, _, entropies2, colsum2, _, _ = self.leg(r2, t2)
         p1, h_w10, _, _, h_p1, _ = self.leg(r1)
         _, h_w20, _, _, _, deficit_no_middle = self.leg(r1 + r2)
@@ -605,7 +655,7 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
     for j, r2 in enumerate(r2_grid):
         # the r1 legs overwrite the workspace, so the grouped cells keep a copy
         t2 = None if degeneracy == "fine" \
-            else _squeeze_transitions(float(r2), n_max, legs.work)[0].copy()
+            else _squeeze_transitions(float(r2), n_max, legs.work).copy()
         for i, r1 in enumerate(r1_grid):
             value, budget = legs.cell(r1, r2, middle_entropy, t2)
             worst_budget = max(worst_budget, budget)

@@ -157,6 +157,23 @@ class TestSqueezeGrid:
         assert "beta=0.1" in message and "r=4" in message
 
 
+    def test_csv_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """At beta = 0.03 (n_max 960) the kernel sums the eigen index in two
+        panels; one and two OpenBLAS threads must write the same bytes."""
+        import workreal
+        src = str(Path(workreal.__file__).resolve().parents[1])
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            result = subprocess.run(
+                [sys.executable, "-m", "workreal.cli", "squeeze-grid", "--grid-spec",
+                 "0:0.04:3", "--beta", "0.03", "--out", str(out)],
+                capture_output=True, text=True, timeout=300,
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+            assert result.returncode == 0, result.stderr
+            written.append((out / "squeeze_grid.csv").read_bytes())
+        assert written[0] == written[1]
+
     @pytest.mark.parametrize("beta, n_max", [(0.03, 960), (0.01, 2816)])
     def test_small_beta_stays_within_budget(self, tmp_path, beta, n_max):
         code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", beta,

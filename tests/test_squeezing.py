@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from workreal import (
     InvalidParameterError,
@@ -24,6 +25,7 @@ from workreal import (
 import workreal.squeezing as squeezing
 from workreal.leggett_garg import k3_entropic
 from workreal.squeezing import (
+    ALIGN,
     PADDING,
     SUPPORT_TOL,
     THERMAL_TAIL_TOL,
@@ -74,16 +76,19 @@ def series_element(m, n, r, dps=60):
 
 
 def parity_columns_oracle(r, size, n_cols, p):
-    """The signed parity block of `_parity_columns` in its original formulation:
-    the real or imaginary part of i^(j - k) read off an `offset % 4` table, and
-    the cos or sin part picked per entry by `np.where` on the parity of j - k."""
-    lam, vec = _parity_basis(size + PADDING, p)
+    """The parity block of the kernel in its original formulation, from a fresh
+    eigenbasis: two full GEMMs over every padded row, the cos or sin part picked
+    per entry by `np.where` on the parity of j - k, and the real or imaginary part
+    of i^(j - k) read off an `offset % 4` table.  Returns (block, sign table)."""
+    levels = np.arange(p, size + PADDING - 2, 2, dtype=float)
+    lam, vec = eigh_tridiagonal(np.zeros(levels.size + 1),
+                                0.5 * np.sqrt((levels + 1.0) * (levels + 2.0)))
     right = vec[: (n_cols - p + 1) // 2].T
     cos_part = vec @ (np.cos(r * lam)[:, None] * right)
     sin_part = vec @ (np.sin(r * lam)[:, None] * right)
     offset = np.arange(vec.shape[0])[:, None] - np.arange(right.shape[1])[None, :]
     sign = np.where(offset % 4 < 2, 1.0, -1.0)
-    return sign * np.where(offset % 2 == 0, cos_part, sin_part)
+    return np.where(offset % 2 == 0, cos_part, sin_part), sign
 
 
 def column_entropies_oracle(t):
@@ -97,14 +102,27 @@ class TestKernelPaths:
 
     @pytest.mark.parametrize("n_max", KERNEL_SIZES)
     def test_signed_blocks_equal_the_offset_table_oracle(self, n_max):
+        """The kernel's unsigned blocks over every padded row against the two full
+        GEMMs, which group and split the sums differently (hence 1e-15), and the
+        public matrix's signed blocks against the sign table, exactly."""
         size = n_max + 1
         for r in KERNEL_AMPLITUDES[1:]:
+            signed = squeeze_matrix_closed_form(r, n_max).g
             for n_cols in {size, (size + 1) // 2}:
                 for p in (0, 1):
-                    got = _parity_columns(r, size, n_cols, p)
-                    want = parity_columns_oracle(r, size, n_cols, p)
-                    assert np.array_equal(got, want)
-                    assert np.array_equal(np.signbit(got), np.signbit(want))
+                    got = _parity_columns(r, size, n_cols, p, (0, None))
+                    plain, sign = parity_columns_oracle(r, size, n_cols, p)
+                    assert np.abs(got - plain).max(initial=0.0) <= 1e-15
+                    large = np.abs(plain) > 1e-12
+                    assert np.array_equal(np.signbit(sign * got)[large],
+                                          np.signbit(sign * plain)[large])
+                    if n_cols == size:
+                        n_levels = (size - p + 1) // 2
+                        kept = sign[:n_levels] * _parity_columns(r, size, size, p,
+                                                                 (0, n_levels))
+                        assert np.array_equal(signed[p::2, p::2], kept)
+                        assert np.array_equal(np.signbit(signed[p::2, p::2]),
+                                              np.signbit(kept))
 
     @pytest.mark.parametrize("n_max", KERNEL_SIZES)
     def test_transitions_equal_the_squared_closed_form(self, n_max):
@@ -114,11 +132,27 @@ class TestKernelPaths:
         for r in KERNEL_AMPLITUDES + (0.05, 0.0, 0.01):
             closed = squeeze_matrix_closed_form(r, n_max)
             for shared in (None, work):
-                t, defects = _squeeze_transitions(r, n_max, shared)
+                t = _squeeze_transitions(r, n_max, shared)
                 assert np.array_equal(t, closed.transition_probabilities)
-                assert np.array_equal(defects, closed.column_defects)
                 entropies = _column_entropies(t, shared or _Workspace(n_max))
                 assert np.array_equal(entropies, column_entropies_oracle(t))
+
+    @pytest.mark.parametrize("size", [130, 131, 193, 578, 1153])
+    def test_basis_halves_are_the_eigenvector_rows(self, size):
+        """The cached halves hold the eigenvector rows at even and odd positions,
+        contiguous, and zeros in the rows that align them to ALIGN."""
+        for p in (0, 1):
+            levels = np.arange(p, size - 2, 2, dtype=float)
+            lam, vec = eigh_tridiagonal(np.zeros(levels.size + 1),
+                                        0.5 * np.sqrt((levels + 1.0) * (levels + 2.0)))
+            cached = _parity_basis(size, p)
+            assert np.array_equal(cached[0], lam)
+            for q, half in enumerate(cached[1:]):
+                rows = vec[q::2].shape[0]
+                assert half.flags.c_contiguous and half.shape[0] % ALIGN == 0
+                assert half.shape[0] - rows < ALIGN
+                assert np.array_equal(half[:rows], vec[q::2])
+                assert not half[rows:].any()
 
     def test_grid_sweep_reruns_are_equal(self):
         """Two sweeps of each convention in one process give the same rows; the
@@ -284,6 +318,27 @@ class TestComposition:
                       - protocol.no_middle.probs[:33, :33]).max() < 1e-8
 
 
+def full_row_search_oracle(beta, r_total):
+    """`_select_n_max_cached` as it was before the search read only the rows past
+    its first candidate: the unsigned block over every padded row, from the two
+    full GEMMs of `parity_columns_oracle`."""
+    support_hi = squeezing._thermal_support(beta, SUPPORT_TOL)
+    n_thermal = squeezing._thermal_support(beta, THERMAL_TAIL_TOL)
+    lower = max(64 * max(1, math.ceil(n_thermal / 64)), squeezing._vacuum_cut(r_total))
+    guess = int((support_hi + 8) * math.exp(min(2.0 * r_total, 10.0))) + 72
+    upper = min(squeezing.N_MAX_CAP, max(lower, 64 * math.ceil(guess / 64)))
+    while lower <= squeezing.N_MAX_CAP:
+        worst = []
+        for p in (0, 1):
+            block = parity_columns_oracle(r_total, upper + 1, support_hi + 1, p)[0] ** 2
+            worst.append(np.cumsum(block[::-1], axis=0)[::-1].max(axis=1, initial=0.0))
+        for cut in range(lower, upper + 1, 64):
+            if max(worst[p][(cut - p) // 2 + 1] for p in (0, 1)) < 1e-10:
+                return cut
+        lower, upper = upper + 64, min(squeezing.N_MAX_CAP, 2 * upper)
+    return None
+
+
 class TestTruncationSelection:
     def test_thermal_tail_is_exact_geometric(self):
         assert thermal_tail_mass(1.0, 10) == pytest.approx(math.exp(-11.0), rel=1e-14)
@@ -330,6 +385,23 @@ class TestTruncationSelection:
             select_n_max(0.123, 0.6)
         assert max(built) == 513 + PADDING
         assert _parity_basis.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("cap", [8192, 512])
+    def test_row_limited_search_equals_the_full_row_oracle(self, monkeypatch, cap):
+        """The search reads only the rows from its first candidate cut down; its
+        choices, and its failures (under a cap lowered to 512), are those of the
+        full-row search."""
+        monkeypatch.setattr(squeezing, "N_MAX_CAP", cap)
+        search = squeezing._select_n_max_cached.__wrapped__
+        for beta in (0.1, 0.3, 1.0, 3.0, 10.0):
+            for r_total in (0.0, 0.04, 0.2, 0.6, 1.0):
+                want = full_row_search_oracle(beta, r_total)
+                if want is None:
+                    with pytest.raises(TruncationError):
+                        search(beta, r_total)
+                else:
+                    assert search(beta, r_total) == want, (beta, r_total)
+        squeezing._parity_basis.cache_clear()
 
     def test_low_temperature_needs_few_levels(self):
         assert select_n_max(10.0, 0.5) <= 128
@@ -548,9 +620,9 @@ def oracle_entropic_k3_oscillator(beta, r1, r2, n_max=None, degeneracy="fine",
             f"thermal tail {tail:.3e} too large at beta={beta}, r1={r1}, r2={r2}, "
             f"n_max={n_max}", leaked_mass=tail)
     work = squeezing._Workspace(n_max)
-    t1 = squeezing._squeeze_transitions(r1, n_max)[0]
-    t2 = t1 if r2 == r1 else squeezing._squeeze_transitions(r2, n_max)[0]
-    t_total = squeezing._squeeze_transitions(r1 + r2, n_max, work)[0]
+    t1 = squeezing._squeeze_transitions(r1, n_max)
+    t2 = t1 if r2 == r1 else squeezing._squeeze_transitions(r2, n_max)
+    t_total = squeezing._squeeze_transitions(r1 + r2, n_max, work)
     levels = np.arange(n_max + 1.0)
     weights = np.exp(-beta * levels)
     pops = weights / weights.sum()
@@ -691,6 +763,16 @@ class TestWorkspaces:
         made["builds"] = 0
         oracle_beta_sweep_rows([0.3], degeneracy=degeneracy)
         assert builds <= made["builds"]
+
+    @pytest.mark.parametrize("r1, r2, builds", [(0.3, 0.3, 2), (0.1, 0.3, 3), (0.0, 0.0, 2)])
+    def test_three_time_builds_an_equal_leg_once(self, made, r1, r2, builds):
+        protocol = oscillator_three_time(1.0, r1, r2, n_max=64)
+        assert made["builds"] == builds
+        t1, t2 = (squeeze_matrix_closed_form(r, 64).transition_probabilities
+                  for r in (r1, r2))
+        pops = squeezing._thermal_run(1.0, 64, "")[0]
+        assert np.array_equal(protocol.joint3.probs,
+                              t2[:, :, None] * (t1 * pops[None, :])[None, :, :])
 
     def test_unknown_convention_fails_before_building(self, made):
         with pytest.raises(InvalidParameterError):
