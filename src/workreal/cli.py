@@ -5,8 +5,17 @@ function of (config, seed) on the same machine.  Wall time and other run chatter
 go to stdout and a sidecar .log file so they never break byte-level
 reproducibility of the data.
 
-Exit codes: 0 success (all budgets met), 2 invalid configuration, 3 truncation
-budget failure.
+Every experiment takes `--config PATH` and `--out DIR`, plus its settings:
+
+    tls-theta        --beta --grid-spec --entropy-base
+    squeeze-grid     --beta --n-max --grid-spec --entropy-base --degeneracy --middle-entropy
+    squeeze-beta     --grid-spec --beta-grid --entropy-base --degeneracy --middle-entropy
+    jarzynski-check  --n-max --seed
+    mc-crosscheck    --beta --seed --theta --n-samples
+
+The config file holds `key = value` lines for `out_dir` and those settings; flags
+win.  Any other flag or key exits 2.  Exit codes: 0 success (all budgets met),
+2 invalid configuration, 3 truncation budget failure.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +45,14 @@ from .squeezing import beta_sweep_min_k, oscillator_three_time, squeeze_grid_swe
 from .tables import SweepTable, write_table_csv
 from .two_level import TlsAngles, tls_propagator, tls_spectrum, tls_theta_sweep
 
-EXPERIMENTS = ("tls-theta", "squeeze-grid", "squeeze-beta", "jarzynski-check",
-               "mc-crosscheck")
+# each setting's type, and the values a convention setting allows
+SETTINGS = {
+    "beta": (float, None), "n_max": (int, None), "seed": (int, None),
+    "grid_spec": (str, None), "beta_grid": (str, None), "theta": (float, None),
+    "n_samples": (int, None), "entropy_base": (str, ("e", "2")),
+    "degeneracy": (str, ("fine", "grouped")),
+    "middle_entropy": (str, ("initial", "measured")),
+}
 
 
 @dataclass
@@ -63,27 +78,21 @@ class SweepConfig:
             problems.append(f"beta: must be positive and finite, got {self.beta}")
         if self.n_max is not None and self.n_max < 1:
             problems.append(f"n_max: must be >= 1, got {self.n_max}")
-        if self.entropy_base not in ("e", "2"):
-            problems.append(f"entropy_base: must be 'e' or '2', got {self.entropy_base!r}")
-        if self.degeneracy not in ("fine", "grouped"):
-            problems.append(f"degeneracy: must be 'fine' or 'grouped', got {self.degeneracy!r}")
-        if self.middle_entropy not in ("initial", "measured"):
-            problems.append(
-                f"middle_entropy: must be 'initial' or 'measured', got {self.middle_entropy!r}")
+        for name, (_, allowed) in SETTINGS.items():
+            value = getattr(self, name)
+            if allowed and value not in allowed:
+                problems.append(
+                    f"{name}: must be {' or '.join(map(repr, allowed))}, got {value!r}")
         if self.n_samples < 1:
             problems.append(f"n_samples: must be >= 1, got {self.n_samples}")
         if self.experiment == "mc-crosscheck" and self.seed is None:
             problems.append("seed: required whenever sampling is requested")
-        if self.grid_spec is not None:
-            try:
-                parse_grid_spec(self.grid_spec)
-            except InvalidParameterError as err:
-                problems.append(f"grid_spec: {err}")
-        if self.beta_grid is not None:
-            try:
-                parse_value_list(self.beta_grid)
-            except InvalidParameterError as err:
-                problems.append(f"beta_grid: {err}")
+        for name, parse in (("grid_spec", parse_grid_spec), ("beta_grid", parse_value_list)):
+            if getattr(self, name) is not None:
+                try:
+                    parse(getattr(self, name))
+                except InvalidParameterError as err:
+                    problems.append(f"{name}: {err}")
         return problems
 
     @property
@@ -125,10 +134,12 @@ def parse_value_list(spec: str) -> np.ndarray:
     return values
 
 
-def load_config_file(path: Path) -> dict[str, str]:
-    """Plain-text `key = value` pairs; '#' starts a comment."""
-    known = {f.name for f in fields(SweepConfig)}
-    values: dict[str, str] = {}
+def load_config_file(path: Path, experiment: str) -> dict[str, object]:
+    """Plain-text `key = value` pairs; '#' starts a comment.  The keys are
+    `out_dir` and the settings the experiment reads."""
+    kinds = {"out_dir": Path,
+             **{name: SETTINGS[name][0] for name in EXPERIMENTS[experiment][1]}}
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -137,9 +148,13 @@ def load_config_file(path: Path) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if not sep or not key or not value.strip():
             raise InvalidParameterError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        if key not in known:
-            raise InvalidParameterError(f"{path}:{lineno}: unknown field {key!r}")
-        values[key] = value.strip()
+        if key not in kinds:
+            raise InvalidParameterError(f"{path}:{lineno}: {experiment} does not read {key!r}")
+        try:
+            values[key] = kinds[key](value.strip())
+        except ValueError:
+            raise InvalidParameterError(
+                f"{path}:{lineno}: bad value for {key}: {value.strip()!r}") from None
     return values
 
 
@@ -148,82 +163,53 @@ def build_parser() -> argparse.ArgumentParser:
         prog="workreal",
         description="Measurement-based quantum work statistics and macrorealism sweeps.")
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name)
+    for name, (_, settings) in EXPERIMENTS.items():
+        # no abbreviations: --beta must not pass for squeeze-beta's --beta-grid
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", type=Path, default=None,
                        help="key = value config file; command-line flags win")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--n-max", type=int, default=None, dest="n_max")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid-spec", default=None, dest="grid_spec")
-        p.add_argument("--beta-grid", default=None, dest="beta_grid")
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--n-samples", type=int, default=None, dest="n_samples")
-        p.add_argument("--entropy-base", choices=("e", "2"), default=None,
-                       dest="entropy_base")
-        p.add_argument("--degeneracy", choices=("fine", "grouped"), default=None)
-        p.add_argument("--middle-entropy", choices=("initial", "measured"),
-                       default=None, dest="middle_entropy")
+        for setting in settings:
+            kind, allowed = SETTINGS[setting]
+            p.add_argument("--" + setting.replace("_", "-"), type=kind, choices=allowed,
+                           default=None)
     return parser
 
 
-_FIELD_PARSERS = {
-    "beta": float, "n_max": int, "seed": int, "theta": float,
-    "n_samples": int, "out_dir": Path,
-}
-
-
 def build_config(args: argparse.Namespace) -> SweepConfig:
-    config = SweepConfig(experiment=args.experiment)
-    if args.config is not None:
-        for key, raw in load_config_file(args.config).items():
-            setattr(config, key, _FIELD_PARSERS.get(key, str)(raw))
-    overrides = {name: getattr(args, name, None)
-                 for name in ("beta", "n_max", "seed", "grid_spec", "beta_grid",
-                              "theta", "n_samples", "entropy_base", "degeneracy",
-                              "middle_entropy")}
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(config, key, value)
-    if args.out is not None:
-        config.out_dir = args.out
-    return config
-
-
-# the settings each experiment reads, in manifest order
-USED_SETTINGS = {
-    "tls-theta": ("beta", "grid_spec", "entropy_base"),
-    "squeeze-grid": ("beta", "n_max", "grid_spec", "entropy_base", "degeneracy",
-                     "middle_entropy"),
-    "squeeze-beta": ("grid_spec", "beta_grid", "entropy_base", "degeneracy",
-                     "middle_entropy"),
-    "jarzynski-check": ("n_max", "seed"),
-    "mc-crosscheck": ("beta", "seed", "theta", "n_samples"),
-}
+    """The config file's values, overridden by the flags given."""
+    values = {} if args.config is None else load_config_file(args.config, args.experiment)
+    flags = {name: getattr(args, name) for name in EXPERIMENTS[args.experiment][1]}
+    flags["out_dir"] = args.out
+    values.update((name, value) for name, value in flags.items() if value is not None)
+    return SweepConfig(args.experiment, **values)
 
 
 def _base_meta(config: SweepConfig) -> dict:
     """The library version and the settings the experiment reads, so a manifest
     never echoes a setting that had no effect on the data."""
     meta = {"library": f"workreal {__version__}", "experiment": config.experiment}
-    for name in USED_SETTINGS[config.experiment]:
+    for name in EXPERIMENTS[config.experiment][1]:
         value = getattr(config, name)
         if value is not None:
             meta[name] = value
     return meta
 
 
-def _run_tls_theta(config: SweepConfig) -> list[Path]:
+def _write(config: SweepConfig, name: str, table: SweepTable) -> Path:
+    write_table_csv(config.out_dir / name, table)
+    return config.out_dir / name
+
+
+def _run_tls_theta(config: SweepConfig) -> tuple[list[Path], bool]:
     beta = config.beta if config.beta is not None else 1.0
     grid = parse_grid_spec(config.grid_spec) if config.grid_spec else None
     table = tls_theta_sweep(beta=beta, theta_grid=grid, base=config.base)
     table.meta = {**_base_meta(config), **table.meta}
-    out = config.out_dir / "tls_theta.csv"
-    write_table_csv(out, table)
-    return [out]
+    return [_write(config, "tls_theta.csv", table)], True
 
-def _run_squeeze_grid(config: SweepConfig) -> list[Path]:
+
+def _run_squeeze_grid(config: SweepConfig) -> tuple[list[Path], bool]:
     beta = config.beta if config.beta is not None else 0.1
     grid = parse_grid_spec(config.grid_spec) if config.grid_spec else None
     table = squeeze_grid_sweep(beta=beta, r1_grid=grid, r2_grid=grid,
@@ -231,28 +217,23 @@ def _run_squeeze_grid(config: SweepConfig) -> list[Path]:
                                base=config.base, middle_entropy=config.middle_entropy)
     contours = table.meta.pop("contours")
     table.meta = {**_base_meta(config), **table.meta}
-    written = [config.out_dir / "squeeze_grid.csv"]
-    write_table_csv(written[0], table)
+    written = [_write(config, "squeeze_grid.csv", table)]
     for level, points in contours.items():
-        path = config.out_dir / f"squeeze_grid_contour_{level:g}.csv"
         contour_table = SweepTable(["r1", "r2"],
                                    points.reshape(-1, 2) if points.size else np.empty((0, 2)),
                                    meta={**_base_meta(config), "contour_level": level})
-        write_table_csv(path, contour_table)
-        written.append(path)
-    return written
+        written.append(_write(config, f"squeeze_grid_contour_{level:g}.csv", contour_table))
+    return written, True
 
 
-def _run_squeeze_beta(config: SweepConfig) -> list[Path]:
+def _run_squeeze_beta(config: SweepConfig) -> tuple[list[Path], bool]:
     betas = parse_value_list(config.beta_grid) if config.beta_grid else \
         np.array([0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0])
     r_grid = parse_grid_spec(config.grid_spec) if config.grid_spec else None
     table = beta_sweep_min_k(betas, r_grid=r_grid, degeneracy=config.degeneracy,
                              base=config.base, middle_entropy=config.middle_entropy)
     table.meta = {**_base_meta(config), **table.meta}
-    out = config.out_dir / "squeeze_beta.csv"
-    write_table_csv(out, table)
-    return [out]
+    return [_write(config, "squeeze_beta.csv", table)], True
 
 
 def _run_jarzynski_check(config: SweepConfig) -> tuple[list[Path], bool]:
@@ -285,12 +266,10 @@ def _run_jarzynski_check(config: SweepConfig) -> tuple[list[Path], bool]:
         ["model", "beta", "parameter", "deviation", "bound", "within_bound"],
         np.array(rows), meta={**_base_meta(config), "seed": seed,
                               "model_codes": "0=two-level 1=oscillator"})
-    out = config.out_dir / "jarzynski_check.csv"
-    write_table_csv(out, table)
-    return [out], all_ok
+    return [_write(config, "jarzynski_check.csv", table)], all_ok
 
 
-def _run_mc_crosscheck(config: SweepConfig) -> list[Path]:
+def _run_mc_crosscheck(config: SweepConfig) -> tuple[list[Path], bool]:
     theta = config.theta if config.theta is not None else math.pi / 3.0
     beta = config.beta if config.beta is not None else 1.0
     u = tls_propagator(TlsAngles(theta))
@@ -307,9 +286,19 @@ def _run_mc_crosscheck(config: SweepConfig) -> list[Path]:
     table = SweepTable(["k2", "k1", "k0", "empirical", "exact"], np.array(rows),
                        meta={**_base_meta(config), "theta": theta, "beta": beta,
                              "chi_squared_pvalue": pvalue})
-    out = config.out_dir / "mc_crosscheck.csv"
-    write_table_csv(out, table)
-    return [out]
+    return [_write(config, "mc_crosscheck.csv", table)], True
+
+
+# each experiment's runner and the settings it reads, in manifest order
+EXPERIMENTS = {
+    "tls-theta": (_run_tls_theta, ("beta", "grid_spec", "entropy_base")),
+    "squeeze-grid": (_run_squeeze_grid, ("beta", "n_max", "grid_spec", "entropy_base",
+                                          "degeneracy", "middle_entropy")),
+    "squeeze-beta": (_run_squeeze_beta, ("grid_spec", "beta_grid", "entropy_base",
+                                          "degeneracy", "middle_entropy")),
+    "jarzynski-check": (_run_jarzynski_check, ("n_max", "seed")),
+    "mc-crosscheck": (_run_mc_crosscheck, ("beta", "seed", "theta", "n_samples")),
+}
 
 
 def run(config: SweepConfig) -> int:
@@ -320,18 +309,8 @@ def run(config: SweepConfig) -> int:
         return 2
     config.out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    budgets_ok = True
     try:
-        if config.experiment == "tls-theta":
-            written = _run_tls_theta(config)
-        elif config.experiment == "squeeze-grid":
-            written = _run_squeeze_grid(config)
-        elif config.experiment == "squeeze-beta":
-            written = _run_squeeze_beta(config)
-        elif config.experiment == "jarzynski-check":
-            written, budgets_ok = _run_jarzynski_check(config)
-        else:
-            written = _run_mc_crosscheck(config)
+        written, budgets_ok = EXPERIMENTS[config.experiment][0](config)
     except TruncationError as err:
         print(f"truncation budget failure: {err}", file=sys.stderr)
         return 3

@@ -61,7 +61,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 
-from .entropy import shannon_entropy, work_entropy
+from .entropy import _nats, shannon_entropy, work_entropy
 from .errors import InvalidParameterError, TruncationError
 from .hilbert import EnergySpectrum, UnitaryPropagator, _gibbs_populations
 from .protocol import JointDistribution, JointDistribution3, work_distribution
@@ -458,11 +458,6 @@ def _column_entropies(t: np.ndarray, work: _Workspace) -> np.ndarray:
     return entropies
 
 
-def _entropy(p: np.ndarray) -> float:
-    nz = p[p > 0.0]
-    return float(-(nz * np.log(nz)).sum())
-
-
 def _check_conventions(degeneracy: str, middle_entropy: str) -> None:
     if degeneracy not in ("fine", "grouped"):
         raise InvalidParameterError(f"unknown degeneracy convention {degeneracy!r}")
@@ -482,7 +477,7 @@ class _Legs:
     def __init__(self, beta: float, n_max: int, degeneracy: str, point: str):
         self.n_max = n_max
         self.pops, self.tail = _thermal_run(beta, n_max, point)
-        self.h_pops = _entropy(self.pops)
+        self.h_pops = _nats(self.pops)
         self.work = _Workspace(n_max)
         self.stats: dict[float, tuple] = {}
         # grouped: equal-ladder works are set by m - n alone, so entry (m, n) of a
@@ -491,8 +486,8 @@ class _Legs:
             np.add.outer(np.arange(n_max + 1), np.arange(n_max, -1, -1)).ravel()
 
     def _grouped_work_entropy(self, joint_probs: np.ndarray) -> float:
-        return _entropy(np.bincount(self.offsets, weights=joint_probs.ravel(),
-                                    minlength=2 * self.n_max + 1))
+        return _nats(np.bincount(self.offsets, weights=joint_probs.ravel(),
+                                 minlength=2 * self.n_max + 1))
 
     def leg(self, r: float, t: np.ndarray | None = None) -> tuple:
         """(p1, H(W) from the thermal state, column entropies, column sums, H(p1),
@@ -508,7 +503,7 @@ class _Legs:
             h_w = float(pops @ entropies) if self.offsets is None \
                 else self._grouped_work_entropy(t * pops[None, :])
             colsum = t.sum(axis=0)
-            self.stats[key] = (p1, h_w, entropies, colsum, _entropy(p1),
+            self.stats[key] = (p1, h_w, entropies, colsum, _nats(p1),
                                1.0 - float(colsum @ pops))
         return self.stats[key]
 

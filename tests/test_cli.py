@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from workreal.cli import main, parse_grid_spec, parse_value_list
+from workreal.cli import EXPERIMENTS, build_parser, main, parse_grid_spec, parse_value_list
 from workreal.errors import InvalidParameterError
 from workreal.tables import SweepTable, format_float, read_table_csv, write_table_csv
 
@@ -43,6 +44,27 @@ def test_edge_values_csv_text(tmp_path):
         "0,-0,inf,-inf,nan,4.9406564584124654e-324,1.7976931348623157e+308,"
         "0.10000000000000001",
     ]
+
+
+def test_each_experiment_takes_exactly_its_settings():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(EXPERIMENTS)
+    for name, sub in subparsers.choices.items():
+        dests = {action.dest for action in sub._actions} - {"help"}
+        assert dests == {"config", "out", *EXPERIMENTS[name][1]}, name
+
+
+def test_consistency_script_runs_both_checks(tmp_path):
+    import workreal
+    src = Path(workreal.__file__).resolve().parents[1]
+    script = src.parent / "scripts" / "run_consistency_checks.py"
+    result = subprocess.run([sys.executable, str(script), "--seed", "3"], cwd=tmp_path,
+                            capture_output=True, text=True, timeout=300,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "results" / "jarzynski" / "jarzynski_check.csv").is_file()
+    assert (tmp_path / "results" / "mc" / "mc_crosscheck.csv").is_file()
 
 
 def test_cli_import_leaves_scipy_stats_out():
@@ -105,7 +127,7 @@ class TestSqueezeGrid:
         assert a == b
         assert len([line for line in a.split(b"\n") if not line.startswith(b"#")]) == 27
 
-    def test_manifest_echoes_only_used_settings(self, tmp_path):
+    def test_manifest_echoes_only_used_settings(self, tmp_path, capsys):
         run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "1.0",
                  "--grid-spec", "0:0.1:2", "--n-max", "64"])
         table = read_table_csv(tmp_path / "squeeze_grid.csv")
@@ -128,12 +150,23 @@ class TestSqueezeGrid:
              {"beta", "seed", "theta", "n_samples"}),
         ]
         for experiment, grid_spec, csv, used in runs:
-            flags = [f"--{name.replace('_', '-')}={value}"
-                     for name, value in {**settings, "grid_spec": grid_spec}.items()]
+            values = {**settings, "grid_spec": grid_spec}
+            flags = [f"--{name.replace('_', '-')}={values[name]}" for name in used]
             out = tmp_path / experiment
             assert run_cli([experiment, "--out", out] + flags) == 0
             meta = read_table_csv(out / csv).meta
-            assert set(meta) & (set(settings) | {"grid_spec"}) == used, experiment
+            assert set(meta) & set(values) == used, experiment
+            # a setting the experiment does not read exits 2, as a flag or a config key
+            for name in set(values) - used:
+                flag = f"--{name.replace('_', '-')}"
+                with pytest.raises(SystemExit) as exit_info:
+                    run_cli([experiment, "--out", out, f"{flag}={values[name]}"])
+                assert exit_info.value.code == 2
+                assert flag in capsys.readouterr().err
+                config = tmp_path / f"{experiment}-{name}.cfg"
+                config.write_text(f"{name} = {values[name]}\n", encoding="utf-8")
+                assert run_cli([experiment, "--config", config, "--out", out]) == 2
+                assert f"{config}:1:" in capsys.readouterr().err
 
     def test_truncation_failure_names_the_point(self, tmp_path, capsys):
         code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "0.05",
@@ -250,6 +283,26 @@ class TestConfigFile:
         config.write_text("betta = 1.0\n", encoding="utf-8")
         assert run_cli(["tls-theta", "--config", config, "--out", tmp_path]) == 2
         assert "betta" in capsys.readouterr().err
+
+    def test_experiment_key_rejected(self, tmp_path, capsys):
+        """The subcommand picks the experiment; a config file cannot switch it."""
+        config = tmp_path / "run.cfg"
+        config.write_text("experiment = jarzynski-check\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run_cli(["tls-theta", "--config", config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert ":1:" in err and "experiment" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    def test_out_dir_key_and_out_flag_precedence(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"out_dir = {tmp_path / 'from_config'}\ngrid_spec = 0:1:3\n",
+                          encoding="utf-8")
+        assert run_cli(["tls-theta", "--config", config, "--out", tmp_path / "flag"]) == 0
+        assert read_table_csv(tmp_path / "flag" / "tls_theta.csv").rows.shape[0] == 3
+        assert not (tmp_path / "from_config").exists()
+        assert run_cli(["tls-theta", "--config", config]) == 0
+        assert (tmp_path / "from_config" / "tls_theta.csv").is_file()
 
     def test_invalid_values_diagnosed(self, tmp_path, capsys):
         assert run_cli(["tls-theta", "--out", tmp_path, "--beta", "-1"]) == 2

@@ -23,6 +23,7 @@ from workreal import (
     work_distribution,
 )
 import workreal.squeezing as squeezing
+from workreal.entropy import _nats
 from workreal.leggett_garg import k3_entropic
 from workreal.squeezing import (
     ALIGN,
@@ -33,7 +34,6 @@ from workreal.squeezing import (
     _budget,
     _check_conventions,
     _column_entropies,
-    _entropy,
     _parity_basis,
     _parity_columns,
     _squeeze_transitions,
@@ -630,7 +630,7 @@ def oracle_entropic_k3_oscillator(beta, r1, r2, n_max=None, degeneracy="fine",
     deficit_measured = 1.0 - float(t2.sum(axis=0) @ p1)
     deficit_no_middle = 1.0 - float(t_total.sum(axis=0) @ pops)
     budget = _budget(tail, deficit_measured, deficit_no_middle)
-    h_e1_shift = _entropy(p1) - _entropy(pops) if middle_entropy == "initial" else 0.0
+    h_e1_shift = _nats(p1) - _nats(pops) if middle_entropy == "initial" else 0.0
     if degeneracy == "fine":
         value = 0.5 * (p1 @ _column_entropies(t2, work)
                        + pops @ _column_entropies(t1, work)
@@ -640,7 +640,7 @@ def oracle_entropic_k3_oscillator(beta, r1, r2, n_max=None, degeneracy="fine",
         h_w10 = oracle_grouped_work_entropy(t1 * pops[None, :])
         h_w21 = oracle_grouped_work_entropy(t2 * p1[None, :])
         h_w20 = oracle_grouped_work_entropy(t_total * pops[None, :])
-        value = 0.5 * (h_w21 + h_w10 - h_w20 - _entropy(p1) + h_e1_shift)
+        value = 0.5 * (h_w21 + h_w10 - h_w20 - _nats(p1) + h_e1_shift)
     return float(value) / math.log(base), budget
 
 
