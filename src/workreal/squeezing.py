@@ -22,19 +22,31 @@ and the rows at odd positions [sin V_even ; cos V_odd]^T, the columns coming out
 grouped by position parity.  Every entry computed is an entry kept, and each
 caller asks only for the rows it reads: the sweeps (`_squeeze_transitions`,
 which squares the products straight into a `_Workspace`'s transition matrix)
-the kept levels; `squeeze_matrix_closed_form` the same rows, so the two agree
-bit for bit, and then the padded ones for its column defects; `select_n_max`
-the levels from its first candidate cut down to the padded edge.
+the kept levels; `squeeze_matrix_closed_form` every row in one call, the kept
+levels multiplied apart from the padded ones (which give its column defects) so
+that they agree with the sweeps bit for bit; `select_n_max` the levels from its
+first candidate cut down to the padded edge.
 
 The cached halves of each eigenbasis are zero-padded to a multiple of ALIGN
 rows, so every product has a multiple of ALIGN columns, and the eigen index is
 summed in panels of at most PANEL, accumulated in a fixed order.  OpenBLAS then
 rounds each entry the same way whatever its thread count (checked with OpenBLAS
-0.3.31 on Haswell under 1 to 4 threads), which its own splits of unaligned
-widths or of inner dimensions past PANEL do not.  The eigenbasis itself comes
-from LAPACK's `eigh_tridiagonal`, which there rounds the last bit of some
-eigenvector entries differently by thread count from about 390 levels per
-parity; no CSV checked so far has moved with it.
+0.3.31 under 1 to 4 threads), which its own splits of unaligned widths or of
+inner dimensions past PANEL do not.  The eigenbasis itself comes from LAPACK's
+`eigh_tridiagonal`, which there rounds the last bit of some eigenvector entries
+differently by thread count from about 390 levels per parity; no CSV checked so
+far has moved with it.
+
+Every product is further cut into tiles of fewer than GEMM_TILE = 2^19
+multiply-adds (`_tiles`): column tiles of 8 ALIGN, rows split evenly, each tile
+summing its panels in the same order, so every entry rounds exactly as in one
+product per panel.  OpenBLAS 0.3.31 runs a dgemm below 2^19 multiply-adds on
+one thread whatever the core count, so the kernel never wakes numpy's BLAS
+thread pool.  Woken, that pool spins for about 0.12 s of CPU after each product
+and fights scipy's pool, which spins as long after each `eigh_tridiagonal` of
+190 or more levels, for the cores: on a 2-vCPU VM the default `squeeze-beta`
+took 0.45-1.38 s under two BLAS threads against 0.32-0.37 s under one.  Tiled,
+it takes about 0.40 s under the default thread count.
 
 Every oscillator K_en (the point function, each grid cell, each beta-sweep
 point) goes through one per-(beta, n_max) routine, `_Legs`.  Its oracles are
@@ -73,6 +85,7 @@ SUPPORT_TOL = 1e-10
 PADDING = 128
 ALIGN = 8
 PANEL = 384
+GEMM_TILE = 1 << 19
 N_MAX_CAP = 8192
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -147,16 +160,47 @@ def _buffer(flat: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
     return np.empty(shape) if flat is None else flat[: shape[0] * shape[1]].reshape(shape)
 
 
-def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int, int | None],
+def _tiles(m: int, n: int, k: int) -> list[tuple[slice, slice]]:
+    """Row and column slices covering an m x n product over k eigen indices (k at
+    most PANEL; n a multiple of ALIGN) once each, every tile with fewer than
+    GEMM_TILE multiply-adds: columns in tiles of 8 ALIGN (n, if narrower), rows
+    split evenly into as few tiles as the bound allows, so no tile has a single
+    row unless m is one (numpy sends those to gemv, which sums in another order).
+    An empty product has no tiles."""
+    if m == 0 or n == 0:
+        return []
+    width = min(n, 8 * ALIGN)
+    row_tiles = -(-m // ((GEMM_TILE - 1) // (width * k)))
+    bounds = [m * i // row_tiles for i in range(row_tiles + 1)]
+    return [(slice(top, bottom), slice(c, min(c + width, n)))
+            for c in range(0, n, width) for top, bottom in zip(bounds, bounds[1:])]
+
+
+def _tiled_matmul(left: np.ndarray, operand: np.ndarray, out: np.ndarray,
+                  partial: np.ndarray | None) -> None:
+    """out = left @ operand, one tile of `_tiles` at a time, each summed over the
+    eigen index in PANEL-wide panels in order: the first panel written to the
+    tile, every later one into `partial` (fresh if None) and added."""
+    for rows, cols in _tiles(*out.shape, min(PANEL, left.shape[1])):
+        tile = out[rows, cols]
+        np.matmul(left[rows, :PANEL], operand[:PANEL, cols], out=tile)
+        for k in range(PANEL, left.shape[1], PANEL):
+            tile += np.matmul(left[rows, k: k + PANEL], operand[k: k + PANEL, cols],
+                              out=_buffer(partial, tile.shape))
+
+
+def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int | None, ...],
                     out: np.ndarray | None = None, squared: bool = False,
                     work: _Workspace | None = None) -> np.ndarray:
     """G[p + 2j, p + 2k] up to the sign of i^(j - k) (see module doc), or its square
-    if `squared`, for the block rows j in range(*rows) (an end of None is the
-    padded edge) and the block columns k of the levels below n_cols, from the
-    eigenbasis padded past `size`.  Written into `out`, a fresh array by default,
-    which is returned; `work` lends its GEMM buffers."""
+    if `squared`, for the block rows j from rows[0] to rows[-1] (an end of None is
+    the padded edge) and the block columns k of the levels below n_cols, from the
+    eigenbasis padded past `size`.  Each span between neighbouring bounds in
+    `rows` is multiplied on its own, so its entries round as in a call for that
+    span alone.  Written into `out`, a fresh array by default, which is returned;
+    `work` lends its GEMM buffers."""
     lam, *halves = _parity_basis(size + PADDING, p)
-    lo, hi = rows[0], lam.size if rows[1] is None else rows[1]
+    lo, hi = rows[0], lam.size if rows[-1] is None else rows[-1]
     cols = (n_cols - p + 1) // 2
     widths = (_aligned((cols + 1) // 2), _aligned(cols // 2))
     if out is None:
@@ -164,7 +208,9 @@ def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int, i
     gemm = (None, None, None) if work is None else work.gemm
     parts = (np.cos(r * lam)[:, None], np.sin(r * lam)[:, None])
     for q in (0, 1):
-        first, stop = (lo - q + 1) // 2, (hi - q + 1) // 2
+        # the block rows 2i + q of each span, by i
+        bounds = [(j - q + 1) // 2 for j in (lo, *rows[1:-1], hi)]
+        first, stop = bounds[0], bounds[-1]
         if stop <= first:
             continue
         # even columns take the cosine part on even rows and the sine part on odd
@@ -172,13 +218,10 @@ def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int, i
         operand = _buffer(gemm[0], (lam.size, sum(widths)))
         np.multiply(parts[q], halves[0][: widths[0]].T, out=operand[:, : widths[0]])
         np.multiply(parts[1 - q], halves[1][: widths[1]].T, out=operand[:, widths[0]:])
-        left = halves[q][first:stop]
-        product = np.matmul(left[:, :PANEL], operand[:PANEL],
-                            out=_buffer(gemm[1], (stop - first, operand.shape[1])))
-        for k in range(PANEL, lam.size, PANEL):
-            partial = np.matmul(left[:, k: k + PANEL], operand[k: k + PANEL],
-                                out=_buffer(gemm[2], product.shape))
-            product += partial
+        product = _buffer(gemm[1], (stop - first, operand.shape[1]))
+        for top, bottom in zip(bounds, bounds[1:]):
+            _tiled_matmul(halves[q][top:bottom], operand,
+                          product[top - first: bottom - first], gemm[2])
         dest = out[2 * first + q - lo::2]
         for parity, start in ((0, 0), (1, widths[0])):
             block = product[:, start: start + (cols - parity + 1) // 2]
@@ -193,8 +236,8 @@ class _Workspace:
     """Buffers that every `_squeeze_transitions` build at one n_max can reuse: the
     transition matrix, whose entries between levels of opposite parity stay zero,
     and the three flat GEMM buffers of `_parity_columns` (operand, product and
-    panel partial), which both parities use in turn, sized for the larger even
-    block.  `_column_entropies` takes its log block from the first."""
+    one tile's panel partial), which both parities use in turn, sized for the
+    larger even block.  `_column_entropies` takes its log block from the first."""
 
     def __init__(self, n_max: int):
         size = int(n_max) + 1
@@ -203,7 +246,7 @@ class _Workspace:
         width = 2 * _aligned((n_levels + 1) // 2)
         self.gemm = (np.empty((size + PADDING + 1) // 2 * width),
                      np.empty((n_levels + 1) // 2 * width),
-                     np.empty((n_levels + 1) // 2 * width))
+                     np.empty((GEMM_TILE - 1) // PANEL))
 
 
 def _validate_squeeze_args(r: float, n_max: int) -> None:
@@ -223,15 +266,15 @@ def squeeze_matrix_closed_form(r: float, n_max: int) -> SqueezeMatrix:
     defects = np.empty(size)
     for p in (0, 1):
         n_levels = (size - p + 1) // 2
-        block = _parity_columns(float(r), size, size, p, (0, n_levels), g[p::2, p::2])
+        columns = _parity_columns(float(r), size, size, p, (0, n_levels, None))
+        leak = columns[n_levels:]
+        defects[p::2] = (leak * leak).sum(axis=0)
         # the real or imaginary part of i^(j - k) is (-1)^(floor(j/2) + floor(k/2)),
         # negated where j is even and k odd
         half = 1.0 - 2.0 * (np.arange(n_levels) // 2 % 2)
-        block *= half[:, None]
-        block *= half
+        block = g[p::2, p::2]
+        np.multiply(columns[:n_levels] * half[:, None], half, out=block)
         block[0::2, 1::2] *= -1.0
-        defects[p::2] = _parity_columns(float(r), size, size, p, (n_levels, None),
-                                        squared=True).sum(axis=0)
     return SqueezeMatrix(g, float(r), n_max, defects)
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,16 +31,20 @@ from workreal.entropy import _nats
 from workreal.leggett_garg import k3_entropic
 from workreal.squeezing import (
     ALIGN,
+    N_MAX_CAP,
     PADDING,
+    PANEL,
     SUPPORT_TOL,
     THERMAL_TAIL_TOL,
     SqueezeParams,
+    _aligned,
     _budget,
     _check_conventions,
     _column_entropies,
     _parity_basis,
     _parity_columns,
     _squeeze_transitions,
+    _tiles,
     _Workspace,
     beta_sweep_min_k,
     golden_section_minimum,
@@ -166,6 +174,170 @@ class TestKernelPaths:
         for first, second in rows.values():
             assert np.array_equal(first, second)
         assert not np.array_equal(rows["fine"][0], rows["grouped"][0])
+
+
+def untiled_parity_columns(r, size, n_cols, p, rows, squared=False):
+    """`_parity_columns` with one product per PANEL-wide panel of the eigen index
+    over the whole block, the first panel written and each later one added: the
+    kernel as it was before its products were tiled, called once per span of
+    `rows`."""
+    if len(rows) > 2:
+        return np.concatenate([untiled_parity_columns(r, size, n_cols, p, span, squared)
+                               for span in zip(rows, rows[1:])])
+    lam, *halves = _parity_basis(size + PADDING, p)
+    lo, hi = rows[0], lam.size if rows[1] is None else rows[1]
+    cols = (n_cols - p + 1) // 2
+    widths = (_aligned((cols + 1) // 2), _aligned(cols // 2))
+    out = np.empty((hi - lo, cols))
+    parts = (np.cos(r * lam)[:, None], np.sin(r * lam)[:, None])
+    for q in (0, 1):
+        first, stop = (lo - q + 1) // 2, (hi - q + 1) // 2
+        if stop <= first:
+            continue
+        operand = np.empty((lam.size, sum(widths)))
+        np.multiply(parts[q], halves[0][: widths[0]].T, out=operand[:, : widths[0]])
+        np.multiply(parts[1 - q], halves[1][: widths[1]].T, out=operand[:, widths[0]:])
+        left = halves[q][first:stop]
+        product = left[:, :PANEL] @ operand[:PANEL]
+        for k in range(PANEL, lam.size, PANEL):
+            product += left[:, k: k + PANEL] @ operand[k: k + PANEL]
+        dest = out[2 * first + q - lo::2]
+        for parity, start in ((0, 0), (1, widths[0])):
+            block = product[:, start: start + (cols - parity + 1) // 2]
+            dest[:, parity::2] = block * block if squared else block
+    return out
+
+
+def kernel_products(size, n_cols, p, rows):
+    """(m, n, k) of each product `_parity_columns(r, size, n_cols, p, rows)` tiles,
+    by arithmetic alone: m block rows of one position parity and one span of
+    `rows`, n aligned columns and k eigen indices."""
+    k = (size + PADDING + 1 - p) // 2
+    ends = [k if j is None else j for j in rows]
+    cols = (n_cols - p + 1) // 2
+    n = _aligned((cols + 1) // 2) + _aligned(cols // 2)
+    shapes = []
+    for q in (0, 1):
+        bounds = [(j - q + 1) // 2 for j in ends]
+        if bounds[-1] > bounds[0]:
+            shapes += [(b - a, n, k) for a, b in zip(bounds, bounds[1:])]
+    return shapes
+
+
+def build_calls(n_max):
+    """(size, n_cols, p, rows) of the kernel calls of a sweep build and of
+    `squeeze_matrix_closed_form` at n_max."""
+    size = n_max + 1
+    return [(size, size, p, rows) for p in (0, 1)
+            for rows in ((0, (size - p + 1) // 2), (0, (size - p + 1) // 2, None))]
+
+
+def search_calls(upper, lowers, supports):
+    """(size, n_cols, p, rows) of the kernel calls `select_n_max` makes on a build
+    padded past `upper`, for each first candidate cut and occupied support."""
+    return [(upper + 1, support + 1, p, ((lower - p) // 2 + 1, None))
+            for lower in lowers for support in supports if support <= lower
+            for p in (0, 1)]
+
+
+class TestTiledProducts:
+    """Every product of the kernel stays below OpenBLAS's threading threshold and
+    rounds each entry as one product per panel does."""
+
+    def test_tiles_cover_each_product_once_below_the_threshold(self):
+        """Every product the sweeps, the closed form and `select_n_max` form for
+        n_max 1 to 1088, and at the 8192 cap, splits into a row partition times a
+        column partition whose column starts are multiples of ALIGN, with fewer
+        than 2^19 multiply-adds per tile (below that OpenBLAS runs a dgemm on one
+        thread) and no single-row tile unless the product has one row.
+        Arithmetic only; nothing is multiplied."""
+        calls = [call for n_max in range(1, 1089) for call in build_calls(n_max)]
+        for upper in range(64, 1089, 64):
+            calls += search_calls(upper, range(64, upper + 1, 64), range(upper + 1))
+        calls += search_calls(N_MAX_CAP, range(64, N_MAX_CAP + 1, 64),
+                              (0, 1, 63, 64, 230, 2302))
+        shapes = {shape for call in calls for shape in kernel_products(*call)}
+        assert max(k for _, _, k in shapes) > 4 * PANEL
+        for m, n, k in shapes:
+            panel = min(PANEL, k)
+            tiles = _tiles(m, n, panel)
+            if m * n == 0:
+                assert tiles == []
+                continue
+            row_spans = sorted({(rows.start, rows.stop) for rows, _ in tiles})
+            col_spans = sorted({(cols.start, cols.stop) for _, cols in tiles})
+            assert len(set((rows.start, cols.start) for rows, cols in tiles)) \
+                == len(tiles) == len(row_spans) * len(col_spans)
+            for spans, end in ((row_spans, m), (col_spans, n)):
+                assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+                assert spans[-1][1] == end
+            assert all(start % ALIGN == 0 for start, _ in col_spans)
+            heights = [b - a for a, b in row_spans]
+            widths = [b - a for a, b in col_spans]
+            assert max(heights) * max(widths) * panel < 1 << 19
+            assert min(heights) > 1 or m == 1
+
+    @pytest.mark.parametrize("n_max", [1, 2, 63, 64, 320, 448, 960])
+    def test_tiled_kernel_equals_the_untiled_one(self, monkeypatch, n_max):
+        """Bit for bit, sign bits included, squared and not, over the kept rows,
+        the padded rows and the rows a search reads; n_max 960 sums two panels.
+        The products the kernel tiles have the shapes `kernel_products` gives."""
+        size = n_max + 1
+        lower = 64 * (n_max // 128) if n_max >= 128 else n_max // 2
+        calls = build_calls(n_max) + [
+            (size, size, p, ((size - p + 1) // 2, None)) for p in (0, 1)
+        ] + search_calls(n_max, [lower], [0, lower // 2])
+        tiled = squeezing._tiled_matmul
+        seen = []
+
+        def recording(left, operand, out, partial):
+            seen.append((out.shape[0], out.shape[1], left.shape[1]))
+            tiled(left, operand, out, partial)
+
+        monkeypatch.setattr(squeezing, "_tiled_matmul", recording)
+        work = _Workspace(n_max)
+        for size_, n_cols, p, rows in calls:
+            for r in (0.01, 0.2, 1.0):
+                for squared in (False, True):
+                    seen.clear()
+                    want = untiled_parity_columns(r, size_, n_cols, p, rows, squared)
+                    got = _parity_columns(r, size_, n_cols, p, rows, squared=squared)
+                    assert seen == kernel_products(size_, n_cols, p, rows)
+                    assert np.array_equal(got, want)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+                    if (size_, n_cols, rows) == (size, size, (0, (size - p + 1) // 2)):
+                        lent = _parity_columns(r, size, size, p, rows, squared=squared,
+                                               work=work)
+                        assert np.array_equal(lent, want)
+                        assert np.array_equal(np.signbit(lent), np.signbit(want))
+
+    def test_a_warm_build_leaves_no_blas_worker_spinning(self):
+        """In a fresh interpreter, a second n_max 448 build burns (almost) no CPU
+        after it returns.  The first build's eigendecomposition wakes scipy's
+        OpenBLAS pool, which gets 0.4 s to settle; the second only multiplies, and
+        with every product below the threading threshold numpy's pool is never
+        woken.  With one untiled product per panel the process burned 0.12-0.13 s
+        of CPU in the next 0.2 s of sleep on a 2-vCPU VM.  On a single core
+        OpenBLAS starts no workers, so there the test passes trivially."""
+        import workreal
+        src = str(Path(workreal.__file__).resolve().parents[1])
+        code = (
+            "import resource, time\n"
+            "from workreal.squeezing import _squeeze_transitions\n"
+            "def cpu():\n"
+            "    usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+            "    return usage.ru_utime + usage.ru_stime\n"
+            "_squeeze_transitions(0.05, 448)\n"
+            "time.sleep(0.4)\n"
+            "_squeeze_transitions(0.06, 448)\n"
+            "before = cpu()\n"
+            "time.sleep(0.2)\n"
+            "print(cpu() - before)\n")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src},
+                                timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) < 0.02
 
 
 class TestSqueezeParams:
