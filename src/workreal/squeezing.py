@@ -27,26 +27,26 @@ levels multiplied apart from the padded ones (which give its column defects) so
 that they agree with the sweeps bit for bit; `select_n_max` the levels from its
 first candidate cut down to the padded edge.
 
-The cached halves of each eigenbasis are zero-padded to a multiple of ALIGN
-rows, so every product has a multiple of ALIGN columns, and the eigen index is
-summed in panels of at most PANEL, accumulated in a fixed order.  OpenBLAS then
-rounds each entry the same way whatever its thread count (checked with OpenBLAS
-0.3.31 under 1 to 4 threads), which its own splits of unaligned widths or of
-inner dimensions past PANEL do not.  The eigenbasis itself comes from LAPACK's
-`eigh_tridiagonal`, which there rounds the last bit of some eigenvector entries
-differently by thread count from about 390 levels per parity; no CSV checked so
-far has moved with it.
+The cached halves of each eigenbasis are stored eigen-index-major, their rows
+zero-padded to a multiple of ALIGN, so every product has a multiple of ALIGN
+columns, and the eigen index is summed in panels of at most PANEL: one dgemm per
+panel, the first written and each later one added.  OpenBLAS then rounds each
+entry the same way whatever its thread count (checked with OpenBLAS 0.3.31
+under 1 to 4 threads), which its own splits of unaligned widths or of inner
+dimensions past PANEL do not.
 
-Every product is further cut into tiles of fewer than GEMM_TILE = 2^19
-multiply-adds (`_tiles`): column tiles of 8 ALIGN, rows split evenly, each tile
-summing its panels in the same order, so every entry rounds exactly as in one
-product per panel.  OpenBLAS 0.3.31 runs a dgemm below 2^19 multiply-adds on
-one thread whatever the core count, so the kernel never wakes numpy's BLAS
-thread pool.  Woken, that pool spins for about 0.12 s of CPU after each product
-and fights scipy's pool, which spins as long after each `eigh_tridiagonal` of
-190 or more levels, for the cores: on a 2-vCPU VM the default `squeeze-beta`
-took 0.45-1.38 s under two BLAS threads against 0.32-0.37 s under one.  Tiled,
-it takes about 0.40 s under the default thread count.
+`_parity_basis` and `_parity_columns` run on the calling thread: while each
+runs, `_on_one_blas_thread` sets numpy's and scipy's OpenBLAS to one thread,
+then restores their counts.  The eigensolver is `eigh_tridiagonal`, LAPACK's
+divide-and-conquer `stevd` on scipy's OpenBLAS 0.3.30, whose merges call dgemm:
+unpinned, it wakes scipy's pool from about 190 levels and rounds some
+eigenvector entries by thread count from about 390.  A woken pool spins for
+about 0.12 s of CPU after each call, competing with the main thread for the
+cores.  The pin is process-wide while a call runs, so another thread's BLAS
+calls run single-threaded meanwhile, and pinned calls from two threads at once
+can leave the pools at one thread.  Where no OpenBLAS is found (other platforms
+or builds), both run unpinned; the kernel computes the same entries from a given
+basis, which may then depend on the thread count.
 
 Every oscillator K_en (the point function, each grid cell, each beta-sweep
 point) goes through one per-(beta, n_max) routine, `_Legs`.  Its oracles are
@@ -66,9 +66,11 @@ comparisons; the tests add the closed-form series of Kim, de Oliveira & Knight
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
@@ -85,7 +87,6 @@ SUPPORT_TOL = 1e-10
 PADDING = 128
 ALIGN = 8
 PANEL = 384
-GEMM_TILE = 1 << 19
 N_MAX_CAP = 8192
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -140,19 +141,57 @@ def _aligned(n: int) -> int:
     return -(-n // ALIGN) * ALIGN
 
 
+@lru_cache(maxsize=1)
+def _blas_pools() -> list[tuple]:
+    """(get, set) thread-count functions of the scipy-openblas libraries mapped into
+    the process (numpy's ILP64 one, scipy's LP64 one) when first asked."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return []
+    pools = []
+    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            if hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
+                get, put = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}")
+                            for verb in ("get", "set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((get, put))
+    return pools
+
+
+def _on_one_blas_thread(fn):
+    """`fn` with every pool of `_blas_pools` set to one thread while it runs, each
+    set back to its former count afterwards, also when `fn` raises."""
+    @wraps(fn)
+    def pinned(*args, **kwargs):
+        counts = [(put, get()) for get, put in _blas_pools()]
+        for put, _ in counts:
+            put(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            for put, count in counts:
+                put(count)
+    return pinned
+
+
 @lru_cache(maxsize=8)
+@_on_one_blas_thread
 def _parity_basis(size: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues of S on the levels p, p + 2, ... below `size` (see module doc),
-    and the rows of its eigenvector matrix at even and at odd positions, each a
-    contiguous array zero-padded to a multiple of ALIGN rows."""
+    and its eigenvector rows at even and at odd positions, each half transposed to
+    a contiguous (eigen index, row) array, zero-padded to a multiple of ALIGN rows."""
     levels = np.arange(p, size - 2, 2, dtype=float)
     lam, vec = eigh_tridiagonal(np.zeros(levels.size + 1),
                                 0.5 * np.sqrt((levels + 1.0) * (levels + 2.0)))
     halves = []
     for q in (0, 1):
         rows = vec[q::2]
-        halves.append(np.zeros((_aligned(rows.shape[0]), lam.size)))
-        halves[q][: rows.shape[0]] = rows
+        halves.append(np.zeros((lam.size, _aligned(rows.shape[0]))))
+        halves[q][:, : rows.shape[0]] = rows.T
     return lam, halves[0], halves[1]
 
 
@@ -160,35 +199,7 @@ def _buffer(flat: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
     return np.empty(shape) if flat is None else flat[: shape[0] * shape[1]].reshape(shape)
 
 
-def _tiles(m: int, n: int, k: int) -> list[tuple[slice, slice]]:
-    """Row and column slices covering an m x n product over k eigen indices (k at
-    most PANEL; n a multiple of ALIGN) once each, every tile with fewer than
-    GEMM_TILE multiply-adds: columns in tiles of 8 ALIGN (n, if narrower), rows
-    split evenly into as few tiles as the bound allows, so no tile has a single
-    row unless m is one (numpy sends those to gemv, which sums in another order).
-    An empty product has no tiles."""
-    if m == 0 or n == 0:
-        return []
-    width = min(n, 8 * ALIGN)
-    row_tiles = -(-m // ((GEMM_TILE - 1) // (width * k)))
-    bounds = [m * i // row_tiles for i in range(row_tiles + 1)]
-    return [(slice(top, bottom), slice(c, min(c + width, n)))
-            for c in range(0, n, width) for top, bottom in zip(bounds, bounds[1:])]
-
-
-def _tiled_matmul(left: np.ndarray, operand: np.ndarray, out: np.ndarray,
-                  partial: np.ndarray | None) -> None:
-    """out = left @ operand, one tile of `_tiles` at a time, each summed over the
-    eigen index in PANEL-wide panels in order: the first panel written to the
-    tile, every later one into `partial` (fresh if None) and added."""
-    for rows, cols in _tiles(*out.shape, min(PANEL, left.shape[1])):
-        tile = out[rows, cols]
-        np.matmul(left[rows, :PANEL], operand[:PANEL, cols], out=tile)
-        for k in range(PANEL, left.shape[1], PANEL):
-            tile += np.matmul(left[rows, k: k + PANEL], operand[k: k + PANEL, cols],
-                              out=_buffer(partial, tile.shape))
-
-
+@_on_one_blas_thread
 def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int | None, ...],
                     out: np.ndarray | None = None, squared: bool = False,
                     work: _Workspace | None = None) -> np.ndarray:
@@ -216,12 +227,15 @@ def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int | 
         # even columns take the cosine part on even rows and the sine part on odd
         # rows; odd columns the other way round
         operand = _buffer(gemm[0], (lam.size, sum(widths)))
-        np.multiply(parts[q], halves[0][: widths[0]].T, out=operand[:, : widths[0]])
-        np.multiply(parts[1 - q], halves[1][: widths[1]].T, out=operand[:, widths[0]:])
+        np.multiply(parts[q], halves[0][:, : widths[0]], out=operand[:, : widths[0]])
+        np.multiply(parts[1 - q], halves[1][:, : widths[1]], out=operand[:, widths[0]:])
         product = _buffer(gemm[1], (stop - first, operand.shape[1]))
         for top, bottom in zip(bounds, bounds[1:]):
-            _tiled_matmul(halves[q][top:bottom], operand,
-                          product[top - first: bottom - first], gemm[2])
+            span = product[top - first: bottom - first]
+            np.matmul(halves[q][:PANEL, top:bottom].T, operand[:PANEL], out=span)
+            for k in range(PANEL, lam.size, PANEL):
+                span += np.matmul(halves[q][k: k + PANEL, top:bottom].T,
+                                  operand[k: k + PANEL], out=_buffer(gemm[2], span.shape))
         dest = out[2 * first + q - lo::2]
         for parity, start in ((0, 0), (1, widths[0])):
             block = product[:, start: start + (cols - parity + 1) // 2]
@@ -236,17 +250,18 @@ class _Workspace:
     """Buffers that every `_squeeze_transitions` build at one n_max can reuse: the
     transition matrix, whose entries between levels of opposite parity stay zero,
     and the three flat GEMM buffers of `_parity_columns` (operand, product and
-    one tile's panel partial), which both parities use in turn, sized for the
-    larger even block.  `_column_entropies` takes its log block from the first."""
+    panel partial, empty where one PANEL spans the eigen index), which both
+    parities use in turn, sized for the larger even block.  `_column_entropies`
+    takes its log block from the first."""
 
     def __init__(self, n_max: int):
         size = int(n_max) + 1
         self.t = np.zeros((size, size))
         n_levels = (size + 1) // 2
         width = 2 * _aligned((n_levels + 1) // 2)
-        self.gemm = (np.empty((size + PADDING + 1) // 2 * width),
-                     np.empty((n_levels + 1) // 2 * width),
-                     np.empty((GEMM_TILE - 1) // PANEL))
+        eigen, product = (size + PADDING + 1) // 2, (n_levels + 1) // 2 * width
+        self.gemm = (np.empty(eigen * width), np.empty(product),
+                     np.empty(product * (eigen > PANEL)))
 
 
 def _validate_squeeze_args(r: float, n_max: int) -> None:

@@ -190,9 +190,12 @@ class TestSqueezeGrid:
         assert "beta=0.1" in message and "r=4" in message
 
 
-    def test_csv_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+    @pytest.mark.parametrize("beta", ["0.03", "0.01"])
+    def test_csv_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path, beta):
         """At beta = 0.03 (n_max 960) the kernel sums the eigen index in two
-        panels; one and two OpenBLAS threads must write the same bytes."""
+        panels, at beta = 0.01 (n_max 2816) in four, over eigenbases of 545 and
+        1473 levels per parity; one and two OpenBLAS threads must write the same
+        bytes."""
         import workreal
         src = str(Path(workreal.__file__).resolve().parents[1])
         written = []
@@ -200,7 +203,7 @@ class TestSqueezeGrid:
             out = tmp_path / threads
             result = subprocess.run(
                 [sys.executable, "-m", "workreal.cli", "squeeze-grid", "--grid-spec",
-                 "0:0.04:3", "--beta", "0.03", "--out", str(out)],
+                 "0:0.04:3", "--beta", beta, "--out", str(out)],
                 capture_output=True, text=True, timeout=300,
                 env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
             assert result.returncode == 0, result.stderr

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -44,7 +45,6 @@ from workreal.squeezing import (
     _parity_basis,
     _parity_columns,
     _squeeze_transitions,
-    _tiles,
     _Workspace,
     beta_sweep_min_k,
     golden_section_minimum,
@@ -55,6 +55,7 @@ from workreal.squeezing import (
 G00_HALF = 0.94171061583167571  # sech(1/2)^(1/2), frozen at 40 digits
 KERNEL_SIZES = (1, 2, 3, 64, 65, 128, 191, 448, 1024)
 KERNEL_AMPLITUDES = (0.0, 0.01, 0.05, 0.2, 1.0)
+BASIS_SIZES = (130, 131, 193, 578, 1153)
 
 
 def series_element(m, n, r, dps=60):
@@ -83,14 +84,58 @@ def series_element(m, n, r, dps=60):
         return float(value)
 
 
+def parity_generator(size, p):
+    """(diagonal, off-diagonal) of the parity generator S on the levels p, p + 2,
+    ... below size (see the `squeezing` module doc)."""
+    levels = np.arange(p, size - 2, 2, dtype=float)
+    return np.zeros(levels.size + 1), 0.5 * np.sqrt((levels + 1.0) * (levels + 2.0))
+
+
+def run_fresh(code, *args, threads=None):
+    """stdout of `code` run with `args` in a fresh interpreter on this package,
+    with OPENBLAS_NUM_THREADS set to `threads` unless that is None."""
+    import workreal
+    env = {**os.environ, "PYTHONPATH": str(Path(workreal.__file__).resolve().parents[1])}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.fixture(scope="module")
+def one_thread_eigenvectors(tmp_path_factory):
+    """{(size, p): (eigenvalues, eigenvectors)} for BASIS_SIZES from
+    `eigh_tridiagonal` in a fresh interpreter under OPENBLAS_NUM_THREADS=1: scipy
+    as it is, without this package's pin."""
+    folder = tmp_path_factory.mktemp("eigenvectors")
+    cases = [(size, p) for size in BASIS_SIZES for p in (0, 1)]
+    keys = [f"_{size}_{p}" for size, p in cases]
+    generators = {}
+    for key, case in zip(keys, cases):
+        generators["d" + key], generators["e" + key] = parity_generator(*case)
+    np.savez(folder / "generators.npz", **generators)
+    run_fresh("import sys\n"
+              "import numpy as np\n"
+              "from scipy.linalg import eigh_tridiagonal\n"
+              "bases = {}\n"
+              "with np.load(sys.argv[1]) as generator:\n"
+              f"    for key in {keys!r}:\n"
+              "        bases['lam' + key], bases['vec' + key] = eigh_tridiagonal(\n"
+              "            generator['d' + key], generator['e' + key])\n"
+              "np.savez(sys.argv[2], **bases)\n",
+              str(folder / "generators.npz"), str(folder / "bases.npz"), threads="1")
+    with np.load(folder / "bases.npz") as bases:
+        return {case: (bases["lam" + key], bases["vec" + key]) for key, case in zip(keys, cases)}
+
+
 def parity_columns_oracle(r, size, n_cols, p):
     """The parity block of the kernel in its original formulation, from a fresh
     eigenbasis: two full GEMMs over every padded row, the cos or sin part picked
     per entry by `np.where` on the parity of j - k, and the real or imaginary part
     of i^(j - k) read off an `offset % 4` table.  Returns (block, sign table)."""
-    levels = np.arange(p, size + PADDING - 2, 2, dtype=float)
-    lam, vec = eigh_tridiagonal(np.zeros(levels.size + 1),
-                                0.5 * np.sqrt((levels + 1.0) * (levels + 2.0)))
+    lam, vec = eigh_tridiagonal(*parity_generator(size + PADDING, p))
     right = vec[: (n_cols - p + 1) // 2].T
     cos_part = vec @ (np.cos(r * lam)[:, None] * right)
     sin_part = vec @ (np.sin(r * lam)[:, None] * right)
@@ -145,22 +190,22 @@ class TestKernelPaths:
                 entropies = _column_entropies(t, shared or _Workspace(n_max))
                 assert np.array_equal(entropies, column_entropies_oracle(t))
 
-    @pytest.mark.parametrize("size", [130, 131, 193, 578, 1153])
-    def test_basis_halves_are_the_eigenvector_rows(self, size):
+    @pytest.mark.parametrize("size", BASIS_SIZES)
+    def test_basis_halves_are_the_eigenvector_rows(self, size, one_thread_eigenvectors):
         """The cached halves hold the eigenvector rows at even and odd positions,
-        contiguous, and zeros in the rows that align them to ALIGN."""
+        transposed and contiguous, and zeros in the columns that align them to
+        ALIGN; bit for bit against `eigh_tridiagonal` on one BLAS thread, which is
+        what the pinned cache computes whatever the thread count."""
         for p in (0, 1):
-            levels = np.arange(p, size - 2, 2, dtype=float)
-            lam, vec = eigh_tridiagonal(np.zeros(levels.size + 1),
-                                        0.5 * np.sqrt((levels + 1.0) * (levels + 2.0)))
+            lam, vec = one_thread_eigenvectors[size, p]
             cached = _parity_basis(size, p)
             assert np.array_equal(cached[0], lam)
             for q, half in enumerate(cached[1:]):
                 rows = vec[q::2].shape[0]
-                assert half.flags.c_contiguous and half.shape[0] % ALIGN == 0
-                assert half.shape[0] - rows < ALIGN
-                assert np.array_equal(half[:rows], vec[q::2])
-                assert not half[rows:].any()
+                assert half.flags.c_contiguous and half.shape[0] == lam.size
+                assert half.shape[1] % ALIGN == 0 and half.shape[1] - rows < ALIGN
+                assert np.array_equal(half[:, :rows], vec[q::2].T)
+                assert not half[:, rows:].any()
 
     def test_grid_sweep_reruns_are_equal(self):
         """Two sweeps of each convention in one process give the same rows; the
@@ -176,15 +221,23 @@ class TestKernelPaths:
         assert not np.array_equal(rows["fine"][0], rows["grouped"][0])
 
 
+@functools.lru_cache(maxsize=4)
+def one_thread_halves(size, p):
+    """Eigenvalues and the contiguous even- and odd-position eigenvector rows of the
+    parity generator, straight off `eigh_tridiagonal` on one BLAS thread."""
+    lam, vec = squeezing._on_one_blas_thread(eigh_tridiagonal)(*parity_generator(size, p))
+    return lam, np.ascontiguousarray(vec[0::2]), np.ascontiguousarray(vec[1::2])
+
+
 def untiled_parity_columns(r, size, n_cols, p, rows, squared=False):
-    """`_parity_columns` with one product per PANEL-wide panel of the eigen index
-    over the whole block, the first panel written and each later one added: the
-    kernel as it was before its products were tiled, called once per span of
-    `rows`."""
+    """`_parity_columns` in its row-major formulation, on `one_thread_halves`
+    (computed on one BLAS thread, as the kernel's cached basis is): one product
+    per PANEL-wide panel of the eigen index over each span of `rows`, the first
+    panel written and each later one added."""
     if len(rows) > 2:
         return np.concatenate([untiled_parity_columns(r, size, n_cols, p, span, squared)
                                for span in zip(rows, rows[1:])])
-    lam, *halves = _parity_basis(size + PADDING, p)
+    lam, *halves = one_thread_halves(size + PADDING, p)
     lo, hi = rows[0], lam.size if rows[1] is None else rows[1]
     cols = (n_cols - p + 1) // 2
     widths = (_aligned((cols + 1) // 2), _aligned(cols // 2))
@@ -208,22 +261,6 @@ def untiled_parity_columns(r, size, n_cols, p, rows, squared=False):
     return out
 
 
-def kernel_products(size, n_cols, p, rows):
-    """(m, n, k) of each product `_parity_columns(r, size, n_cols, p, rows)` tiles,
-    by arithmetic alone: m block rows of one position parity and one span of
-    `rows`, n aligned columns and k eigen indices."""
-    k = (size + PADDING + 1 - p) // 2
-    ends = [k if j is None else j for j in rows]
-    cols = (n_cols - p + 1) // 2
-    n = _aligned((cols + 1) // 2) + _aligned(cols // 2)
-    shapes = []
-    for q in (0, 1):
-        bounds = [(j - q + 1) // 2 for j in ends]
-        if bounds[-1] > bounds[0]:
-            shapes += [(b - a, n, k) for a, b in zip(bounds, bounds[1:])]
-    return shapes
-
-
 def build_calls(n_max):
     """(size, n_cols, p, rows) of the kernel calls of a sweep build and of
     `squeeze_matrix_closed_form` at n_max."""
@@ -240,69 +277,44 @@ def search_calls(upper, lowers, supports):
             for p in (0, 1)]
 
 
+def cpu_burnt_after(builds):
+    """CPU seconds a fresh interpreter burns in 0.2 s of sleep right after running
+    the code `builds`, with `_squeeze_transitions` imported."""
+    return float(run_fresh(
+        "import resource, time\n"
+        "from workreal.squeezing import _squeeze_transitions\n"
+        "def cpu():\n"
+        "    usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "    return usage.ru_utime + usage.ru_stime\n"
+        f"{builds}\n"
+        "before = cpu()\n"
+        "time.sleep(0.2)\n"
+        "print(cpu() - before)\n"))
+
+
 class TestTiledProducts:
-    """Every product of the kernel stays below OpenBLAS's threading threshold and
-    rounds each entry as one product per panel does."""
+    """The kernel and its eigensolver run on the calling thread: one product per
+    panel rounds each entry as the row-major oracle does, and no BLAS thread
+    count changes a bit or leaves a worker spinning."""
 
-    def test_tiles_cover_each_product_once_below_the_threshold(self):
-        """Every product the sweeps, the closed form and `select_n_max` form for
-        n_max 1 to 1088, and at the 8192 cap, splits into a row partition times a
-        column partition whose column starts are multiples of ALIGN, with fewer
-        than 2^19 multiply-adds per tile (below that OpenBLAS runs a dgemm on one
-        thread) and no single-row tile unless the product has one row.
-        Arithmetic only; nothing is multiplied."""
-        calls = [call for n_max in range(1, 1089) for call in build_calls(n_max)]
-        for upper in range(64, 1089, 64):
-            calls += search_calls(upper, range(64, upper + 1, 64), range(upper + 1))
-        calls += search_calls(N_MAX_CAP, range(64, N_MAX_CAP + 1, 64),
-                              (0, 1, 63, 64, 230, 2302))
-        shapes = {shape for call in calls for shape in kernel_products(*call)}
-        assert max(k for _, _, k in shapes) > 4 * PANEL
-        for m, n, k in shapes:
-            panel = min(PANEL, k)
-            tiles = _tiles(m, n, panel)
-            if m * n == 0:
-                assert tiles == []
-                continue
-            row_spans = sorted({(rows.start, rows.stop) for rows, _ in tiles})
-            col_spans = sorted({(cols.start, cols.stop) for _, cols in tiles})
-            assert len(set((rows.start, cols.start) for rows, cols in tiles)) \
-                == len(tiles) == len(row_spans) * len(col_spans)
-            for spans, end in ((row_spans, m), (col_spans, n)):
-                assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
-                assert spans[-1][1] == end
-            assert all(start % ALIGN == 0 for start, _ in col_spans)
-            heights = [b - a for a, b in row_spans]
-            widths = [b - a for a, b in col_spans]
-            assert max(heights) * max(widths) * panel < 1 << 19
-            assert min(heights) > 1 or m == 1
-
-    @pytest.mark.parametrize("n_max", [1, 2, 63, 64, 320, 448, 960])
-    def test_tiled_kernel_equals_the_untiled_one(self, monkeypatch, n_max):
-        """Bit for bit, sign bits included, squared and not, over the kept rows,
-        the padded rows and the rows a search reads; n_max 960 sums two panels.
-        The products the kernel tiles have the shapes `kernel_products` gives."""
+    @pytest.mark.parametrize("n_max", [1, 2, 63, 64, 320, 448, 960, 1408])
+    def test_tiled_kernel_equals_the_untiled_one(self, n_max):
+        """Bit for bit against `untiled_parity_columns`, sign bits included,
+        squared and not, fresh and with a workspace, over the kept rows, the
+        padded rows and the rows a search reads; n_max 960 sums two panels and
+        n_max 1408 three, whose order matters, and n_max 1 and 2 have one-row
+        spans, which numpy sends to gemv."""
         size = n_max + 1
         lower = 64 * (n_max // 128) if n_max >= 128 else n_max // 2
         calls = build_calls(n_max) + [
             (size, size, p, ((size - p + 1) // 2, None)) for p in (0, 1)
         ] + search_calls(n_max, [lower], [0, lower // 2])
-        tiled = squeezing._tiled_matmul
-        seen = []
-
-        def recording(left, operand, out, partial):
-            seen.append((out.shape[0], out.shape[1], left.shape[1]))
-            tiled(left, operand, out, partial)
-
-        monkeypatch.setattr(squeezing, "_tiled_matmul", recording)
         work = _Workspace(n_max)
         for size_, n_cols, p, rows in calls:
             for r in (0.01, 0.2, 1.0):
                 for squared in (False, True):
-                    seen.clear()
                     want = untiled_parity_columns(r, size_, n_cols, p, rows, squared)
                     got = _parity_columns(r, size_, n_cols, p, rows, squared=squared)
-                    assert seen == kernel_products(size_, n_cols, p, rows)
                     assert np.array_equal(got, want)
                     assert np.array_equal(np.signbit(got), np.signbit(want))
                     if (size_, n_cols, rows) == (size, size, (0, (size - p + 1) // 2)):
@@ -313,31 +325,76 @@ class TestTiledProducts:
 
     def test_a_warm_build_leaves_no_blas_worker_spinning(self):
         """In a fresh interpreter, a second n_max 448 build burns (almost) no CPU
-        after it returns.  The first build's eigendecomposition wakes scipy's
-        OpenBLAS pool, which gets 0.4 s to settle; the second only multiplies, and
-        with every product below the threading threshold numpy's pool is never
-        woken.  With one untiled product per panel the process burned 0.12-0.13 s
+        after it returns: its products run on the calling thread, so neither BLAS
+        pool has a worker left spinning.  Unpinned, a process burned 0.12-0.13 s
         of CPU in the next 0.2 s of sleep on a 2-vCPU VM.  On a single core
         OpenBLAS starts no workers, so there the test passes trivially."""
-        import workreal
-        src = str(Path(workreal.__file__).resolve().parents[1])
-        code = (
-            "import resource, time\n"
-            "from workreal.squeezing import _squeeze_transitions\n"
-            "def cpu():\n"
-            "    usage = resource.getrusage(resource.RUSAGE_SELF)\n"
-            "    return usage.ru_utime + usage.ru_stime\n"
-            "_squeeze_transitions(0.05, 448)\n"
-            "time.sleep(0.4)\n"
-            "_squeeze_transitions(0.06, 448)\n"
-            "before = cpu()\n"
-            "time.sleep(0.2)\n"
-            "print(cpu() - before)\n")
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                                text=True, env={**os.environ, "PYTHONPATH": src},
-                                timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert float(result.stdout) < 0.02
+        assert cpu_burnt_after("_squeeze_transitions(0.05, 448)\n"
+                               "time.sleep(0.4)\n"
+                               "_squeeze_transitions(0.06, 448)") < 0.02
+
+    def test_a_cold_build_leaves_no_blas_worker_spinning(self):
+        """As the warm test, for the first build, whose eigendecomposition of 289
+        levels calls dgemm in its merges: unpinned, scipy's pool then spun for
+        0.116-0.123 s of CPU on a 2-vCPU VM.  Passes trivially on one core."""
+        assert cpu_burnt_after("_squeeze_transitions(0.05, 448)") < 0.02
+
+    @pytest.mark.parametrize("size", [1153, 2945])
+    def test_basis_bits_do_not_depend_on_the_blas_thread_count(self, size):
+        """The cached eigenbases at 577 and 1473 levels per parity hash the same
+        under one and two OpenBLAS threads; unpinned, `eigh_tridiagonal` rounded
+        some of their entries by thread count (313k entries at 1473 levels)."""
+        code = ("import hashlib\n"
+                "from workreal.squeezing import _parity_basis\n"
+                "digest = hashlib.sha256()\n"
+                "for p in (0, 1):\n"
+                f"    for array in _parity_basis({size}, p):\n"
+                "        digest.update(array.tobytes())\n"
+                "print(digest.hexdigest())\n")
+        assert run_fresh(code, threads="1") == run_fresh(code, threads="2")
+
+    def test_both_blas_pools_are_pinned_and_restored(self, monkeypatch):
+        """numpy's and scipy's scipy-openblas libraries are both found; both run
+        one thread inside the kernel and inside its eigensolver, and are back at
+        their former counts after a build, also after one that raises."""
+        pools = squeezing._blas_pools()
+        assert len(pools) == 2
+
+        def counts():
+            return [get() for get, _ in pools]
+
+        former = counts()
+        inside = {"kernel": [], "eigensolver": []}
+        basis = squeezing._parity_basis
+
+        def kernel_basis(*args):
+            inside["kernel"].append(counts())
+            return basis(*args)
+
+        def eigensolver(*args):
+            inside["eigensolver"].append(counts())
+            return eigh_tridiagonal(*args)
+
+        def failing(*args):
+            raise RuntimeError("eigensolver failed")
+
+        monkeypatch.setattr(squeezing, "_parity_basis", kernel_basis)
+        monkeypatch.setattr(squeezing, "eigh_tridiagonal", eigensolver)
+        try:
+            for _, put in pools:
+                put(2)
+            basis.cache_clear()
+            _squeeze_transitions(0.05, 65)
+            assert inside == {"kernel": [[1, 1]] * 2, "eigensolver": [[1, 1]] * 2}
+            assert counts() == [2, 2]
+            monkeypatch.setattr(squeezing, "eigh_tridiagonal", failing)
+            with pytest.raises(RuntimeError):
+                _squeeze_transitions(0.05, 66)
+            assert counts() == [2, 2]
+        finally:
+            for (_, put), count in zip(pools, former):
+                put(count)
+            basis.cache_clear()
 
 
 class TestSqueezeParams:
