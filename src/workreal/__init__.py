@@ -63,7 +63,6 @@ from .protocol import (
 from .squeezing import (
     OscillatorProtocol,
     SqueezeMatrix,
-    SqueezeParams,
     beta_sweep_min_k,
     diagonal_scan,
     entropic_k3_oscillator,

@@ -194,12 +194,20 @@ def entropic_k3_from_protocol(rho0: DiagonalDensity, u10: UnitaryPropagator,
         raise InvalidParameterError(f"unknown degeneracy convention {degeneracy!r}")
     joint3 = three_time_joint(rho0, u10, u21, spectrum_1=spectrum_1, spectrum_2=spectrum_2)
     no_middle = two_time_joint_skipping_middle(rho0, u10, u21, spectrum_later=spectrum_2)
-    view = degeneracy
+    return k3_entropic(*_entropy_reports(joint3, no_middle, degeneracy, base))
+
+
+def _entropy_reports(joint3, no_middle: JointDistribution, view: str,
+                     base: float) -> tuple[EntropyReport, ...]:
+    """(H(W21), H(W10), H(W20), H(E1)) of a three-point protocol: the work
+    entropies of its two measured legs and of the no-middle branch in the
+    work-distribution `view` ("fine" or "grouped"), and the entropy of its
+    middle marginal."""
     h_w10 = work_entropy(work_distribution(joint3.marginal_t1_t0(), view=view), base=base)
     h_w21 = work_entropy(work_distribution(joint3.marginal_t2_t1(), view=view), base=base)
     h_w20 = work_entropy(work_distribution(no_middle, view=view), base=base)
     h_e1 = shannon_entropy(joint3.marginal_t1(), base=base)
-    return k3_entropic(h_w21, h_w10, h_w20, h_e1)
+    return h_w21, h_w10, h_w20, h_e1
 
 
 def lg_parameter_rows(populations: np.ndarray, trans10: np.ndarray, trans21: np.ndarray,

@@ -21,11 +21,11 @@ odd positions, the rows at even positions multiply [cos V_even ; sin V_odd]^T
 and the rows at odd positions [sin V_even ; cos V_odd]^T, the columns coming out
 grouped by position parity.  Every entry computed is an entry kept, and each
 caller asks only for the rows it reads: the sweeps (`_squeeze_transitions`,
-which squares the products straight into a `_Workspace`'s transition matrix)
-the kept levels; `squeeze_matrix_closed_form` every row in one call, the kept
-levels multiplied apart from the padded ones (which give its column defects) so
-that they agree with the sweeps bit for bit; `select_n_max` the levels from its
-first candidate cut down to the padded edge.
+which squares the products straight into a fresh transition matrix) the kept
+levels; `squeeze_matrix_closed_form` every row in one call, the kept levels
+multiplied apart from the padded ones (which give its column defects) so that
+they agree with the sweeps bit for bit; `select_n_max` the levels from its first
+candidate cut down to the padded edge.
 
 The cached halves of each eigenbasis are stored eigen-index-major, their rows
 zero-padded to a multiple of ALIGN, so every product has a multiple of ALIGN
@@ -75,10 +75,11 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 
-from .entropy import _nats, shannon_entropy, work_entropy
+from .entropy import _nats
 from .errors import InvalidParameterError, TruncationError
 from .hilbert import EnergySpectrum, UnitaryPropagator, _gibbs_populations
-from .protocol import JointDistribution, JointDistribution3, work_distribution
+from .leggett_garg import _entropy_reports
+from .protocol import JointDistribution, JointDistribution3
 from .tables import SweepTable, contour_points
 
 THERMAL_TAIL_TOL = 1e-12
@@ -88,32 +89,8 @@ PADDING = 128
 ALIGN = 8
 PANEL = 384
 N_MAX_CAP = 8192
+MAX_BUDGET = 1e-6
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class SqueezeParams:
-    """Squeeze amplitude and phase; the phase is fixed to zero in this package."""
-
-    r: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise InvalidParameterError(f"squeeze amplitude must be >= 0, got {self.r}")
-        if self.phi != 0.0:
-            raise InvalidParameterError("nonzero squeeze phase is not supported")
-        mu, nu = self.mu, self.nu
-        if abs(mu * mu - nu * nu - 1.0) > 1e-12 * max(1.0, mu * mu):
-            raise InvalidParameterError("Bogoliubov coefficients violate mu^2 - nu^2 = 1")
-
-    @property
-    def mu(self) -> float:
-        return math.cosh(self.r)
-
-    @property
-    def nu(self) -> float:
-        return math.sinh(self.r)
 
 
 @dataclass
@@ -195,28 +172,21 @@ def _parity_basis(size: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return lam, halves[0], halves[1]
 
 
-def _buffer(flat: np.ndarray | None, shape: tuple[int, int]) -> np.ndarray:
-    return np.empty(shape) if flat is None else flat[: shape[0] * shape[1]].reshape(shape)
-
-
 @_on_one_blas_thread
 def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int | None, ...],
-                    out: np.ndarray | None = None, squared: bool = False,
-                    work: _Workspace | None = None) -> np.ndarray:
+                    out: np.ndarray | None = None, squared: bool = False) -> np.ndarray:
     """G[p + 2j, p + 2k] up to the sign of i^(j - k) (see module doc), or its square
     if `squared`, for the block rows j from rows[0] to rows[-1] (an end of None is
     the padded edge) and the block columns k of the levels below n_cols, from the
     eigenbasis padded past `size`.  Each span between neighbouring bounds in
     `rows` is multiplied on its own, so its entries round as in a call for that
-    span alone.  Written into `out`, a fresh array by default, which is returned;
-    `work` lends its GEMM buffers."""
+    span alone.  Written into `out`, a fresh array by default, which is returned."""
     lam, *halves = _parity_basis(size + PADDING, p)
     lo, hi = rows[0], lam.size if rows[-1] is None else rows[-1]
     cols = (n_cols - p + 1) // 2
     widths = (_aligned((cols + 1) // 2), _aligned(cols // 2))
     if out is None:
         out = np.empty((hi - lo, cols))
-    gemm = (None, None, None) if work is None else work.gemm
     parts = (np.cos(r * lam)[:, None], np.sin(r * lam)[:, None])
     for q in (0, 1):
         # the block rows 2i + q of each span, by i
@@ -226,16 +196,16 @@ def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int | 
             continue
         # even columns take the cosine part on even rows and the sine part on odd
         # rows; odd columns the other way round
-        operand = _buffer(gemm[0], (lam.size, sum(widths)))
+        operand = np.empty((lam.size, sum(widths)))
         np.multiply(parts[q], halves[0][:, : widths[0]], out=operand[:, : widths[0]])
         np.multiply(parts[1 - q], halves[1][:, : widths[1]], out=operand[:, widths[0]:])
-        product = _buffer(gemm[1], (stop - first, operand.shape[1]))
+        product = np.empty((stop - first, operand.shape[1]))
         for top, bottom in zip(bounds, bounds[1:]):
             span = product[top - first: bottom - first]
             np.matmul(halves[q][:PANEL, top:bottom].T, operand[:PANEL], out=span)
             for k in range(PANEL, lam.size, PANEL):
                 span += np.matmul(halves[q][k: k + PANEL, top:bottom].T,
-                                  operand[k: k + PANEL], out=_buffer(gemm[2], span.shape))
+                                  operand[k: k + PANEL])
         dest = out[2 * first + q - lo::2]
         for parity, start in ((0, 0), (1, widths[0])):
             block = product[:, start: start + (cols - parity + 1) // 2]
@@ -244,24 +214,6 @@ def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int | 
             else:
                 dest[:, parity::2] = block
     return out
-
-
-class _Workspace:
-    """Buffers that every `_squeeze_transitions` build at one n_max can reuse: the
-    transition matrix, whose entries between levels of opposite parity stay zero,
-    and the three flat GEMM buffers of `_parity_columns` (operand, product and
-    panel partial, empty where one PANEL spans the eigen index), which both
-    parities use in turn, sized for the larger even block.  `_column_entropies`
-    takes its log block from the first."""
-
-    def __init__(self, n_max: int):
-        size = int(n_max) + 1
-        self.t = np.zeros((size, size))
-        n_levels = (size + 1) // 2
-        width = 2 * _aligned((n_levels + 1) // 2)
-        eigen, product = (size + PADDING + 1) // 2, (n_levels + 1) // 2 * width
-        self.gemm = (np.empty(eigen * width), np.empty(product),
-                     np.empty(product * (eigen > PANEL)))
 
 
 def _validate_squeeze_args(r: float, n_max: int) -> None:
@@ -293,22 +245,18 @@ def squeeze_matrix_closed_form(r: float, n_max: int) -> SqueezeMatrix:
     return SqueezeMatrix(g, float(r), n_max, defects)
 
 
-def _squeeze_transitions(r: float, n_max: int, work: _Workspace | None = None) -> np.ndarray:
-    """|G|^2 of `squeeze_matrix_closed_form(r, n_max)`, bit for bit: the kernel
-    squares its products straight into `work.t` (a fresh workspace's by default),
-    which stays valid until the workspace's next build."""
+def _squeeze_transitions(r: float, n_max: int) -> np.ndarray:
+    """|G|^2 of `squeeze_matrix_closed_form(r, n_max)`, bit for bit, as a fresh
+    matrix: the kernel squares its products straight into the parity blocks, and
+    the entries between levels of opposite parity stay zero."""
     _validate_squeeze_args(r, n_max)
     size = int(n_max) + 1
-    if work is None:
-        work = _Workspace(n_max)
-    t = work.t
     if r == 0.0:
-        t.fill(0.0)
-        np.fill_diagonal(t, 1.0)
-        return t
+        return np.eye(size)
+    t = np.zeros((size, size))
     for p in (0, 1):
         _parity_columns(float(r), size, size, p, (0, (size - p + 1) // 2), t[p::2, p::2],
-                        squared=True, work=work)
+                        squared=True)
     return t
 
 
@@ -467,9 +415,23 @@ def _budget(thermal_tail: float, deficit_a: float, deficit_b: float) -> float:
     return 10.0 * (thermal_tail + abs(deficit_a) + abs(deficit_b)) + 1e-10
 
 
+def _checked_budget(thermal_tail: float, deficit_a: float, deficit_b: float,
+                    max_budget: float, beta: float, r1: float, r2: float,
+                    n_max: int) -> float:
+    """`_budget` of a run; raises TruncationError, naming beta, r1, r2 and n_max,
+    where it exceeds `max_budget`."""
+    budget = _budget(thermal_tail, deficit_a, deficit_b)
+    if budget > max_budget:
+        raise TruncationError(
+            f"truncation budget {budget:.3e} exceeds {max_budget:.1e} at "
+            f"beta={beta}, r1={r1}, r2={r2}, n_max={n_max}",
+            leaked_mass=max(abs(deficit_a), abs(deficit_b)))
+    return budget
+
+
 def oscillator_three_time(beta: float, r1: float, r2: float,
                           n_max: int | None = None,
-                          max_budget: float = 1e-6) -> OscillatorProtocol:
+                          max_budget: float = MAX_BUDGET) -> OscillatorProtocol:
     """Exact outcome statistics for squeeze(r1), measure, squeeze(r2).
 
     The no-middle branch uses the composed squeeze r1 + r2 directly, since
@@ -488,12 +450,8 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
     t_total = _squeeze_transitions(r1 + r2, n_max)
     deficit_measured = 1.0 - float(t2.sum(axis=0) @ (t1 @ pops))
     deficit_no_middle = 1.0 - float(t_total.sum(axis=0) @ pops)
-    budget = _budget(tail, deficit_measured, deficit_no_middle)
-    if budget > max_budget:
-        raise TruncationError(
-            f"truncation budget {budget:.3e} exceeds {max_budget:.1e} at "
-            f"beta={beta}, r1={r1}, r2={r2}, n_max={n_max}",
-            leaked_mass=max(abs(deficit_measured), abs(deficit_no_middle)))
+    budget = _checked_budget(tail, deficit_measured, deficit_no_middle, max_budget,
+                             beta, r1, r2, n_max)
     joint3 = JointDistribution3.from_factors(t2, t1, pops, spectra, norm_tol=budget)
     no_middle = JointDistribution(t_total * pops[None, :], spectra[0], spectra[2],
                                   norm_tol=budget)
@@ -501,15 +459,13 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
                               deficit_measured, deficit_no_middle, budget, spectra)
 
 
-def _column_entropies(t: np.ndarray, work: _Workspace) -> np.ndarray:
-    """-sum_m t log t per column of a squeeze transition matrix at work's n_max,
-    summed over its parity block alone (t is zero between opposite parities).  The
-    log block lives in a GEMM buffer of `work`, free once a build has returned."""
+def _column_entropies(t: np.ndarray) -> np.ndarray:
+    """-sum_m t log t per column of a squeeze transition matrix, summed over its
+    parity block alone (t is zero between opposite parities)."""
     entropies = np.empty(t.shape[1])
     for p in (0, 1):
         block = t[p::2, p::2]
-        logs = work.gemm[0][: block.size].reshape(block.shape)
-        np.copyto(logs, block)
+        logs = block.copy()
         logs[block <= 0.0] = 1.0
         np.log(logs, out=logs)
         entropies[p::2] = -np.einsum("mn,mn->n", block, logs)
@@ -525,18 +481,17 @@ def _check_conventions(degeneracy: str, middle_entropy: str) -> None:
 
 
 class _Legs:
-    """The thermal run at one (beta, n_max), one workspace for all its builds,
-    and per amplitude r the statistics of squeeze(r) on the thermal state
-    (`leg`), which `cell` combines into K_en and its budget.  In the fine-grained
-    convention most marginal entropies cancel, so a cell is a few dot products
-    and forms no joint.  Any degeneracy other than "fine" is taken as grouped,
-    so public entries check their conventions first."""
+    """The thermal run at one (beta, n_max) and per amplitude r the statistics of
+    squeeze(r) on the thermal state (`leg`), which `cell` combines into K_en and
+    its budget.  In the fine-grained convention most marginal entropies cancel,
+    so a cell is a few dot products and forms no joint.  Any degeneracy other
+    than "fine" is taken as grouped, so public entries check their conventions
+    first."""
 
     def __init__(self, beta: float, n_max: int, degeneracy: str, point: str):
-        self.n_max = n_max
+        self.beta, self.n_max = beta, n_max
         self.pops, self.tail = _thermal_run(beta, n_max, point)
         self.h_pops = _nats(self.pops)
-        self.work = _Workspace(n_max)
         self.stats: dict[float, tuple] = {}
         # grouped: equal-ladder works are set by m - n alone, so entry (m, n) of a
         # joint goes to work bin m - n + n_max
@@ -554,10 +509,10 @@ class _Legs:
         key = round(float(r), 12)
         if key not in self.stats:
             if t is None:
-                t = _squeeze_transitions(float(r), self.n_max, self.work)
+                t = _squeeze_transitions(float(r), self.n_max)
             pops = self.pops
             p1 = t @ pops
-            entropies = _column_entropies(t, self.work) if self.offsets is None else None
+            entropies = _column_entropies(t) if self.offsets is None else None
             h_w = float(pops @ entropies) if self.offsets is None \
                 else self._grouped_work_entropy(t * pops[None, :])
             colsum = t.sum(axis=0)
@@ -568,11 +523,11 @@ class _Legs:
     def cell(self, r1: float, r2: float, middle_entropy: str,
              t2: np.ndarray | None = None) -> tuple[float, float]:
         """(K_en in nats, truncation budget) of squeeze(r1), measure, squeeze(r2).
-        The grouped convention needs the whole r2 matrix `t2`; without one it is
-        built here into a copy, since the other legs reuse the workspace."""
+        The grouped convention needs the whole r2 matrix `t2`, built here unless
+        given.  Raises TruncationError where the budget exceeds MAX_BUDGET."""
         fine = self.offsets is None
         if not fine and t2 is None:
-            t2 = _squeeze_transitions(float(r2), self.n_max, self.work).copy()
+            t2 = _squeeze_transitions(float(r2), self.n_max)
         _, _, entropies2, colsum2, _, _ = self.leg(r2, t2)
         p1, h_w10, _, _, h_p1, _ = self.leg(r1)
         _, h_w20, _, _, _, deficit_no_middle = self.leg(r1 + r2)
@@ -582,7 +537,9 @@ class _Legs:
         else:
             h_w21 = self._grouped_work_entropy(t2 * p1[None, :])
             value = 0.5 * (h_w21 + h_w10 - h_w20 - h_p1 + shift)
-        return value, _budget(self.tail, 1.0 - float(colsum2 @ p1), deficit_no_middle)
+        return value, _checked_budget(self.tail, 1.0 - float(colsum2 @ p1),
+                                      deficit_no_middle, MAX_BUDGET, self.beta, r1, r2,
+                                      self.n_max)
 
 
 def entropic_k3_oscillator(beta: float, r1: float, r2: float,
@@ -685,7 +642,8 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
     One `_Legs` serves the whole sweep: every distinct amplitude among r1, r2 and
     r1 + r2 is built once and reduced to the vectors its cells need.  The grouped
     convention needs the whole r2 joint per cell, so it builds the r2 matrix once
-    per grid column and keeps a copy of it.  Contours are in meta["contours"].
+    per grid column.  Contours are in meta["contours"].  Raises TruncationError
+    at the first cell whose budget exceeds MAX_BUDGET.
     """
     _check_conventions(degeneracy, middle_entropy)
     if r1_grid is None:
@@ -706,9 +664,7 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
     z = np.empty((r1_grid.size, r2_grid.size))
     worst_budget = 0.0
     for j, r2 in enumerate(r2_grid):
-        # the r1 legs overwrite the workspace, so the grouped cells keep a copy
-        t2 = None if degeneracy == "fine" \
-            else _squeeze_transitions(float(r2), n_max, legs.work).copy()
+        t2 = None if degeneracy == "fine" else _squeeze_transitions(float(r2), n_max)
         for i, r1 in enumerate(r1_grid):
             value, budget = legs.cell(r1, r2, middle_entropy, t2)
             worst_budget = max(worst_budget, budget)
@@ -793,10 +749,4 @@ def oscillator_entropy_reports(protocol: OscillatorProtocol, degeneracy: str = "
     """The four entropy reports feeding the entropic parameter, via the public
     work-distribution pipeline (slower than entropic_k3_oscillator but exercises
     the same objects as any other model)."""
-    view = degeneracy
-    joint3 = protocol.joint3
-    h_w10 = work_entropy(work_distribution(joint3.marginal_t1_t0(), view=view), base=base)
-    h_w21 = work_entropy(work_distribution(joint3.marginal_t2_t1(), view=view), base=base)
-    h_w20 = work_entropy(work_distribution(protocol.no_middle, view=view), base=base)
-    h_e1 = shannon_entropy(joint3.marginal_t1(), base=base)
-    return h_w21, h_w10, h_w20, h_e1
+    return _entropy_reports(protocol.joint3, protocol.no_middle, degeneracy, base)

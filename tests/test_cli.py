@@ -175,6 +175,16 @@ class TestSqueezeGrid:
         message = capsys.readouterr().err
         assert "beta" in message and "0.05" in message
 
+    def test_over_budget_cell_fails_and_writes_nothing(self, tmp_path, capsys):
+        """At beta = 1 the thermal tail of n_max 64 passes, but r1 = 1 leaks past
+        it: the cell (1, 0) alone has a budget of 1.1e-3."""
+        code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "1",
+                        "--n-max", "64", "--grid-spec", "0:1:3"])
+        assert code == 3
+        message = capsys.readouterr().err
+        assert "r1=1.0, r2=0.0, n_max=64" in message and "beta=1.0" in message
+        assert not (tmp_path / "squeeze_grid.csv").exists()
+
     def test_cap_failure_builds_nothing(self, tmp_path, capsys, monkeypatch):
         """r1 + r2 = 4 at beta = 0.1 needs more than 8192 levels: exit 3 with the
         point named, before any squeeze matrix is built."""

@@ -37,7 +37,6 @@ from workreal.squeezing import (
     PANEL,
     SUPPORT_TOL,
     THERMAL_TAIL_TOL,
-    SqueezeParams,
     _aligned,
     _budget,
     _check_conventions,
@@ -45,7 +44,6 @@ from workreal.squeezing import (
     _parity_basis,
     _parity_columns,
     _squeeze_transitions,
-    _Workspace,
     beta_sweep_min_k,
     golden_section_minimum,
     oscillator_entropy_reports,
@@ -179,16 +177,13 @@ class TestKernelPaths:
 
     @pytest.mark.parametrize("n_max", KERNEL_SIZES)
     def test_transitions_equal_the_squared_closed_form(self, n_max):
-        """With a fresh workspace and with one shared across amplitudes (revisiting
-        0.05 and 0 after larger ones, so stale buffer contents would show)."""
-        work = _Workspace(n_max)
+        """Over the amplitudes in turn, revisiting 0.05 and 0 after larger ones, so
+        that anything a build left behind for the next would show."""
         for r in KERNEL_AMPLITUDES + (0.05, 0.0, 0.01):
             closed = squeeze_matrix_closed_form(r, n_max)
-            for shared in (None, work):
-                t = _squeeze_transitions(r, n_max, shared)
-                assert np.array_equal(t, closed.transition_probabilities)
-                entropies = _column_entropies(t, shared or _Workspace(n_max))
-                assert np.array_equal(entropies, column_entropies_oracle(t))
+            t = _squeeze_transitions(r, n_max)
+            assert np.array_equal(t, closed.transition_probabilities)
+            assert np.array_equal(_column_entropies(t), column_entropies_oracle(t))
 
     @pytest.mark.parametrize("size", BASIS_SIZES)
     def test_basis_halves_are_the_eigenvector_rows(self, size, one_thread_eigenvectors):
@@ -209,7 +204,7 @@ class TestKernelPaths:
 
     def test_grid_sweep_reruns_are_equal(self):
         """Two sweeps of each convention in one process give the same rows; the
-        grouped ones hold their r2 matrix while the r1 legs rebuild the workspace."""
+        grouped ones hold their r2 matrix while the r1 legs are built."""
         grid = np.array([0.0, 0.03, 0.08])
         rows = {}
         for degeneracy in ("fine", "grouped", "fine", "grouped"):
@@ -300,16 +295,15 @@ class TestTiledProducts:
     @pytest.mark.parametrize("n_max", [1, 2, 63, 64, 320, 448, 960, 1408])
     def test_tiled_kernel_equals_the_untiled_one(self, n_max):
         """Bit for bit against `untiled_parity_columns`, sign bits included,
-        squared and not, fresh and with a workspace, over the kept rows, the
-        padded rows and the rows a search reads; n_max 960 sums two panels and
-        n_max 1408 three, whose order matters, and n_max 1 and 2 have one-row
-        spans, which numpy sends to gemv."""
+        squared and not, over the kept rows, the padded rows and the rows a search
+        reads, revisiting each small amplitude after a larger one; n_max 960 sums
+        two panels and n_max 1408 three, whose order matters, and n_max 1 and 2
+        have one-row spans, which numpy sends to gemv."""
         size = n_max + 1
         lower = 64 * (n_max // 128) if n_max >= 128 else n_max // 2
         calls = build_calls(n_max) + [
             (size, size, p, ((size - p + 1) // 2, None)) for p in (0, 1)
         ] + search_calls(n_max, [lower], [0, lower // 2])
-        work = _Workspace(n_max)
         for size_, n_cols, p, rows in calls:
             for r in (0.01, 0.2, 1.0):
                 for squared in (False, True):
@@ -317,11 +311,6 @@ class TestTiledProducts:
                     got = _parity_columns(r, size_, n_cols, p, rows, squared=squared)
                     assert np.array_equal(got, want)
                     assert np.array_equal(np.signbit(got), np.signbit(want))
-                    if (size_, n_cols, rows) == (size, size, (0, (size - p + 1) // 2)):
-                        lent = _parity_columns(r, size, size, p, rows, squared=squared,
-                                               work=work)
-                        assert np.array_equal(lent, want)
-                        assert np.array_equal(np.signbit(lent), np.signbit(want))
 
     def test_a_warm_build_leaves_no_blas_worker_spinning(self):
         """In a fresh interpreter, a second n_max 448 build burns (almost) no CPU
@@ -395,20 +384,6 @@ class TestTiledProducts:
             for (_, put), count in zip(pools, former):
                 put(count)
             basis.cache_clear()
-
-
-class TestSqueezeParams:
-    def test_bogoliubov_identity(self):
-        params = SqueezeParams(0.8)
-        assert params.mu ** 2 - params.nu ** 2 == pytest.approx(1.0, rel=1e-12)
-
-    def test_negative_amplitude_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            SqueezeParams(-0.1)
-
-    def test_phase_not_supported(self):
-        with pytest.raises(InvalidParameterError):
-            SqueezeParams(0.1, phi=0.3)
 
 
 class TestClosedForm:
@@ -836,10 +811,9 @@ def oracle_grouped_work_entropy(joint_probs):
 
 def oracle_entropic_k3_oscillator(beta, r1, r2, n_max=None, degeneracy="fine",
                                   base=math.e, middle_entropy="initial"):
-    """K_en as a standalone point function: fresh buffers for t1 and t2, one
-    workspace for t_total and the column entropies, and the fine and grouped
-    formulas written out.  Builds go through the module attributes so that a
-    monkeypatched counter sees them."""
+    """K_en as a standalone point function: t1, t2 and t_total built in turn, and
+    the fine and grouped formulas written out.  Builds go through the module
+    attributes so that a monkeypatched counter sees them."""
     _check_conventions(degeneracy, middle_entropy)
     if n_max is None:
         n_max = select_n_max(beta, r1 + r2)
@@ -848,10 +822,9 @@ def oracle_entropic_k3_oscillator(beta, r1, r2, n_max=None, degeneracy="fine",
         raise TruncationError(
             f"thermal tail {tail:.3e} too large at beta={beta}, r1={r1}, r2={r2}, "
             f"n_max={n_max}", leaked_mass=tail)
-    work = squeezing._Workspace(n_max)
     t1 = squeezing._squeeze_transitions(r1, n_max)
     t2 = t1 if r2 == r1 else squeezing._squeeze_transitions(r2, n_max)
-    t_total = squeezing._squeeze_transitions(r1 + r2, n_max, work)
+    t_total = squeezing._squeeze_transitions(r1 + r2, n_max)
     levels = np.arange(n_max + 1.0)
     weights = np.exp(-beta * levels)
     pops = weights / weights.sum()
@@ -861,9 +834,9 @@ def oracle_entropic_k3_oscillator(beta, r1, r2, n_max=None, degeneracy="fine",
     budget = _budget(tail, deficit_measured, deficit_no_middle)
     h_e1_shift = _nats(p1) - _nats(pops) if middle_entropy == "initial" else 0.0
     if degeneracy == "fine":
-        value = 0.5 * (p1 @ _column_entropies(t2, work)
-                       + pops @ _column_entropies(t1, work)
-                       - pops @ _column_entropies(t_total, work)
+        value = 0.5 * (p1 @ _column_entropies(t2)
+                       + pops @ _column_entropies(t1)
+                       - pops @ _column_entropies(t_total)
                        + h_e1_shift)
     else:
         h_w10 = oracle_grouped_work_entropy(t1 * pops[None, :])
@@ -950,13 +923,13 @@ class TestOnePath:
 
 @pytest.fixture
 def made(monkeypatch):
-    """Counts `_Workspace` constructions (by n_max) and `_squeeze_transitions` builds."""
-    made = {"workspaces": [], "builds": 0}
+    """Counts `_Legs` constructions (by n_max) and `_squeeze_transitions` builds."""
+    made = {"legs": [], "builds": 0}
 
-    class CountingWorkspace(_Workspace):
-        def __init__(self, n_max):
-            made["workspaces"].append(n_max)
-            super().__init__(n_max)
+    class CountingLegs(squeezing._Legs):
+        def __init__(self, beta, n_max, *args):
+            made["legs"].append(n_max)
+            super().__init__(beta, n_max, *args)
 
     build = squeezing._squeeze_transitions
 
@@ -964,22 +937,25 @@ def made(monkeypatch):
         made["builds"] += 1
         return build(*args, **kwargs)
 
-    monkeypatch.setattr(squeezing, "_Workspace", CountingWorkspace)
+    monkeypatch.setattr(squeezing, "_Legs", CountingLegs)
     monkeypatch.setattr(squeezing, "_squeeze_transitions", counting_build)
     return made
 
 
 class TestWorkspaces:
+    """Each point call and each (beta, n_max) of a beta sweep makes one `_Legs`,
+    whose legs every cell there shares, and builds no more than the standalone
+    oracle does."""
+
     @pytest.mark.parametrize("degeneracy", ["fine", "grouped"])
     @pytest.mark.parametrize("r1, r2", [(0.1, 0.1), (0.05, 0.15)])
     def test_point_function_makes_one_workspace(self, made, degeneracy, r1, r2):
         entropic_k3_oscillator(1.0, r1, r2, n_max=96, degeneracy=degeneracy)
-        assert made["workspaces"] == [96]
+        assert made["legs"] == [96]
         builds = made["builds"]
-        made["workspaces"].clear()
         made["builds"] = 0
         oracle_entropic_k3_oscillator(1.0, r1, r2, n_max=96, degeneracy=degeneracy)
-        assert len(made["workspaces"]) == (2 if r1 == r2 else 3)
+        assert made["legs"] == [96]
         assert builds <= made["builds"]
 
     @pytest.mark.parametrize("degeneracy", ["fine", "grouped"])
@@ -987,8 +963,8 @@ class TestWorkspaces:
         """At beta = 0.3 the coarse scan steps from n_max 128 to 192 and the
         refinement returns to 128 (fine convention)."""
         beta_sweep_min_k([0.3], degeneracy=degeneracy)
-        workspaces, builds = list(made["workspaces"]), made["builds"]
-        assert 0 < len(workspaces) == len(set(workspaces))
+        legs, builds = list(made["legs"]), made["builds"]
+        assert 0 < len(legs) == len(set(legs))
         made["builds"] = 0
         oracle_beta_sweep_rows([0.3], degeneracy=degeneracy)
         assert builds <= made["builds"]
@@ -1008,7 +984,7 @@ class TestWorkspaces:
             beta_sweep_min_k([1.0], degeneracy="other")
         with pytest.raises(InvalidParameterError):
             beta_sweep_min_k([1.0], middle_entropy="other")
-        assert made == {"workspaces": [], "builds": 0}
+        assert made == {"legs": [], "builds": 0}
 
 
 @pytest.mark.parametrize("run", [
