@@ -35,7 +35,6 @@ from .leggett_garg import (
     GROUND_EXCITED,
     CorrelatorSet,
     DichotomicMapping,
-    LGResult,
     correlator_set,
     dichotomic_correlator,
     entropic_k3_from_protocol,
@@ -43,7 +42,6 @@ from .leggett_garg import (
     k3_correlator_flipped,
     k3_correlator_swapped,
     k3_entropic,
-    k3_entropic_weak,
 )
 from .protocol import (
     JointDistribution,
@@ -81,7 +79,6 @@ from .two_level import (
     TlsAngles,
     incommensurate_tls_spectra,
     tls_lg_parameters,
-    tls_lg_result,
     tls_propagator,
     tls_spectrum,
     tls_theta_sweep,

@@ -44,9 +44,6 @@ class EnergySpectrum:
     def dim(self) -> int:
         return self.levels.size
 
-    def shifted(self, offset: float) -> "EnergySpectrum":
-        return EnergySpectrum(self.levels + offset, label=self.label)
-
 
 @dataclass(frozen=True)
 class DiagonalDensity:

@@ -67,41 +67,10 @@ class CorrelatorSet:
     c01: float
     c12: float
     c02: float
-    provenance: tuple[str, str, str] = (
-        "(t1,t0) joint of the measured protocol",
-        "(t2,t1) marginal of the measured protocol",
-        "(t2,t0) joint without the middle measurement",
-    )
 
     def __post_init__(self):
         for name, c in (("c01", self.c01), ("c12", self.c12), ("c02", self.c02)):
             _check_correlator(name, c)
-
-
-@dataclass(frozen=True)
-class LGResult:
-    """The three macrorealism parameters; negative values witness a violation."""
-
-    k_cor: float
-    k_cor_flipped: float
-    k_en: float
-    tol_violation: float = 0.0
-
-    def __post_init__(self):
-        if not -1.0 - 1e-9 <= self.k_cor <= 1.0 + 1e-9:
-            raise InvalidParameterError(f"k_cor = {self.k_cor} outside the sanity band")
-
-    @property
-    def violated_cor(self) -> bool:
-        return self.k_cor < -self.tol_violation
-
-    @property
-    def violated_cor_flipped(self) -> bool:
-        return self.k_cor_flipped < -self.tol_violation
-
-    @property
-    def violated_en(self) -> bool:
-        return self.k_en < -self.tol_violation
 
 
 def dichotomic_correlator(joint: JointDistribution, mapping: DichotomicMapping) -> float:
@@ -169,13 +138,6 @@ def k3_entropic(h_w21: EntropyReport, h_w10: EntropyReport, h_w20: EntropyReport
     """
     _require_common_base(h_w21, h_w10, h_w20, h_e1)
     return _k_en(h_w21.value, h_w10.value, h_w20.value, h_e1.value)
-
-
-def k3_entropic_weak(h_w21: EntropyReport, h_w10: EntropyReport,
-                     h_w20: EntropyReport) -> float:
-    """The easier bound that drops the middle-marginal entropy term."""
-    _require_common_base(h_w21, h_w10, h_w20)
-    return 0.5 * (h_w21.value + h_w10.value - h_w20.value)
 
 
 def entropic_k3_from_protocol(rho0: DiagonalDensity, u10: UnitaryPropagator,

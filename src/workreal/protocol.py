@@ -127,12 +127,6 @@ class JointDistribution3:
         return cls(spectra, cube=cube, sample_count=sample_count, norm_tol=norm_tol)
 
     @property
-    def dims(self) -> tuple[int, int, int]:
-        if self._cube is not None:
-            return self._cube.shape
-        return (self._trans21.shape[0], self._trans10.shape[0], self._populations.size)
-
-    @property
     def probs(self) -> np.ndarray:
         """The full cube p[k2, k1, k0]; materialized lazily for factorized protocols."""
         if self._cube is None:
@@ -227,19 +221,13 @@ class WorkDistribution:
 
     `view` is "fine" (one entry per contributing index pair, zero-probability pairs
     dropped) or "grouped" (entries within `WORK_DEGENERACY_TOL` of each other merged,
-    values strictly increasing).  `pairs` is an (n, 2) integer array of the
-    contributing (k_later, k_earlier) index pairs in view order, one row per fine
-    entry.  A grouped view also holds `starts`, the row at which each group after
-    the first opens.  `sources` builds the same pairs as nested tuples on demand,
-    one tuple of pairs per entry.
+    values strictly increasing).
     """
 
     works: np.ndarray
     probabilities: np.ndarray
-    pairs: np.ndarray
     view: str
     norm_tol: float = JOINT_NORM_TOL
-    starts: np.ndarray | None = None
 
     def __post_init__(self):
         works = np.asarray(self.works, dtype=float)
@@ -251,36 +239,25 @@ class WorkDistribution:
         _require_normalized(probs.sum(), self.norm_tol, "work distribution")
         if self.view == "grouped" and np.any(np.diff(works) <= 0):
             raise InvalidParameterError("grouped work values must be strictly increasing")
-        if self.view == "grouped" and (self.starts is None
-                                       or len(self.starts) != works.size - 1):
-            raise InvalidParameterError("a grouped view needs the start of each group after the first")
         object.__setattr__(self, "works", works)
         object.__setattr__(self, "probabilities", probs)
 
-    @property
-    def sources(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The contributing (k_later, k_earlier) pairs of each entry."""
-        pairs = [tuple(pair) for pair in self.pairs.tolist()]
-        if self.view == "fine":
-            return tuple((pair,) for pair in pairs)
-        bounds = [0, *self.starts.tolist(), len(pairs)]
-        return tuple(tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-
-    def grouped(self, tol: float = WORK_DEGENERACY_TOL) -> "WorkDistribution":
-        """Merge entries whose work values coincide within `tol` (adjacent-gap clustering)."""
+    def grouped(self) -> "WorkDistribution":
+        """Merge entries whose work values coincide within WORK_DEGENERACY_TOL
+        (adjacent-gap clustering)."""
         if self.view == "grouped":
             return self
         order = np.argsort(self.works, kind="stable")
         works = self.works[order]
         probs = self.probabilities[order]
-        boundaries = _group_starts(works, tol)
+        boundaries = _group_starts(works)
         merged_w, merged_p = [], []
         for chunk in np.split(np.arange(works.size), boundaries):
             p = probs[chunk].sum()
             merged_w.append(float(np.dot(works[chunk], probs[chunk]) / p))
             merged_p.append(float(p))
-        return WorkDistribution(np.array(merged_w), np.array(merged_p), self.pairs[order],
-                                "grouped", norm_tol=self.norm_tol, starts=boundaries)
+        return WorkDistribution(np.array(merged_w), np.array(merged_p), "grouped",
+                                norm_tol=self.norm_tol)
 
 
 def _fine_order(works: np.ndarray, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
@@ -288,25 +265,22 @@ def _fine_order(works: np.ndarray, later: np.ndarray, earlier: np.ndarray) -> np
     return np.lexsort((earlier, later, works))
 
 
-def _group_starts(sorted_works: np.ndarray, tol: float) -> np.ndarray:
-    """Positions that open a new group: adjacent gaps of at least `tol`."""
-    return np.flatnonzero(np.diff(sorted_works) >= tol) + 1
+def _group_starts(sorted_works: np.ndarray) -> np.ndarray:
+    """Positions that open a new group: adjacent gaps of at least WORK_DEGENERACY_TOL."""
+    return np.flatnonzero(np.diff(sorted_works) >= WORK_DEGENERACY_TOL) + 1
 
 
-def work_distribution(joint: JointDistribution, view: str = "grouped",
-                      degeneracy_tol: float = WORK_DEGENERACY_TOL) -> WorkDistribution:
+def work_distribution(joint: JointDistribution, view: str = "grouped") -> WorkDistribution:
     """Distribution of w = E_later(k_j) - E_earlier(k_i) under `joint`."""
     later, earlier = np.nonzero(joint.probs)
     works = joint.spectrum_later.levels[later] - joint.spectrum_earlier.levels[earlier]
     probs = joint.probs[later, earlier]
     order = _fine_order(works, later, earlier)
-    fine = WorkDistribution(works[order], probs[order],
-                            np.stack((later[order], earlier[order]), axis=1),
-                            "fine", norm_tol=joint.norm_tol)
+    fine = WorkDistribution(works[order], probs[order], "fine", norm_tol=joint.norm_tol)
     if view == "fine":
         return fine
     if view == "grouped":
-        return fine.grouped(degeneracy_tol)
+        return fine.grouped()
     raise InvalidParameterError(f"unknown view {view!r}")
 
 
@@ -333,7 +307,7 @@ def work_probability_rows(joints: np.ndarray, spectrum_earlier: EnergySpectrum,
         partitions = []
         for pattern in patterns:
             present = np.flatnonzero(pattern)
-            starts = _group_starts(works[present], WORK_DEGENERACY_TOL)
+            starts = _group_starts(works[present])
             partitions.append(np.split(present, starts))
         grouped = np.zeros((rows.shape[0], max(len(groups) for groups in partitions)))
         for k, groups in enumerate(partitions):
@@ -347,11 +321,10 @@ def work_probability_rows(joints: np.ndarray, spectrum_earlier: EnergySpectrum,
     return rows
 
 
-def total_work_distribution(joint3: JointDistribution3, view: str = "grouped",
-                            degeneracy_tol: float = WORK_DEGENERACY_TOL) -> WorkDistribution:
+def total_work_distribution(joint3: JointDistribution3,
+                            view: str = "grouped") -> WorkDistribution:
     """Distribution of w1 + w2; depends only on the first and last outcomes."""
-    return work_distribution(joint3.marginal_t2_t0(), view=view,
-                             degeneracy_tol=degeneracy_tol)
+    return work_distribution(joint3.marginal_t2_t0(), view=view)
 
 
 def work_pair_distribution(joint3: JointDistribution3) -> list[tuple[float, float, float]]:

@@ -20,12 +20,12 @@ part when it is odd, so with V_even and V_odd the eigenvector rows at even and
 odd positions, the rows at even positions multiply [cos V_even ; sin V_odd]^T
 and the rows at odd positions [sin V_even ; cos V_odd]^T, the columns coming out
 grouped by position parity.  Every entry computed is an entry kept, and each
-caller asks only for the rows it reads: the sweeps (`_squeeze_transitions`,
-which squares the products straight into a fresh transition matrix) the kept
-levels; `squeeze_matrix_closed_form` every row in one call, the kept levels
-multiplied apart from the padded ones (which give its column defects) so that
-they agree with the sweeps bit for bit; `select_n_max` the levels from its first
-candidate cut down to the padded edge.
+call asks for one span of rows, the rows its caller reads: the sweeps
+(`_squeeze_transitions`, which squares the products straight into a fresh
+transition matrix) the kept levels; `squeeze_matrix_closed_form` the kept
+levels in one call, so that they agree with the sweeps bit for bit, and the
+padded ones (which give its column defects) in another; `select_n_max` the
+levels from its first candidate cut down to the padded edge.
 
 The cached halves of each eigenbasis are stored eigen-index-major, their rows
 zero-padded to a multiple of ALIGN, so every product has a multiple of ALIGN
@@ -90,6 +90,9 @@ ALIGN = 8
 PANEL = 384
 N_MAX_CAP = 8192
 MAX_BUDGET = 1e-6
+R_CAP = 2.0
+CONTOUR_LEVELS = (0.0, -0.05)
+REFINE_XTOL = 1e-4
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -173,25 +176,23 @@ def _parity_basis(size: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 @_on_one_blas_thread
-def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int | None, ...],
+def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int, int | None],
                     out: np.ndarray | None = None, squared: bool = False) -> np.ndarray:
     """G[p + 2j, p + 2k] up to the sign of i^(j - k) (see module doc), or its square
-    if `squared`, for the block rows j from rows[0] to rows[-1] (an end of None is
-    the padded edge) and the block columns k of the levels below n_cols, from the
-    eigenbasis padded past `size`.  Each span between neighbouring bounds in
-    `rows` is multiplied on its own, so its entries round as in a call for that
-    span alone.  Written into `out`, a fresh array by default, which is returned."""
+    if `squared`, for the block rows j in the span rows = (lo, hi) (an end of None
+    is the padded edge) and the block columns k of the levels below n_cols, from
+    the eigenbasis padded past `size`.  Written into `out`, a fresh array by
+    default, which is returned."""
     lam, *halves = _parity_basis(size + PADDING, p)
-    lo, hi = rows[0], lam.size if rows[-1] is None else rows[-1]
+    lo, hi = rows[0], lam.size if rows[1] is None else rows[1]
     cols = (n_cols - p + 1) // 2
     widths = (_aligned((cols + 1) // 2), _aligned(cols // 2))
     if out is None:
         out = np.empty((hi - lo, cols))
     parts = (np.cos(r * lam)[:, None], np.sin(r * lam)[:, None])
     for q in (0, 1):
-        # the block rows 2i + q of each span, by i
-        bounds = [(j - q + 1) // 2 for j in (lo, *rows[1:-1], hi)]
-        first, stop = bounds[0], bounds[-1]
+        # the block rows 2i + q of the span, by i
+        first, stop = (lo - q + 1) // 2, (hi - q + 1) // 2
         if stop <= first:
             continue
         # even columns take the cosine part on even rows and the sine part on odd
@@ -200,12 +201,10 @@ def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int | 
         np.multiply(parts[q], halves[0][:, : widths[0]], out=operand[:, : widths[0]])
         np.multiply(parts[1 - q], halves[1][:, : widths[1]], out=operand[:, widths[0]:])
         product = np.empty((stop - first, operand.shape[1]))
-        for top, bottom in zip(bounds, bounds[1:]):
-            span = product[top - first: bottom - first]
-            np.matmul(halves[q][:PANEL, top:bottom].T, operand[:PANEL], out=span)
-            for k in range(PANEL, lam.size, PANEL):
-                span += np.matmul(halves[q][k: k + PANEL, top:bottom].T,
-                                  operand[k: k + PANEL])
+        np.matmul(halves[q][:PANEL, first:stop].T, operand[:PANEL], out=product)
+        for k in range(PANEL, lam.size, PANEL):
+            product += np.matmul(halves[q][k: k + PANEL, first:stop].T,
+                                 operand[k: k + PANEL])
         dest = out[2 * first + q - lo::2]
         for parity, start in ((0, 0), (1, widths[0])):
             block = product[:, start: start + (cols - parity + 1) // 2]
@@ -233,14 +232,14 @@ def squeeze_matrix_closed_form(r: float, n_max: int) -> SqueezeMatrix:
     defects = np.empty(size)
     for p in (0, 1):
         n_levels = (size - p + 1) // 2
-        columns = _parity_columns(float(r), size, size, p, (0, n_levels, None))
-        leak = columns[n_levels:]
+        columns = _parity_columns(float(r), size, size, p, (0, n_levels))
+        leak = _parity_columns(float(r), size, size, p, (n_levels, None))
         defects[p::2] = (leak * leak).sum(axis=0)
         # the real or imaginary part of i^(j - k) is (-1)^(floor(j/2) + floor(k/2)),
         # negated where j is even and k odd
         half = 1.0 - 2.0 * (np.arange(n_levels) // 2 % 2)
         block = g[p::2, p::2]
-        np.multiply(columns[:n_levels] * half[:, None], half, out=block)
+        np.multiply(columns * half[:, None], half, out=block)
         block[0::2, 1::2] *= -1.0
     return SqueezeMatrix(g, float(r), n_max, defects)
 
@@ -294,9 +293,9 @@ def squeeze_propagator(sq: SqueezeMatrix) -> UnitaryPropagator:
     return UnitaryPropagator(g.astype(complex), unitarity_tol=float(defects.max()) + 1e-12)
 
 
-def oscillator_spectrum(n_max: int, label: int = 0, omega: float = 1.0) -> EnergySpectrum:
-    """E_n = omega (n + 1/2) on the truncated number basis."""
-    return EnergySpectrum(omega * (np.arange(n_max + 1.0) + 0.5), label=label)
+def oscillator_spectrum(n_max: int, label: int = 0) -> EnergySpectrum:
+    """E_n = n + 1/2 on the truncated number basis."""
+    return EnergySpectrum(np.arange(n_max + 1.0) + 0.5, label=label)
 
 
 def thermal_tail_mass(beta: float, n_max: int) -> float:
@@ -592,11 +591,11 @@ def golden_section_minimum(f, a: float, b: float, xtol: float = 1e-4):
 
 def diagonal_scan(beta: float, r_grid: np.ndarray, degeneracy: str = "fine",
                   base: float = math.e, extend_to_sign_change: bool = False,
-                  r_cap: float = 2.0, middle_entropy: str = "initial") -> SweepTable:
+                  middle_entropy: str = "initial") -> SweepTable:
     """K_en along the r1 = r2 = r line.
 
     With `extend_to_sign_change` the grid keeps growing geometrically past its end
-    until the parameter has turned positive again after its dip (or `r_cap` is hit),
+    until the parameter has turned positive again after its dip (or R_CAP is hit),
     so the zero crossing beyond the minimum is always bracketed when it exists.
     """
     r_values = [float(r) for r in np.asarray(r_grid, dtype=float)]
@@ -620,7 +619,7 @@ def diagonal_scan(beta: float, r_grid: np.ndarray, degeneracy: str = "fine",
         crossed_back = crossed_back or (seen_negative and value > 0.0)
         if not queue and extend_to_sign_change and seen_negative and not crossed_back:
             nxt = rows[-1][0] * 1.3
-            if nxt <= r_cap:
+            if nxt <= R_CAP:
                 queue.append(nxt)
     return SweepTable(
         ["r", "k_en", "n_max", "truncation_budget"],
@@ -635,15 +634,14 @@ def diagonal_scan(beta: float, r_grid: np.ndarray, degeneracy: str = "fine",
 def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
                        r2_grid: np.ndarray | None = None, n_max: int | None = None,
                        degeneracy: str = "fine", base: float = math.e,
-                       contour_levels: tuple[float, ...] = (0.0, -0.05),
                        middle_entropy: str = "initial") -> SweepTable:
     """K_en over a rectangular (r1, r2) grid, plus contour point sets.
 
     One `_Legs` serves the whole sweep: every distinct amplitude among r1, r2 and
     r1 + r2 is built once and reduced to the vectors its cells need.  The grouped
     convention needs the whole r2 joint per cell, so it builds the r2 matrix once
-    per grid column.  Contours are in meta["contours"].  Raises TruncationError
-    at the first cell whose budget exceeds MAX_BUDGET.
+    per grid column.  The contours at CONTOUR_LEVELS are in meta["contours"].
+    Raises TruncationError at the first cell whose budget exceeds MAX_BUDGET.
     """
     _check_conventions(degeneracy, middle_entropy)
     if r1_grid is None:
@@ -671,7 +669,7 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
             z[i, j] = value / log_base
             rows[i * r2_grid.size + j] = (r1, r2, z[i, j], budget)
     contours = {level: contour_points(r1_grid, r2_grid, z, level)
-                for level in contour_levels}
+                for level in CONTOUR_LEVELS}
     return SweepTable(
         ["r1", "r2", "k_en", "truncation_budget"], rows,
         meta={"experiment": "squeeze-grid", "beta": beta, "n_max": n_max,
@@ -683,19 +681,25 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
 
 
 def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
-                     refine_xtol: float = 1e-4, degeneracy: str = "fine",
-                     base: float = math.e,
+                     degeneracy: str = "fine", base: float = math.e,
                      middle_entropy: str = "initial") -> SweepTable:
     """Per beta: the deepest K_en on the r1 = r2 line and where it sits.
 
     A coarse geometric scan brackets the single dip (stopping once the parameter
     has risen well past it), then golden-section search refines the minimizer to
-    `refine_xtol`.  The coarse scan selects the truncation per point and the
-    refinement holds it fixed; each (beta, n_max) gets one `_Legs`.
+    REFINE_XTOL.  The coarse scan selects the truncation per point and the
+    refinement holds it fixed; each (beta, n_max) gets one `_Legs`.  Raises
+    InvalidParameterError unless `r_grid` is strictly increasing with at least two
+    points, and where the deepest coarse point is the grid's last, since the dip
+    may then lie beyond the grid.
     """
     _check_conventions(degeneracy, middle_entropy)
     if r_grid is None:
         r_grid = np.geomspace(0.004, 0.8, 20)
+    r_grid = np.asarray(r_grid, dtype=float)
+    if r_grid.size < 2 or np.any(np.diff(r_grid) <= 0):
+        raise InvalidParameterError(
+            "r grid must be strictly increasing, with at least two points")
     log_base = math.log(base)
     rows = []
     for beta in map(float, np.asarray(beta_grid, dtype=float)):
@@ -710,7 +714,7 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
 
         coarse: list[tuple[float, float]] = []
         best = math.inf
-        for r in map(float, np.asarray(r_grid, dtype=float)):
+        for r in map(float, r_grid):
             value = k_of_r(r, select_n_max(beta, r + r))
             coarse.append((r, value))
             best = min(best, value)
@@ -719,12 +723,16 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
             if len(coarse) > 4 and value > best + 0.5 * abs(best):
                 break
         i0 = min(range(len(coarse)), key=lambda k: coarse[k][1])
+        if i0 == r_grid.size - 1:
+            raise InvalidParameterError(
+                f"K_en still falls at the last point of the r grid at beta={beta}, "
+                f"r={coarse[i0][0]}; extend the grid past the dip")
         lo = coarse[max(0, i0 - 1)][0]
-        hi = coarse[min(len(coarse) - 1, i0 + 1)][0]
+        hi = coarse[i0 + 1][0]
         n_max = select_n_max(beta, 2.0 * hi)
         # the minimizer is always a point golden_section_minimum evaluated, at n_max
         argmin_r, min_value = golden_section_minimum(lambda r: k_of_r(r, n_max), lo, hi,
-                                                     xtol=refine_xtol)
+                                                     xtol=REFINE_XTOL)
         rows.append((beta, min_value, argmin_r, n_max, budgets[argmin_r]))
     table = SweepTable(
         ["beta", "min_k_en", "argmin_r", "n_max", "truncation_budget"],
@@ -732,7 +740,7 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
         meta={"experiment": "squeeze-beta", "degeneracy": degeneracy,
               "middle_entropy": middle_entropy,
               "entropy_base": "2" if base == 2 else "e",
-              "refine_xtol": refine_xtol},
+              "refine_xtol": REFINE_XTOL},
     )
     depth = table.column("min_k_en")
     argmin = table.column("argmin_r")

@@ -34,7 +34,6 @@ from .hilbert import (
 )
 from .leggett_garg import (
     GROUND_EXCITED,
-    LGResult,
     correlator_set,
     entropic_k3_from_protocol,
     k3_correlator,
@@ -121,14 +120,6 @@ def tls_lg_parameters(beta: float, angles: TlsAngles,
             rho0, u, u, spectrum_1=spectra[1], spectrum_2=spectra[2], degeneracy=view,
             base=base)
     return out
-
-
-def tls_lg_result(beta: float, angles: TlsAngles, degeneracy: str = "fine",
-                  tol_violation: float = 0.0) -> LGResult:
-    """Single-point summary with violation flags, using one work-entropy convention."""
-    values = tls_lg_parameters(beta, angles)
-    return LGResult(k_cor=values["k_cor"], k_cor_flipped=values["k_cor_flipped"],
-                    k_en=values[f"k_en_{degeneracy}"], tol_violation=tol_violation)
 
 
 def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None,

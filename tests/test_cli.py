@@ -241,6 +241,25 @@ class TestSqueezeBeta:
         assert table.rows.shape[0] == 2
         assert np.all(table.column("min_k_en") < 0)
 
+    def test_minimum_at_the_grid_edge_fails_and_writes_nothing(self, tmp_path, capsys):
+        """At beta = 1 the dip lies near r = 0.12, so on 0:0.1:3 K_en still falls at
+        the last point, r = 0.1: exit 2 naming it, not that edge reported as the
+        minimum."""
+        code = run_cli(["squeeze-beta", "--out", tmp_path, "--grid-spec", "0:0.1:3",
+                        "--beta-grid", "1"])
+        assert code == 2
+        message = capsys.readouterr().err
+        assert "beta=1.0" in message and "r=0.1" in message
+        assert not (tmp_path / "squeeze_beta.csv").exists()
+
+    @pytest.mark.parametrize("spec", ["0.3,0.1,0.2", "0.1,0.1,0.2", "0.1:0.2:1"])
+    def test_r_grid_must_be_strictly_increasing(self, tmp_path, capsys, spec):
+        code = run_cli(["squeeze-beta", "--out", tmp_path, "--grid-spec", spec,
+                        "--beta-grid", "1"])
+        assert code == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not (tmp_path / "squeeze_beta.csv").exists()
+
 
 class TestJarzynskiCheck:
     def test_all_within_bounds(self, tmp_path):

@@ -73,7 +73,7 @@ def test_potentials_two_level_closed_form():
 @given(shift=st.floats(-50.0, 50.0), beta=st.floats(0.05, 20.0))
 def test_gauge_shift_moves_free_energy(shift, beta):
     base = thermodynamic_potentials(TWO_LEVEL, beta)
-    moved = thermodynamic_potentials(TWO_LEVEL.shifted(shift), beta)
+    moved = thermodynamic_potentials(EnergySpectrum(TWO_LEVEL.levels + shift), beta)
     assert moved.free_energy - base.free_energy == pytest.approx(shift, abs=1e-9)
 
 

@@ -10,7 +10,6 @@ from workreal import (
     DichotomicMapping,
     InvalidParameterError,
     JointDistribution3,
-    LGResult,
     build_thermal_state,
     correlator_set,
     dichotomic_correlator,
@@ -19,7 +18,6 @@ from workreal import (
     k3_correlator_flipped,
     k3_correlator_swapped,
     k3_entropic,
-    k3_entropic_weak,
     shannon_entropy,
     two_time_joint,
     work_distribution,
@@ -138,21 +136,6 @@ class TestK3Entropic:
         value, _ = entropic_k3_oscillator(0.1, 0.02, 0.02)
         assert value < 0.0
 
-    def test_weak_variant_is_larger(self):
-        rho = thermal()
-        u = rotation(0.6)
-        from workreal import three_time_joint, two_time_joint_skipping_middle
-        joint3 = three_time_joint(rho, u, u)
-        no_middle = two_time_joint_skipping_middle(rho, u, u)
-        h_w10 = work_entropy(work_distribution(joint3.marginal_t1_t0(), view="fine"))
-        h_w21 = work_entropy(work_distribution(joint3.marginal_t2_t1(), view="fine"))
-        h_w20 = work_entropy(work_distribution(no_middle, view="fine"))
-        h_e1 = shannon_entropy(joint3.marginal_t1())
-        strict = k3_entropic(h_w21, h_w10, h_w20, h_e1)
-        weak = k3_entropic_weak(h_w21, h_w10, h_w20)
-        assert weak == pytest.approx(strict + 0.5 * h_e1.value, abs=1e-12)
-        assert weak > strict
-
     def test_mixed_bases_rejected(self):
         a = shannon_entropy([0.5, 0.5])
         b = shannon_entropy([0.5, 0.5], base=2)
@@ -219,15 +202,6 @@ class TestClassicalSurrogate:
             h_w20 = work_entropy(work_distribution(no_middle, view="fine"))
             h_e1 = shannon_entropy(joint3.marginal_t1())
             assert k3_entropic(h_w21, h_w10, h_w20, h_e1) >= -1e-12
-
-
-def test_lg_result_flags():
-    result = LGResult(k_cor=-0.1, k_cor_flipped=0.2, k_en=-1e-15, tol_violation=1e-12)
-    assert result.violated_cor
-    assert not result.violated_cor_flipped
-    assert not result.violated_en
-    with pytest.raises(InvalidParameterError):
-        LGResult(k_cor=1.5, k_cor_flipped=0.0, k_en=0.0)
 
 
 def test_correlator_set_range_validated():

@@ -227,11 +227,8 @@ def one_thread_halves(size, p):
 def untiled_parity_columns(r, size, n_cols, p, rows, squared=False):
     """`_parity_columns` in its row-major formulation, on `one_thread_halves`
     (computed on one BLAS thread, as the kernel's cached basis is): one product
-    per PANEL-wide panel of the eigen index over each span of `rows`, the first
-    panel written and each later one added."""
-    if len(rows) > 2:
-        return np.concatenate([untiled_parity_columns(r, size, n_cols, p, span, squared)
-                               for span in zip(rows, rows[1:])])
+    per PANEL-wide panel of the eigen index over the span `rows`, the first panel
+    written and each later one added."""
     lam, *halves = one_thread_halves(size + PADDING, p)
     lo, hi = rows[0], lam.size if rows[1] is None else rows[1]
     cols = (n_cols - p + 1) // 2
@@ -257,11 +254,10 @@ def untiled_parity_columns(r, size, n_cols, p, rows, squared=False):
 
 
 def build_calls(n_max):
-    """(size, n_cols, p, rows) of the kernel calls of a sweep build and of
-    `squeeze_matrix_closed_form` at n_max."""
+    """(size, n_cols, p, rows) of the kernel calls of a sweep build at n_max, which
+    `squeeze_matrix_closed_form` makes too before the one for its padded rows."""
     size = n_max + 1
-    return [(size, size, p, rows) for p in (0, 1)
-            for rows in ((0, (size - p + 1) // 2), (0, (size - p + 1) // 2, None))]
+    return [(size, size, p, (0, (size - p + 1) // 2)) for p in (0, 1)]
 
 
 def search_calls(upper, lowers, supports):

@@ -127,14 +127,6 @@ def test_parameters_dict_contract():
     assert values["k_cor"] == pytest.approx(-0.125, abs=1e-14)
 
 
-def test_lg_result_summary_flags():
-    from workreal import tls_lg_result
-    result = tls_lg_result(1.0, TlsAngles(math.pi / 3))
-    assert result.violated_cor
-    assert not result.violated_cor_flipped
-    assert result.k_en == pytest.approx(k_en_closed_form(math.pi / 3), abs=1e-12)
-
-
 # angles where the off-diagonal transition probabilities are exactly 0 (0, 2 pi and
 # 1e-170, whose sin(theta/2)^2 underflows), plus a negative and two special angles
 EDGE_GRID = np.array([0.0, 1e-170, 2 * math.pi, -0.5, math.pi / 2, math.pi])
