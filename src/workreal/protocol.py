@@ -270,6 +270,24 @@ def _group_starts(sorted_works: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(sorted_works) >= WORK_DEGENERACY_TOL) + 1
 
 
+def _support_patterns(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a boolean (N, d) matrix, and the pattern index of each row.
+
+    Matches `np.unique(support, axis=0, return_inverse=True)`: patterns ascend
+    lexicographically, first column most significant and False before True.  One
+    lexsort orders the rows; a sorted row opens a new pattern where it differs from
+    the row before it, and the running count of openings, scattered back through
+    the sort order, is the inverse.
+    """
+    order = np.lexsort(support.T[::-1])
+    ranked = support[order]
+    opens = np.ones(len(ranked), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=opens[1:])
+    inverse = np.empty(len(ranked), dtype=np.intp)
+    inverse[order] = np.cumsum(opens) - 1
+    return ranked[opens], inverse
+
+
 def work_distribution(joint: JointDistribution, view: str = "grouped") -> WorkDistribution:
     """Distribution of w = E_later(k_j) - E_earlier(k_i) under `joint`."""
     later, earlier = np.nonzero(joint.probs)
@@ -294,7 +312,10 @@ def work_probability_rows(joints: np.ndarray, spectrum_earlier: EnergySpectrum,
     dropped, and grouped rows are zero-padded to the largest group count.  Zeros
     change no sum and no entropy.  The fine order depends on the spectra alone;
     the grouped partition also depends on which pairs a joint supports, so it is
-    derived once per distinct support pattern.
+    derived once per distinct support pattern.  The patterns are the distinct
+    rows of `rows > 0`, found by `_support_patterns` with one lexsort and taken
+    in ascending lexicographic order (first fine column most significant), the
+    order `np.unique(..., axis=0)` gives.
     """
     later, earlier = np.indices(joints.shape[1:]).reshape(2, -1)
     works = spectrum_later.levels[later] - spectrum_earlier.levels[earlier]
@@ -302,8 +323,7 @@ def work_probability_rows(joints: np.ndarray, spectrum_earlier: EnergySpectrum,
     rows = joints.reshape(joints.shape[0], -1)[:, order]
     if view == "grouped":
         works = works[order]
-        patterns, inverse = np.unique(rows > 0, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
+        patterns, inverse = _support_patterns(rows > 0)
         partitions = []
         for pattern in patterns:
             present = np.flatnonzero(pattern)

@@ -690,8 +690,9 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
     REFINE_XTOL.  The coarse scan selects the truncation per point and the
     refinement holds it fixed; each (beta, n_max) gets one `_Legs`.  Raises
     InvalidParameterError unless `r_grid` is strictly increasing with at least two
-    points, and where the deepest coarse point is the grid's last, since the dip
-    may then lie beyond the grid.
+    points, where the deepest coarse point is the grid's last, since the dip may
+    then lie beyond the grid, and where the refined minimizer sits within
+    REFINE_XTOL of the grid's first point, since the dip may then lie below it.
     """
     _check_conventions(degeneracy, middle_entropy)
     if r_grid is None:
@@ -733,6 +734,10 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
         # the minimizer is always a point golden_section_minimum evaluated, at n_max
         argmin_r, min_value = golden_section_minimum(lambda r: k_of_r(r, n_max), lo, hi,
                                                      xtol=REFINE_XTOL)
+        if i0 == 0 and argmin_r - lo < REFINE_XTOL:
+            raise InvalidParameterError(
+                f"K_en still rises from the first point of the r grid at beta={beta}, "
+                f"r={lo}; extend the grid below the dip")
         rows.append((beta, min_value, argmin_r, n_max, budgets[argmin_r]))
     table = SweepTable(
         ["beta", "min_k_en", "argmin_r", "n_max", "truncation_budget"],

@@ -2,8 +2,10 @@
 
 Every CSV starts with a '#'-prefixed manifest (config echo, library version,
 truncation budgets), then a header row, then data rows.  Floats are written with 17
-significant digits so the file re-parses to the exact values that produced it,
-and the byte stream is a pure function of (config, seed).
+significant digits (FLOAT_FORMAT) so the file re-parses to the exact values that
+produced it, and the byte stream is a pure function of (config, seed).  The writer
+streams the lines through the open file, in chunks of rows, formatting each data
+row with a single `%` operation on one string of FLOAT_FORMAT fields.
 """
 
 from __future__ import annotations
@@ -16,7 +18,14 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
-format_float = "{:.17g}".format
+FLOAT_FORMAT = "%.17g"
+# rows converted to Python floats per batch: all of a long table's floats at once
+# would set the run's peak memory
+WRITE_CHUNK_ROWS = 1024
+
+
+def format_float(value: float) -> str:
+    return FLOAT_FORMAT % value
 
 
 @dataclass
@@ -47,12 +56,24 @@ def _manifest_lines(meta: dict) -> list[str]:
 
 
 def write_table_csv(path: str | Path, table: SweepTable) -> None:
+    """Write the manifest, the header and the rows, one line each, to `path`.
+
+    Lines go straight to the open file, and the rows are converted to Python
+    floats WRITE_CHUNK_ROWS at a time, so neither the whole text nor all of the
+    table's floats are held in memory.  Each data row is one `%` operation on a
+    string of FLOAT_FORMAT fields (the conversion `format_float` makes), so a row
+    reads as its floats joined by commas.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = _manifest_lines(table.meta)
-    lines.append(",".join(table.columns))
-    lines.extend(",".join(map(format_float, row)) for row in table.rows.tolist())
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    row_format = ",".join([FLOAT_FORMAT] * table.rows.shape[1]) + "\n"
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        for line in _manifest_lines(table.meta):
+            out.write(line + "\n")
+        out.write(",".join(table.columns) + "\n")
+        for start in range(0, len(table.rows), WRITE_CHUNK_ROWS):
+            out.writelines(row_format % tuple(row)
+                           for row in table.rows[start:start + WRITE_CHUNK_ROWS].tolist())
 
 
 def read_table_csv(path: str | Path) -> SweepTable:

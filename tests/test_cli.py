@@ -46,6 +46,41 @@ def test_edge_values_csv_text(tmp_path):
     ]
 
 
+def _former_csv_bytes(table):
+    """The former writer's text: every line built with str.format, joined with
+    newlines plus a trailing one, and encoded once."""
+    lines = []
+    for key, value in table.meta.items():
+        if isinstance(value, float):
+            value = "{:.17g}".format(value)
+        elif not isinstance(value, (str, int, bool)):
+            continue
+        lines.append(f"# {key} = {value}")
+    lines.append(",".join(table.columns))
+    lines.extend(",".join(map("{:.17g}".format, row)) for row in table.rows.tolist())
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _tables():
+    rng = np.random.default_rng(5)
+    wide = rng.standard_normal((7201, 5)) * 10.0 ** rng.integers(-300, 300, (7201, 5))
+    yield SweepTable([f"c{k}" for k in range(5)], wide, {"experiment": "random"})
+    yield SweepTable(["a", "b", "c"], rng.random((1, 3)))
+    yield SweepTable(["x"], rng.standard_normal((50, 1)))
+    edge = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1.7976931348623157e308, 0.1]
+    yield SweepTable([f"e{k}" for k in range(len(edge))], np.array([edge, edge[::-1]]))
+    yield SweepTable(["r1", "r2"], np.empty((0, 2)),
+                     {"beta": 0.1, "tiny": -5e-324, "n_max": 384, "ok": True,
+                      "flag": False, "label": "β sweep", "skipped": np.arange(3)})
+
+
+def test_csv_bytes_equal_former_writer(tmp_path):
+    for k, table in enumerate(_tables()):
+        path = tmp_path / f"table{k}.csv"
+        write_table_csv(path, table)
+        assert path.read_bytes() == _former_csv_bytes(table), k
+
+
 def test_each_experiment_takes_exactly_its_settings():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -250,6 +285,17 @@ class TestSqueezeBeta:
         assert code == 2
         message = capsys.readouterr().err
         assert "beta=1.0" in message and "r=0.1" in message
+        assert not (tmp_path / "squeeze_beta.csv").exists()
+
+    def test_minimum_at_the_first_point_fails_and_writes_nothing(self, tmp_path, capsys):
+        """At beta = 1 the dip lies near r = 0.12, below the grid 0.2:0.8:4, so
+        K_en rises from its first point and golden section converges onto r = 0.2:
+        exit 2 naming it, not that edge reported as the minimum."""
+        code = run_cli(["squeeze-beta", "--out", tmp_path, "--grid-spec", "0.2:0.8:4",
+                        "--beta-grid", "1"])
+        assert code == 2
+        message = capsys.readouterr().err
+        assert "first point" in message and "beta=1.0" in message and "r=0.2" in message
         assert not (tmp_path / "squeeze_beta.csv").exists()
 
     @pytest.mark.parametrize("spec", ["0.3,0.1,0.2", "0.1,0.1,0.2", "0.1:0.2:1"])
