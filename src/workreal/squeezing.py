@@ -35,6 +35,18 @@ entry the same way whatever its thread count (checked with OpenBLAS 0.3.31
 under 1 to 4 threads), which its own splits of unaligned widths or of inner
 dimensions past PANEL do not.
 
+The work around the products runs over contiguous memory.  numpy runs a ufunc's
+inner loop once per row of a strided or broadcast 2-D operand, which at the
+sizes the sweeps build (a few dozen columns per row) costs more than the
+products.  So the kept columns of both halves are copied side by side once per
+call, each operand is the cos/sin multiplier (filled in by broadcast
+assignment) times that copy in one multiply, and each product, squared in place
+where squares are asked for, is copied into its strided slots.  Every operand
+entry is still the one IEEE product cos * v or sin * v, and squares and copies
+are exact.  One operand buffer serves both row parities: a third fresh array of
+that size per call pushed the n_max 448 builds into page faults (about 750 per
+build), as glibc's malloc returned the freed blocks to the system.
+
 `_parity_basis` and `_parity_columns` run on the calling thread: while each
 runs, `_on_one_blas_thread` sets numpy's and scipy's OpenBLAS to one thread,
 then restores their counts.  The eigensolver is `eigh_tridiagonal`, LAPACK's
@@ -182,7 +194,13 @@ def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int, i
     if `squared`, for the block rows j in the span rows = (lo, hi) (an end of None
     is the padded edge) and the block columns k of the levels below n_cols, from
     the eigenbasis padded past `size`.  Written into `out`, a fresh array by
-    default, which is returned."""
+    default, which is returned.
+
+    Each operand is formed by one multiply over contiguous memory, and each
+    product is squared in place (if `squared`) and written into `out` by copy:
+    numpy runs a ufunc's inner loop once per row of a strided or broadcast 2-D
+    operand, so the per-row multiplies they replace cost more than the products
+    at small sizes (see module doc)."""
     lam, *halves = _parity_basis(size + PADDING, p)
     lo, hi = rows[0], lam.size if rows[1] is None else rows[1]
     cols = (n_cols - p + 1) // 2
@@ -190,6 +208,10 @@ def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int, i
     if out is None:
         out = np.empty((hi - lo, cols))
     parts = (np.cos(r * lam)[:, None], np.sin(r * lam)[:, None])
+    # the kept columns of both halves side by side, contiguous, so that each
+    # operand below is one multiply over contiguous memory
+    kept = np.concatenate((halves[0][:, : widths[0]], halves[1][:, : widths[1]]), axis=1)
+    operand = np.empty(kept.shape)
     for q in (0, 1):
         # the block rows 2i + q of the span, by i
         first, stop = (lo - q + 1) // 2, (hi - q + 1) // 2
@@ -197,21 +219,19 @@ def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int, i
             continue
         # even columns take the cosine part on even rows and the sine part on odd
         # rows; odd columns the other way round
-        operand = np.empty((lam.size, sum(widths)))
-        np.multiply(parts[q], halves[0][:, : widths[0]], out=operand[:, : widths[0]])
-        np.multiply(parts[1 - q], halves[1][:, : widths[1]], out=operand[:, widths[0]:])
+        operand[:, : widths[0]] = parts[q]
+        operand[:, widths[0]:] = parts[1 - q]
+        operand *= kept
         product = np.empty((stop - first, operand.shape[1]))
         np.matmul(halves[q][:PANEL, first:stop].T, operand[:PANEL], out=product)
         for k in range(PANEL, lam.size, PANEL):
             product += np.matmul(halves[q][k: k + PANEL, first:stop].T,
                                  operand[k: k + PANEL])
+        if squared:
+            product *= product
         dest = out[2 * first + q - lo::2]
-        for parity, start in ((0, 0), (1, widths[0])):
-            block = product[:, start: start + (cols - parity + 1) // 2]
-            if squared:
-                np.multiply(block, block, out=dest[:, parity::2])
-            else:
-                dest[:, parity::2] = block
+        dest[:, 0::2] = product[:, : (cols + 1) // 2]
+        dest[:, 1::2] = product[:, widths[0]: widths[0] + cols // 2]
     return out
 
 
@@ -322,6 +342,7 @@ def _thermal_support(beta: float, tol: float) -> int:
     return max(0, int(math.ceil(-math.log(tol) / beta)) - 1)
 
 
+@lru_cache(maxsize=256)
 def _vacuum_cut(r: float) -> int:
     """Smallest multiple of 64 past which the squeezed vacuum keeps less than
     COLUMN_DEFECT_TOL, or N_MAX_CAP + 64 if none up to the cap.  Column 0 is
@@ -460,12 +481,12 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
 
 def _column_entropies(t: np.ndarray) -> np.ndarray:
     """-sum_m t log t per column of a squeeze transition matrix, summed over its
-    parity block alone (t is zero between opposite parities)."""
+    parity block alone (t is zero between opposite parities), each block taken as
+    a contiguous copy."""
     entropies = np.empty(t.shape[1])
     for p in (0, 1):
-        block = t[p::2, p::2]
-        logs = block.copy()
-        logs[block <= 0.0] = 1.0
+        block = np.ascontiguousarray(t[p::2, p::2])
+        logs = np.where(block > 0.0, block, 1.0)
         np.log(logs, out=logs)
         entropies[p::2] = -np.einsum("mn,mn->n", block, logs)
     return entropies

@@ -288,13 +288,14 @@ class TestTiledProducts:
     panel rounds each entry as the row-major oracle does, and no BLAS thread
     count changes a bit or leaves a worker spinning."""
 
-    @pytest.mark.parametrize("n_max", [1, 2, 63, 64, 320, 448, 960, 1408])
+    @pytest.mark.parametrize("n_max", [1, 2, 63, 64, 128, 192, 320, 448, 960, 1408])
     def test_tiled_kernel_equals_the_untiled_one(self, n_max):
         """Bit for bit against `untiled_parity_columns`, sign bits included,
         squared and not, over the kept rows, the padded rows and the rows a search
         reads, revisiting each small amplitude after a larger one; n_max 960 sums
-        two panels and n_max 1408 three, whose order matters, and n_max 1 and 2
-        have one-row spans, which numpy sends to gemv."""
+        two panels and n_max 1408 three, whose order matters, n_max 1 and 2
+        have one-row spans, which numpy sends to gemv, and n_max 128 and 192 are
+        the sizes of most default squeeze-beta builds."""
         size = n_max + 1
         lower = 64 * (n_max // 128) if n_max >= 128 else n_max // 2
         calls = build_calls(n_max) + [
