@@ -49,16 +49,22 @@ build), as glibc's malloc returned the freed blocks to the system.
 
 `_parity_basis` and `_parity_columns` run on the calling thread: while each
 runs, `_on_one_blas_thread` sets numpy's and scipy's OpenBLAS to one thread,
-then restores their counts.  The eigensolver is `eigh_tridiagonal`, LAPACK's
-divide-and-conquer `stevd` on scipy's OpenBLAS 0.3.30, whose merges call dgemm:
-unpinned, it wakes scipy's pool from about 190 levels and rounds some
-eigenvector entries by thread count from about 390.  A woken pool spins for
-about 0.12 s of CPU after each call, competing with the main thread for the
-cores.  The pin is process-wide while a call runs, so another thread's BLAS
-calls run single-threaded meanwhile, and pinned calls from two threads at once
-can leave the pools at one thread.  Where no OpenBLAS is found (other platforms
-or builds), both run unpinned; the kernel computes the same entries from a given
-basis, which may then depend on the thread count.
+then restores their counts.  The eigensolver is LAPACK's divide-and-conquer
+`dstevd` on scipy's OpenBLAS 0.3.30, called through scipy's f2py wrapper, the
+same call `scipy.linalg.eigh_tridiagonal` makes with its default driver.  The
+wrapper's extension, `scipy.linalg._flapack`, is loaded from its file without
+running the `scipy.linalg` package, which would cost every process about 55 ms
+and 5 MiB of modules it never uses; it is registered under its own name, so a
+later `import scipy.linalg` reuses it.  Where the file is missing or will not
+load, the public `scipy.linalg.lapack.dstevd`, the same function, is used.  The
+merges of `dstevd` call dgemm: unpinned, it wakes scipy's pool from about 190
+levels and rounds some eigenvector entries by thread count from about 390.  A
+woken pool spins for about 0.12 s of CPU after each call, competing with the
+main thread for the cores.  The pin is process-wide while a call runs, so
+another thread's BLAS calls run single-threaded meanwhile, and pinned calls from
+two threads at once can leave the pools at one thread.  Where no OpenBLAS is
+found (other platforms or builds), both run unpinned; the kernel computes the
+same entries from a given basis, which may then depend on the thread count.
 
 Every oscillator K_en (the point function, each grid cell, each beta-sweep
 point) goes through one per-(beta, n_max) routine, `_Legs`.  Its oracles are
@@ -71,21 +77,25 @@ exponential, and the mass each column puts on the padded rows is its leak past
 n_max (`SqueezeMatrix.column_defects`), the quantity `select_n_max` certifies.
 The padding is exact to float64 wherever that leak is far below the tolerance,
 since the squeezed amplitude then never reaches the padded edge.  An independent
-scaling-and-squaring matrix exponential is kept as the oracle for gate
-comparisons; the tests add the closed-form series of Kim, de Oliveira & Knight
-(PRA 40, 2494 (1989)) in arbitrary precision as a second one.
+scaling-and-squaring matrix exponential (scipy's `expm`, imported inside the
+function) is kept as the oracle for gate comparisons; the tests add the
+closed-form series of Kim, de Oliveira & Knight (PRA 40, 2494 (1989)) in
+arbitrary precision as a second one.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+import scipy
 
 from .entropy import _nats
 from .errors import InvalidParameterError, TruncationError
@@ -127,6 +137,35 @@ class SqueezeMatrix:
     @property
     def transition_probabilities(self) -> np.ndarray:
         return self.g * self.g
+
+
+def _load_dstevd():
+    """LAPACK's `dstevd` through scipy's f2py wrapper, without running the
+    `scipy.linalg` package (see module doc): from the `_flapack` extension if it is
+    already imported, else loaded from its file under its own name and registered
+    in `sys.modules` first; where the file is missing or will not load, from the
+    public `scipy.linalg.lapack`."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        folder = Path(scipy.__file__).parent / "linalg"
+        paths = (folder / f"_flapack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES)
+        path = next((path for path in paths if path.is_file()), None)
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(name, path)
+            try:
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                spec.loader.exec_module(module)
+            except ImportError:
+                sys.modules.pop(name, None)
+                module = None
+    if module is None:
+        from scipy.linalg import lapack as module
+    return module.dstevd
+
+
+_dstevd = _load_dstevd()
 
 
 def _aligned(n: int) -> int:
@@ -175,10 +214,19 @@ def _on_one_blas_thread(fn):
 def _parity_basis(size: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues of S on the levels p, p + 2, ... below `size` (see module doc),
     and its eigenvector rows at even and at odd positions, each half transposed to
-    a contiguous (eigen index, row) array, zero-padded to a multiple of ALIGN rows."""
+    a contiguous (eigen index, row) array, zero-padded to a multiple of ALIGN rows.
+
+    The eigensolver is LAPACK's `dstevd` through scipy's f2py wrapper, loaded
+    without the `scipy.linalg` package (about 55 ms and 5 MiB per process), or
+    the public `scipy.linalg.lapack.dstevd` where that load fails: the call
+    `eigh_tridiagonal` makes with its default driver.  Raises LinAlgError where
+    LAPACK reports a failure."""
     levels = np.arange(p, size - 2, 2, dtype=float)
-    lam, vec = eigh_tridiagonal(np.zeros(levels.size + 1),
-                                0.5 * np.sqrt((levels + 1.0) * (levels + 2.0)))
+    lam, vec, info = _dstevd(np.zeros(levels.size + 1),
+                             0.5 * np.sqrt((levels + 1.0) * (levels + 2.0)), compute_v=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"dstevd failed on the parity-{p} generator below {size} levels (LAPACK info={info})")
     halves = []
     for q in (0, 1):
         rows = vec[q::2]
@@ -284,6 +332,8 @@ def squeeze_matrix_exponential_oracle(r: float, n_max: int) -> SqueezeMatrix:
 
     The generator itself is truncated here, so `column_defects` is |1 - column
     norm| of this matrix, not a leak past n_max."""
+    from scipy.linalg import expm
+
     _validate_squeeze_args(r, n_max)
     size = n_max + 1
     g = np.eye(size)

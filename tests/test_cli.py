@@ -112,6 +112,22 @@ def test_cli_import_leaves_scipy_stats_out():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_run_loads_the_eigensolver_without_scipy_linalg(tmp_path):
+    """A squeeze run gets `dstevd` from scipy's `_flapack` extension without the
+    `scipy.linalg` package, and the BLAS pin still finds both OpenBLAS pools."""
+    import workreal
+    src = str(Path(workreal.__file__).resolve().parents[1])
+    code = ("import sys, workreal.cli, workreal.squeezing\n"
+            "assert workreal.cli.main(['squeeze-grid', '--grid-spec', '0:0.1:5',\n"
+            "                          '--out', sys.argv[1]]) == 0\n"
+            "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules,\n"
+            "      len(workreal.squeezing._blas_pools()))")
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1].split() == ["False", "True", "2"]
+
+
 class TestTlsTheta:
     def test_default_schema_and_row_count(self, tmp_path):
         assert run_cli(["tls-theta", "--out", tmp_path]) == 0

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import os
 import subprocess
@@ -342,7 +343,8 @@ class TestTiledProducts:
     def test_both_blas_pools_are_pinned_and_restored(self, monkeypatch):
         """numpy's and scipy's scipy-openblas libraries are both found; both run
         one thread inside the kernel and inside its eigensolver, and are back at
-        their former counts after a build, also after one that raises."""
+        their former counts after a build, also after one that raises and after
+        one whose eigensolver reports a LAPACK failure."""
         pools = squeezing._blas_pools()
         assert len(pools) == 2
 
@@ -352,20 +354,25 @@ class TestTiledProducts:
         former = counts()
         inside = {"kernel": [], "eigensolver": []}
         basis = squeezing._parity_basis
+        dstevd = squeezing._dstevd
 
         def kernel_basis(*args):
             inside["kernel"].append(counts())
             return basis(*args)
 
-        def eigensolver(*args):
+        def eigensolver(*args, **kwargs):
             inside["eigensolver"].append(counts())
-            return eigh_tridiagonal(*args)
+            return dstevd(*args, **kwargs)
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             raise RuntimeError("eigensolver failed")
 
+        def not_converged(*args, **kwargs):
+            w, v, _ = dstevd(*args, **kwargs)
+            return w, v, 1
+
         monkeypatch.setattr(squeezing, "_parity_basis", kernel_basis)
-        monkeypatch.setattr(squeezing, "eigh_tridiagonal", eigensolver)
+        monkeypatch.setattr(squeezing, "_dstevd", eigensolver)
         try:
             for _, put in pools:
                 put(2)
@@ -373,14 +380,69 @@ class TestTiledProducts:
             _squeeze_transitions(0.05, 65)
             assert inside == {"kernel": [[1, 1]] * 2, "eigensolver": [[1, 1]] * 2}
             assert counts() == [2, 2]
-            monkeypatch.setattr(squeezing, "eigh_tridiagonal", failing)
+            monkeypatch.setattr(squeezing, "_dstevd", failing)
             with pytest.raises(RuntimeError):
                 _squeeze_transitions(0.05, 66)
+            assert counts() == [2, 2]
+            monkeypatch.setattr(squeezing, "_dstevd", not_converged)
+            with pytest.raises(np.linalg.LinAlgError, match="info=1"):
+                _squeeze_transitions(0.05, 67)
             assert counts() == [2, 2]
         finally:
             for (_, put), count in zip(pools, former):
                 put(count)
             basis.cache_clear()
+
+
+class TestEigensolverLoad:
+    """`_dstevd` is scipy's `dstevd` wrapper, loaded without the `scipy.linalg`
+    package: one extension module object whatever imports it later, and the same
+    bits through the public fallback."""
+
+    BASIS_DIGEST = ("import hashlib\n"
+                    "digest = hashlib.sha256()\n"
+                    "for size in (1153, 2945):\n"
+                    "    for p in (0, 1):\n"
+                    "        for array in squeezing._parity_basis(size, p):\n"
+                    "            digest.update(array.tobytes())\n"
+                    "print(digest.hexdigest())\n")
+
+    def test_a_later_scipy_linalg_import_reuses_the_loaded_extension(self):
+        """Built before `scipy.linalg` is imported, then compared with the public
+        `eigh_tridiagonal`'s `stevd` driver bit for bit."""
+        code = ("import sys\n"
+                "import numpy as np\n"
+                + inspect.getsource(parity_generator) +
+                "import workreal.squeezing as squeezing\n"
+                "squeezing._parity_basis(193, 0)\n"
+                "assert 'scipy.linalg' not in sys.modules\n"
+                "loaded = sys.modules['scipy.linalg._flapack']\n"
+                "import scipy.linalg\n"
+                "assert scipy.linalg.lapack._flapack is sys.modules['scipy.linalg._flapack']\n"
+                "assert scipy.linalg.lapack._flapack is loaded\n"
+                "assert squeezing._dstevd is loaded.dstevd\n"
+                "for size in (193, 577, 1473):\n"
+                "    for p in (0, 1):\n"
+                "        d, e = parity_generator(size, p)\n"
+                "        public = scipy.linalg.eigh_tridiagonal(d, e, lapack_driver='stevd')\n"
+                "        direct = squeezing._dstevd(d, e)[:2]\n"
+                "        for a, b in zip(public, direct):\n"
+                "            assert a.tobytes() == b.tobytes(), (size, p)\n"
+                "print('ok')\n")
+        assert run_fresh(code).strip() == "ok"
+
+    def test_the_public_fallback_gives_the_same_bases(self):
+        """With the file lookup forced to miss, `_dstevd` is the public wrapper and
+        the cached bases hash as they do through the direct load."""
+        direct = run_fresh("import workreal.squeezing as squeezing\n" + self.BASIS_DIGEST)
+        fallback = run_fresh("import importlib.machinery, sys\n"
+                             "importlib.machinery.EXTENSION_SUFFIXES = []\n"
+                             "import workreal.squeezing as squeezing\n"
+                             "assert 'scipy.linalg' in sys.modules\n"
+                             "import scipy.linalg.lapack\n"
+                             "assert squeezing._dstevd is scipy.linalg.lapack.dstevd\n"
+                             + self.BASIS_DIGEST)
+        assert fallback == direct
 
 
 class TestClosedForm:
