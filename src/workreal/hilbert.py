@@ -10,7 +10,7 @@ into a spectrum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,13 +127,11 @@ class UnitaryPropagator:
 
     matrix: np.ndarray
     unitarity_tol: float = DEFAULT_UNITARITY_TOL
-    unitarity_deviation: float = field(init=False, compare=False, default=0.0)
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=complex)
-        deviation = require_unitary(matrix, self.unitarity_tol)
+        require_unitary(matrix, self.unitarity_tol)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "unitarity_deviation", deviation)
 
     @property
     def dim(self) -> int:

@@ -117,22 +117,22 @@ class JointDistribution3:
                    populations=populations, norm_tol=norm_tol)
 
     @classmethod
-    def from_cube(cls, cube, spectra, sample_count=None,
-                  norm_tol: float = JOINT_NORM_TOL) -> "JointDistribution3":
+    def from_cube(cls, cube, spectra, sample_count=None) -> "JointDistribution3":
         cube = np.asarray(cube, dtype=float)
         if cube.ndim != 3:
             raise InvalidParameterError("cube must have three axes (k2, k1, k0)")
         if np.any(cube < 0):
             raise InvalidParameterError("probabilities must be non-negative")
-        return cls(spectra, cube=cube, sample_count=sample_count, norm_tol=norm_tol)
+        return cls(spectra, cube=cube, sample_count=sample_count)
 
     @property
     def probs(self) -> np.ndarray:
-        """The full cube p[k2, k1, k0]; materialized lazily for factorized protocols."""
-        if self._cube is None:
-            leg1 = self._trans10 * self._populations[None, :]
-            self._cube = self._trans21[:, :, None] * leg1[None, :, :]
-        return self._cube
+        """The full cube p[k2, k1, k0]; formed afresh on each read for factorized
+        protocols, whose marginals keep coming from the factors."""
+        if self._cube is not None:
+            return self._cube
+        leg1 = self._trans10 * self._populations[None, :]
+        return self._trans21[:, :, None] * leg1[None, :, :]
 
     def total_mass(self) -> float:
         if self._cube is not None:
@@ -191,8 +191,7 @@ def two_time_joint(rho0: DiagonalDensity, u: UnitaryPropagator,
 
 def three_time_joint(rho0: DiagonalDensity, u10: UnitaryPropagator, u21: UnitaryPropagator,
                      spectrum_1: EnergySpectrum | None = None,
-                     spectrum_2: EnergySpectrum | None = None,
-                     norm_tol: float = JOINT_NORM_TOL) -> JointDistribution3:
+                     spectrum_2: EnergySpectrum | None = None) -> JointDistribution3:
     """Joint outcome distribution with a projective measurement at all three times."""
     if u10.dim != rho0.dim or u21.dim != u10.dim:
         raise InvalidParameterError("propagator and state dimensions differ")
@@ -201,7 +200,7 @@ def three_time_joint(rho0: DiagonalDensity, u10: UnitaryPropagator, u21: Unitary
     s2 = spectrum_2 if spectrum_2 is not None else _relabel(s0, s0.label + 2)
     return JointDistribution3.from_factors(
         transition_probabilities(u21), transition_probabilities(u10),
-        rho0.populations, (s0, s1, s2), norm_tol=norm_tol)
+        rho0.populations, (s0, s1, s2))
 
 
 def two_time_joint_skipping_middle(rho0: DiagonalDensity, u10: UnitaryPropagator,
@@ -371,9 +370,8 @@ def jarzynski_deviation(workdist: WorkDistribution, beta: float, delta_f: float)
 
 
 def sample_trajectories(rho0: DiagonalDensity, u10: UnitaryPropagator,
-                        u21: UnitaryPropagator, n_samples: int, seed: int | None,
-                        spectrum_1: EnergySpectrum | None = None,
-                        spectrum_2: EnergySpectrum | None = None) -> JointDistribution3:
+                        u21: UnitaryPropagator, n_samples: int,
+                        seed: int | None) -> JointDistribution3:
     """Monte Carlo frequency table of (k0, k1, k2) outcome triples.
 
     Each stage (k0, then k1, then k2) draws one uniform u per sample and takes as
@@ -386,9 +384,6 @@ def sample_trajectories(rho0: DiagonalDensity, u10: UnitaryPropagator,
     """
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be at least 1")
-    s0 = rho0.spectrum
-    s1 = spectrum_1 if spectrum_1 is not None else _relabel(s0, s0.label + 1)
-    s2 = spectrum_2 if spectrum_2 is not None else _relabel(s0, s0.label + 2)
     seeds = np.random.SeedSequence(seed)
     g0, g1, g2 = (np.random.Generator(np.random.PCG64(seeds).advance(s * n_samples))
                   for s in range(3))
@@ -407,7 +402,9 @@ def sample_trajectories(rho0: DiagonalDensity, u10: UnitaryPropagator,
         k2 *= dims[2]
         k2 += k0  # the flat (k2, k1, k0) index
         counts += np.bincount(k2, minlength=counts.size)
-    return JointDistribution3.from_cube(counts.reshape(dims) / n_samples, (s0, s1, s2),
+    s0 = rho0.spectrum
+    spectra = (s0, _relabel(s0, s0.label + 1), _relabel(s0, s0.label + 2))
+    return JointDistribution3.from_cube(counts.reshape(dims) / n_samples, spectra,
                                         sample_count=n_samples)
 
 

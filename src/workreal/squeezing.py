@@ -67,9 +67,9 @@ found (other platforms or builds), both run unpinned; the kernel computes the
 same entries from a given basis, which may then depend on the thread count.
 
 Every oscillator K_en (the point function, each grid cell, each beta-sweep
-point) goes through one per-(beta, n_max) routine, `_Legs`.  Its oracles are
-`oscillator_three_time` and `oscillator_entropy_reports`, which reach the same
-numbers through the generic joint and work-distribution objects.
+point) goes through one per-(beta, n_max) routine, `_Legs`.  Its oracle is
+`oscillator_three_time`, whose joints reach the same numbers through the generic
+work-distribution objects.
 
 The eigenbasis is taken on PADDING levels beyond the requested truncation and
 cached per size.  A truncated G is the top-left block of that padded
@@ -100,7 +100,6 @@ import scipy
 from .entropy import _nats
 from .errors import InvalidParameterError, TruncationError
 from .hilbert import EnergySpectrum, UnitaryPropagator, _gibbs_populations
-from .leggett_garg import _entropy_reports
 from .protocol import JointDistribution, JointDistribution3
 from .tables import SweepTable, contour_points
 
@@ -112,7 +111,6 @@ ALIGN = 8
 PANEL = 384
 N_MAX_CAP = 8192
 MAX_BUDGET = 1e-6
-R_CAP = 2.0
 CONTOUR_LEVELS = (0.0, -0.05)
 REFINE_XTOL = 1e-4
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -470,13 +468,7 @@ class OscillatorProtocol:
 
     joint3: JointDistribution3
     no_middle: JointDistribution
-    beta: float
-    r1: float
-    r2: float
     n_max: int
-    thermal_tail: float
-    mass_deficit_measured: float
-    mass_deficit_no_middle: float
     truncation_budget: float
     spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum]
 
@@ -486,27 +478,25 @@ def _budget(thermal_tail: float, deficit_a: float, deficit_b: float) -> float:
 
 
 def _checked_budget(thermal_tail: float, deficit_a: float, deficit_b: float,
-                    max_budget: float, beta: float, r1: float, r2: float,
-                    n_max: int) -> float:
+                    beta: float, r1: float, r2: float, n_max: int) -> float:
     """`_budget` of a run; raises TruncationError, naming beta, r1, r2 and n_max,
-    where it exceeds `max_budget`."""
+    where it exceeds MAX_BUDGET."""
     budget = _budget(thermal_tail, deficit_a, deficit_b)
-    if budget > max_budget:
+    if budget > MAX_BUDGET:
         raise TruncationError(
-            f"truncation budget {budget:.3e} exceeds {max_budget:.1e} at "
+            f"truncation budget {budget:.3e} exceeds {MAX_BUDGET:.1e} at "
             f"beta={beta}, r1={r1}, r2={r2}, n_max={n_max}",
             leaked_mass=max(abs(deficit_a), abs(deficit_b)))
     return budget
 
 
 def oscillator_three_time(beta: float, r1: float, r2: float,
-                          n_max: int | None = None,
-                          max_budget: float = MAX_BUDGET) -> OscillatorProtocol:
+                          n_max: int | None = None) -> OscillatorProtocol:
     """Exact outcome statistics for squeeze(r1), measure, squeeze(r2).
 
     The no-middle branch uses the composed squeeze r1 + r2 directly, since
     zero-phase squeezes compose additively.  Raises TruncationError when the
-    thermal tail or the measured leakage exceeds what `max_budget` allows.
+    thermal tail or the measured leakage exceeds what MAX_BUDGET allows.
     """
     for name, r in (("r1", r1), ("r2", r2)):
         if not (math.isfinite(r) and r >= 0.0):
@@ -520,13 +510,12 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
     t_total = _squeeze_transitions(r1 + r2, n_max)
     deficit_measured = 1.0 - float(t2.sum(axis=0) @ (t1 @ pops))
     deficit_no_middle = 1.0 - float(t_total.sum(axis=0) @ pops)
-    budget = _checked_budget(tail, deficit_measured, deficit_no_middle, max_budget,
-                             beta, r1, r2, n_max)
+    budget = _checked_budget(tail, deficit_measured, deficit_no_middle, beta, r1, r2,
+                             n_max)
     joint3 = JointDistribution3.from_factors(t2, t1, pops, spectra, norm_tol=budget)
     no_middle = JointDistribution(t_total * pops[None, :], spectra[0], spectra[2],
                                   norm_tol=budget)
-    return OscillatorProtocol(joint3, no_middle, beta, r1, r2, n_max, tail,
-                              deficit_measured, deficit_no_middle, budget, spectra)
+    return OscillatorProtocol(joint3, no_middle, n_max, budget, spectra)
 
 
 def _column_entropies(t: np.ndarray) -> np.ndarray:
@@ -608,8 +597,7 @@ class _Legs:
             h_w21 = self._grouped_work_entropy(t2 * p1[None, :])
             value = 0.5 * (h_w21 + h_w10 - h_w20 - h_p1 + shift)
         return value, _checked_budget(self.tail, 1.0 - float(colsum2 @ p1),
-                                      deficit_no_middle, MAX_BUDGET, self.beta, r1, r2,
-                                      self.n_max)
+                                      deficit_no_middle, self.beta, r1, r2, self.n_max)
 
 
 def entropic_k3_oscillator(beta: float, r1: float, r2: float,
@@ -661,43 +649,32 @@ def golden_section_minimum(f, a: float, b: float, xtol: float = 1e-4):
 
 
 def diagonal_scan(beta: float, r_grid: np.ndarray, degeneracy: str = "fine",
-                  base: float = math.e, extend_to_sign_change: bool = False,
                   middle_entropy: str = "initial") -> SweepTable:
-    """K_en along the r1 = r2 = r line.
-
-    With `extend_to_sign_change` the grid keeps growing geometrically past its end
-    until the parameter has turned positive again after its dip (or R_CAP is hit),
-    so the zero crossing beyond the minimum is always bracketed when it exists.
-    """
+    """K_en in nats along the r1 = r2 = r line.  meta["sign_change_bracketed"] is
+    whether the parameter turns positive again on the grid after its dip, so that
+    the zero crossing beyond the minimum lies inside it."""
     r_values = [float(r) for r in np.asarray(r_grid, dtype=float)]
     if not r_values or min(r_values) < 0:
         raise InvalidParameterError("r grid must be non-empty and non-negative")
     rows = []
     seen_negative = False
     crossed_back = False
-    queue = list(r_values)
-    while queue:
-        r = queue.pop(0)
+    for r in r_values:
         if r == 0.0:
             rows.append((0.0, 0.0, 0, 0.0))
             continue
         n_max = select_n_max(beta, 2.0 * r)
         value, budget = entropic_k3_oscillator(beta, r, r, n_max=n_max,
-                                               degeneracy=degeneracy, base=base,
+                                               degeneracy=degeneracy,
                                                middle_entropy=middle_entropy)
         rows.append((r, value, n_max, budget))
         seen_negative = seen_negative or value < 0.0
         crossed_back = crossed_back or (seen_negative and value > 0.0)
-        if not queue and extend_to_sign_change and seen_negative and not crossed_back:
-            nxt = rows[-1][0] * 1.3
-            if nxt <= R_CAP:
-                queue.append(nxt)
     return SweepTable(
         ["r", "k_en", "n_max", "truncation_budget"],
         np.array(rows),
         meta={"experiment": "squeeze-diagonal", "beta": beta, "degeneracy": degeneracy,
-              "middle_entropy": middle_entropy,
-              "entropy_base": "2" if base == 2 else "e",
+              "middle_entropy": middle_entropy, "entropy_base": "e",
               "sign_change_bracketed": crossed_back},
     )
 
@@ -826,11 +803,3 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
     table.meta["argmin_r_peak_beta"] = float(betas[interior])
     table.meta["argmin_r_peak_interior"] = bool(0 < interior < betas.size - 1)
     return table
-
-
-def oscillator_entropy_reports(protocol: OscillatorProtocol, degeneracy: str = "fine",
-                               base: float = math.e):
-    """The four entropy reports feeding the entropic parameter, via the public
-    work-distribution pipeline (slower than entropic_k3_oscillator but exercises
-    the same objects as any other model)."""
-    return _entropy_reports(protocol.joint3, protocol.no_middle, degeneracy, base)

@@ -61,7 +61,7 @@ def theta_sweep():
 @pytest.fixture(scope="module")
 def oscillator_diagonal():
     started = time.perf_counter()
-    scan = diagonal_scan(0.1, np.linspace(0.0, 0.1, 51), extend_to_sign_change=True)
+    scan = diagonal_scan(0.1, np.linspace(0.0, 0.1, 51))
     r_values = scan.column("r")
     k_values = scan.column("k_en")
     i0 = int(np.argmin(k_values))

@@ -20,6 +20,7 @@ from workreal import (
     work_distribution,
     work_pair_distribution,
 )
+from workreal.squeezing import oscillator_three_time
 from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum
 
 from conftest import random_unitary, sandwich_joint2, sandwich_joint3
@@ -114,6 +115,25 @@ class TestThreeTimeJoint:
                                    atol=1e-15)
         cube_marginal = joint3.probs.sum(axis=0)
         np.testing.assert_allclose(cube_marginal, leg1.probs, atol=5e-16)
+
+    @pytest.mark.parametrize("case", ["two-level", "oscillator"])
+    def test_reading_the_cube_leaves_marginals_on_the_factors(self, case):
+        """A factorized joint keeps taking its marginals and mass from the
+        factors after `.probs` has been read, so they keep their bits."""
+        if case == "two-level":
+            joint3 = three_time_joint(thermal(), rotation(0.9), rotation(0.9))
+        else:
+            joint3 = oscillator_three_time(1.0, 0.15, 0.2, n_max=32).joint3
+
+        def snapshot():
+            return [joint3.marginal_t1_t0().probs, joint3.marginal_t2_t1().probs,
+                    joint3.marginal_t2_t0().probs, joint3.marginal_t1(),
+                    joint3.total_mass()]
+
+        before = snapshot()
+        assert joint3.probs.ndim == 3
+        for old, new in zip(before, snapshot()):
+            np.testing.assert_array_equal(new, old)
 
 
 class TestNoMiddleBranch:

@@ -15,7 +15,6 @@ from scipy.linalg import eigh_tridiagonal
 from workreal import (
     InvalidParameterError,
     TruncationError,
-    UnitaryPropagator,
     compose_propagators,
     entropic_k3_oscillator,
     jarzynski_deviation,
@@ -30,7 +29,7 @@ from workreal import (
 )
 import workreal.squeezing as squeezing
 from workreal.entropy import _nats
-from workreal.leggett_garg import k3_entropic
+from workreal.leggett_garg import _entropy_reports, k3_entropic
 from workreal.squeezing import (
     ALIGN,
     N_MAX_CAP,
@@ -47,7 +46,6 @@ from workreal.squeezing import (
     _squeeze_transitions,
     beta_sweep_min_k,
     golden_section_minimum,
-    oscillator_entropy_reports,
     squeeze_grid_sweep,
 )
 
@@ -756,8 +754,8 @@ class TestEntropicParameter:
         protocol = oscillator_three_time(1.0, 0.12, 0.2, n_max=96)
         pops = __import__("workreal").build_thermal_state(protocol.spectra[0], 1.0)
         for degeneracy in ("fine", "grouped"):
-            h_w21, h_w10, h_w20, h_e1 = oscillator_entropy_reports(
-                protocol, degeneracy=degeneracy)
+            h_w21, h_w10, h_w20, h_e1 = _entropy_reports(
+                protocol.joint3, protocol.no_middle, degeneracy, math.e)
             measured = k3_entropic(h_w21, h_w10, h_w20, h_e1)
             fast_measured, _ = entropic_k3_oscillator(
                 1.0, 0.12, 0.2, n_max=96, degeneracy=degeneracy,
@@ -837,9 +835,17 @@ class TestSweepConsistency:
                                            middle_entropy="measured")
         assert scan.rows[0, 1] == pytest.approx(direct, abs=1e-13)
 
+    def test_diagonal_scan_reports_an_unbracketed_sign_change(self):
+        """At beta = 0.1 the parameter dips below zero by r = 0.02 and turns
+        positive again only past it, so a grid ending there brackets no crossing."""
+        from workreal.squeezing import diagonal_scan
+        scan = diagonal_scan(0.1, np.linspace(0.0, 0.02, 6))
+        assert scan.column("k_en").min() < 0.0
+        assert scan.meta["sign_change_bracketed"] is False
+
     def test_budget_cap_trips_with_a_named_point(self):
         with pytest.raises(TruncationError) as excinfo:
-            oscillator_three_time(1.0, 0.9, 0.9, n_max=64, max_budget=1e-9)
+            oscillator_three_time(1.0, 0.9, 0.9, n_max=64)
         assert "r1=0.9" in str(excinfo.value)
         assert excinfo.value.leaked_mass > 0
 
