@@ -41,7 +41,7 @@ from .protocol import (
     work_distribution,
     two_time_joint,
 )
-from .squeezing import beta_sweep_min_k, oscillator_three_time, squeeze_grid_sweep
+from .squeezing import N_MAX_CAP, beta_sweep_min_k, oscillator_three_time, squeeze_grid_sweep
 from .tables import SweepTable, write_table_csv
 from .two_level import TlsAngles, tls_propagator, tls_spectrum, tls_theta_sweep
 
@@ -74,8 +74,10 @@ class SweepConfig:
         problems = []
         if self.beta is not None and not (self.beta > 0 and math.isfinite(self.beta)):
             problems.append(f"beta: must be positive and finite, got {self.beta}")
-        if self.n_max is not None and self.n_max < 1:
-            problems.append(f"n_max: must be >= 1, got {self.n_max}")
+        if self.n_max is not None and not 1 <= self.n_max <= N_MAX_CAP:
+            problems.append(f"n_max: must be in 1..{N_MAX_CAP}, got {self.n_max}")
+        if self.seed is not None and self.seed < 0:
+            problems.append(f"seed: must be >= 0, got {self.seed}")
         for name, (_, allowed) in SETTINGS.items():
             value = getattr(self, name)
             if allowed and value not in allowed:

@@ -269,24 +269,6 @@ def _group_starts(sorted_works: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(sorted_works) >= WORK_DEGENERACY_TOL) + 1
 
 
-def _support_patterns(support: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a boolean (N, d) matrix, and the pattern index of each row.
-
-    Matches `np.unique(support, axis=0, return_inverse=True)`: patterns ascend
-    lexicographically, first column most significant and False before True.  One
-    lexsort orders the rows; a sorted row opens a new pattern where it differs from
-    the row before it, and the running count of openings, scattered back through
-    the sort order, is the inverse.
-    """
-    order = np.lexsort(support.T[::-1])
-    ranked = support[order]
-    opens = np.ones(len(ranked), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=opens[1:])
-    inverse = np.empty(len(ranked), dtype=np.intp)
-    inverse[order] = np.cumsum(opens) - 1
-    return ranked[opens], inverse
-
-
 def work_distribution(joint: JointDistribution, view: str = "grouped") -> WorkDistribution:
     """Distribution of w = E_later(k_j) - E_earlier(k_i) under `joint`."""
     later, earlier = np.nonzero(joint.probs)
@@ -307,14 +289,13 @@ def work_probability_rows(joints: np.ndarray, spectrum_earlier: EnergySpectrum,
 
     `joints` has shape (N, d_later, d_earlier) and holds already checked joints.
     Row k lists the probabilities of joint k in the order of that view, except
-    that index pairs of zero probability stay in place as zeros instead of being
-    dropped, and grouped rows are zero-padded to the largest group count.  Zeros
-    change no sum and no entropy.  The fine order depends on the spectra alone;
-    the grouped partition also depends on which pairs a joint supports, so it is
-    derived once per distinct support pattern.  The patterns are the distinct
-    rows of `rows > 0`, found by `_support_patterns` with one lexsort and taken
-    in ascending lexicographic order (first fine column most significant), the
-    order `np.unique(..., axis=0)` gives.
+    that index pairs of zero probability, and in the grouped view groups no pair
+    of the joint reaches, stay in place as zeros instead of being dropped.  Zeros
+    change no sum and no entropy.  Both views depend on the spectra alone: a
+    grouped entry sums one group of the fine columns, the partition of all work
+    values under the gap rule.  A joint whose support leaves out part of a group
+    would be grouped the same way only if no group spans WORK_DEGENERACY_TOL or
+    more, so spectra with such a chained group raise InvalidParameterError.
     """
     later, earlier = np.indices(joints.shape[1:]).reshape(2, -1)
     works = spectrum_later.levels[later] - spectrum_earlier.levels[earlier]
@@ -322,18 +303,13 @@ def work_probability_rows(joints: np.ndarray, spectrum_earlier: EnergySpectrum,
     rows = joints.reshape(joints.shape[0], -1)[:, order]
     if view == "grouped":
         works = works[order]
-        patterns, inverse = _support_patterns(rows > 0)
-        partitions = []
-        for pattern in patterns:
-            present = np.flatnonzero(pattern)
-            starts = _group_starts(works[present])
-            partitions.append(np.split(present, starts))
-        grouped = np.zeros((rows.shape[0], max(len(groups) for groups in partitions)))
-        for k, groups in enumerate(partitions):
-            members = inverse == k
-            grouped[members, :len(groups)] = np.stack(
-                [rows[members][:, group].sum(axis=1) for group in groups], axis=1)
-        rows = grouped
+        groups = np.split(np.arange(works.size), _group_starts(works))
+        span = max(works[group[-1]] - works[group[0]] for group in groups)
+        if span >= WORK_DEGENERACY_TOL:
+            raise InvalidParameterError(
+                f"a group of work values spans {span:.3e}, not below "
+                f"WORK_DEGENERACY_TOL = {WORK_DEGENERACY_TOL:.0e}")
+        rows = np.stack([rows[:, group].sum(axis=1) for group in groups], axis=1)
     elif view != "fine":
         raise InvalidParameterError(f"unknown view {view!r}")
     _require_normalized(rows.sum(axis=1), JOINT_NORM_TOL, "work distribution")

@@ -674,8 +674,7 @@ def diagonal_scan(beta: float, r_grid: np.ndarray, degeneracy: str = "fine",
         ["r", "k_en", "n_max", "truncation_budget"],
         np.array(rows),
         meta={"experiment": "squeeze-diagonal", "beta": beta, "degeneracy": degeneracy,
-              "middle_entropy": middle_entropy, "entropy_base": "e",
-              "sign_change_bracketed": crossed_back},
+              "middle_entropy": middle_entropy, "sign_change_bracketed": crossed_back},
     )
 
 
@@ -722,7 +721,6 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
         ["r1", "r2", "k_en", "truncation_budget"], rows,
         meta={"experiment": "squeeze-grid", "beta": beta, "n_max": n_max,
               "degeneracy": degeneracy, "middle_entropy": middle_entropy,
-              "entropy_base": "2" if base == 2 else "e",
               "thermal_tail": legs.tail, "worst_truncation_budget": worst_budget,
               "contours": contours},
     )
@@ -791,9 +789,7 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
         ["beta", "min_k_en", "argmin_r", "n_max", "truncation_budget"],
         np.array(rows),
         meta={"experiment": "squeeze-beta", "degeneracy": degeneracy,
-              "middle_entropy": middle_entropy,
-              "entropy_base": "2" if base == 2 else "e",
-              "refine_xtol": REFINE_XTOL},
+              "middle_entropy": middle_entropy, "refine_xtol": REFINE_XTOL},
     )
     depth = table.column("min_k_en")
     argmin = table.column("argmin_r")

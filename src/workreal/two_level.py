@@ -129,6 +129,9 @@ def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None,
 
     Row k equals tls_lg_parameters(beta, TlsAngles(theta_grid[k], alpha,
     beta_angle), spectra, base) bit for bit; all angles are computed at once.
+    Raises InvalidParameterError for spectra whose work values chain into a group
+    spanning WORK_DEGENERACY_TOL or more (see `work_probability_rows`); the
+    per-angle API still handles those.
     """
     if theta_grid is None:
         theta_grid = default_theta_grid()
@@ -147,8 +150,5 @@ def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None,
                                trans, trans, np.abs(u20) ** 2, spectra, base=base)
     columns = ["theta", "k_cor", "k_cor_flipped", "k_en_fine", "k_en_grouped"]
     rows = np.column_stack([theta_grid] + [values[name] for name in columns[1:]])
-    return SweepTable(columns, rows, meta={
-        "experiment": "tls-theta", "beta": beta,
-        "entropy_base": "2" if base == 2 else "e",
-        "theta_points": theta_grid.size,
-    })
+    return SweepTable(columns, rows, meta={"experiment": "tls-theta", "beta": beta,
+                                           "theta_points": theta_grid.size})

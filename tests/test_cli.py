@@ -401,3 +401,31 @@ class TestConfigFile:
     def test_invalid_values_diagnosed(self, tmp_path, capsys):
         assert run_cli(["tls-theta", "--out", tmp_path, "--beta", "-1"]) == 2
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, name, value", [
+        ("jarzynski-check", "seed", "-1"), ("mc-crosscheck", "seed", "-3"),
+        ("squeeze-grid", "n_max", "8193"), ("jarzynski-check", "n_max", "8193"),
+    ])
+    def test_out_of_range_settings_exit_2(self, tmp_path, capsys, experiment, name, value):
+        """A negative seed and an n_max above N_MAX_CAP are refused before any run
+        starts, as a flag and as a config key; nothing is sampled or allocated."""
+        flag = f"--{name.replace('_', '-')}={value}"
+        assert run_cli([experiment, "--out", tmp_path / "flag", flag]) == 2
+        assert f"{name}: must be" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{name} = {value}\n", encoding="utf-8")
+        assert run_cli([experiment, "--config", config, "--out", tmp_path / "cfg"]) == 2
+        assert f"{name}: must be" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_sweeps_leave_the_entropy_base_to_the_manifest():
+    """A base-10 sweep's meta claims no base; the CLI manifest writes the setting."""
+    from workreal.squeezing import beta_sweep_min_k, squeeze_grid_sweep
+    from workreal.two_level import tls_theta_sweep
+    grid = np.array([0.0, 0.05])
+    tables = [tls_theta_sweep(theta_grid=np.array([1.0]), base=10.0),
+              squeeze_grid_sweep(beta=1.0, r1_grid=grid, r2_grid=grid, base=10.0),
+              beta_sweep_min_k([1.0], r_grid=np.geomspace(0.05, 0.4, 6), base=10.0)]
+    for table in tables:
+        assert "entropy_base" not in table.meta, table.meta["experiment"]

@@ -276,40 +276,14 @@ def test_frozen_work_distribution():
     assert np.array_equal(grouped.probabilities, [0.05, 0.45, 0.2, 0.25, 0.05])
 
 
-def _unique_patterns(support):
-    """The former grouping: `np.unique` over the rows, as structured records."""
-    patterns, inverse = np.unique(support, axis=0, return_inverse=True)
-    return patterns, inverse.reshape(-1)
-
-
-def _supports(rng, width):
-    """Boolean supports of one width: one row, all rows equal, random rows at
-    three densities and duplicate-heavy stacks drawn from a few distinct rows."""
-    yield rng.random((1, width)) < 0.5
-    yield np.repeat(rng.random((1, width)) < 0.5, 300, axis=0)
-    for density in (0.1, 0.5, 0.9):
-        yield rng.random((500, width)) < density
-    for distinct in (2, 5, 40):
-        rows = rng.random((distinct, width)) < 0.5
-        yield rows[rng.integers(0, distinct, 2000)]
-
-
-@pytest.mark.parametrize("width", [4, 9, 81])
-def test_support_patterns_equal_np_unique(width):
-    from workreal.protocol import _support_patterns
-    rng = np.random.default_rng(width)
-    for support in _supports(rng, width):
-        patterns, inverse = _support_patterns(support)
-        expected_patterns, expected_inverse = _unique_patterns(support)
-        assert np.array_equal(patterns, expected_patterns)
-        assert np.array_equal(inverse, expected_inverse)
-        assert np.array_equal(patterns[inverse], support)
-
-
 @pytest.mark.parametrize("zero_fraction", [0.0, 0.3])
-def test_work_rows_equal_np_unique_grouping(monkeypatch, zero_fraction):
-    """A (7201, 2, 2) stack of two-level joints, with and without exact zeros."""
-    from workreal import protocol
+def test_work_rows_equal_np_unique_grouping(zero_fraction):
+    """A (7201, 2, 2) stack of two-level joints, with and without exact zeros: the
+    entropy of each grouped row is that of the joint's own grouped distribution,
+    also where a whole group is absent and stays in its row as a zero."""
+    from workreal import JointDistribution, work_entropy
+    from workreal.entropy import entropy_rows
+    from workreal.protocol import work_probability_rows
     rng = np.random.default_rng(7201)
     flip = rng.random(7201)
     cut = rng.random(7201)
@@ -320,9 +294,10 @@ def test_work_rows_equal_np_unique_grouping(monkeypatch, zero_fraction):
     joints = trans * np.array([P0_BETA1, P1_BETA1])
     assert (np.count_nonzero(joints == 0) > 0) == (zero_fraction > 0)
     s0, s1 = tls_spectrum(0), tls_spectrum(1)
-    rows = protocol.work_probability_rows(joints, s0, s1, "grouped")
-    monkeypatch.setattr(protocol, "_support_patterns", _unique_patterns)
-    assert np.array_equal(rows, protocol.work_probability_rows(joints, s0, s1, "grouped"))
+    rows = work_probability_rows(joints, s0, s1, "grouped")
+    expected = [work_entropy(work_distribution(JointDistribution(joint, s0, s1),
+                                               "grouped")).value for joint in joints]
+    assert np.array_equal(entropy_rows(rows), expected)
 
 
 class TestJarzynski:

@@ -150,19 +150,26 @@ def per_angle_rows(beta, grid, spectra=None, alpha=0.0, beta_angle=0.0, base=mat
     (0.4, default_theta_grid(181), {"spectra": incommensurate_tls_spectra()}),
     (1.0, default_theta_grid(181), {"alpha": 0.3, "beta_angle": 1.1}),
     (1.0, EDGE_GRID, {}),
-    (1.0, np.concatenate([EDGE_GRID, default_theta_grid(181)]),
-     {"spectra": NEAR_DEGENERATE}),
-    # ground-state start: the excited column of every joint is empty, which splits
-    # the near-degenerate groups the full support would chain together
-    (math.inf, np.concatenate([EDGE_GRID, default_theta_grid(181)]),
-     {"spectra": NEAR_DEGENERATE}),
+    # ground-state start: the excited column of every joint is empty, so whole
+    # work groups are absent and stay in the grouped rows as zeros
+    (math.inf, np.concatenate([EDGE_GRID, default_theta_grid(181)]), {}),
 ], ids=["base-e", "base-2", "incommensurate", "phases", "zero-transitions",
-        "near-degenerate", "near-degenerate-ground-state"])
+        "ground-state"])
 def test_array_sweep_equals_per_angle_oracle(beta, grid, options):
     rows = tls_theta_sweep(beta=beta, theta_grid=grid, **options).rows
     expected = per_angle_rows(beta, grid, **options)
     assert np.array_equal(rows, expected)
     assert np.array_equal(np.signbit(rows), np.signbit(expected))
+
+
+@pytest.mark.parametrize("beta", [1.0, math.inf],
+                         ids=["near-degenerate", "near-degenerate-ground-state"])
+def test_array_sweep_refuses_chained_work_values(beta):
+    """A joint's support could split a group that spans the gap tolerance, so the
+    sweep refuses such spectra; the per-angle API still evaluates them."""
+    from workreal import InvalidParameterError
+    with pytest.raises(InvalidParameterError, match="spans"):
+        tls_theta_sweep(beta=beta, theta_grid=EDGE_GRID, spectra=NEAR_DEGENERATE)
 
 
 def test_oracle_cases_reach_their_edges():
