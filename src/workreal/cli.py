@@ -304,7 +304,11 @@ def run(config: SweepConfig) -> int:
         for problem in problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 2
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"config error: out_dir: {err}", file=sys.stderr)
+        return 2
     started = time.monotonic()
     try:
         written, budgets_ok = EXPERIMENTS[config.experiment][0](config)

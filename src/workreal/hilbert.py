@@ -9,8 +9,11 @@ into a spectrum.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
+from functools import lru_cache, wraps
+from pathlib import Path
 
 import numpy as np
 
@@ -136,6 +139,45 @@ class UnitaryPropagator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+@lru_cache(maxsize=1)
+def _blas_pools() -> list[tuple]:
+    """(get, set) thread-count functions of the scipy-openblas libraries mapped into
+    the process (numpy's ILP64 one, scipy's LP64 one) when first asked."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return []
+    pools = []
+    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            if hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
+                get, put = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}")
+                            for verb in ("get", "set"))
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pools.append((get, put))
+    return pools
+
+
+def _on_one_blas_thread(fn):
+    """`fn` with every pool of `_blas_pools` set to one thread while it runs, each
+    set back to its former count afterwards, also when `fn` raises.  It wraps the
+    squeeze kernel, its eigensolver (see the `squeezing` module doc) and the
+    transition product of the measured (t2, t0) marginal in `protocol`."""
+    @wraps(fn)
+    def pinned(*args, **kwargs):
+        counts = [(put, get()) for get, put in _blas_pools()]
+        for put, _ in counts:
+            put(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            for put, count in counts:
+                put(count)
+    return pinned
 
 
 def transition_probabilities(u: UnitaryPropagator | np.ndarray) -> np.ndarray:

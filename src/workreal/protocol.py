@@ -14,7 +14,10 @@ no-middle branch composes the propagators first and is kept separate throughout.
 from __future__ import annotations
 
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import chdtrc, logsumexp
@@ -24,6 +27,7 @@ from .hilbert import (
     DiagonalDensity,
     EnergySpectrum,
     UnitaryPropagator,
+    _on_one_blas_thread,
     compose_propagators,
     transition_probabilities,
 )
@@ -167,7 +171,8 @@ class JointDistribution3:
         if self._cube is not None:
             probs = self._cube.sum(axis=1)
         else:
-            probs = (self._trans21 @ self._trans10) * self._populations[None, :]
+            probs = (_composed_transitions(self._trans21, self._trans10)
+                     * self._populations[None, :])
         return JointDistribution(probs, self.spectra[0], self.spectra[2],
                                  norm_tol=self.norm_tol)
 
@@ -175,6 +180,14 @@ class JointDistribution3:
         if self._cube is not None:
             return self._cube.sum(axis=(0, 2))
         return self._trans10 @ self._populations
+
+
+@_on_one_blas_thread
+def _composed_transitions(trans21: np.ndarray, trans10: np.ndarray) -> np.ndarray:
+    """trans21 @ trans10, the transitions from k0 to k2 summed over k1, on one BLAS
+    thread: at the oscillator's 257 levels an unpinned product wakes OpenBLAS's
+    pool, which costs more than the product."""
+    return np.matmul(trans21, trans10)
 
 
 def two_time_joint(rho0: DiagonalDensity, u: UnitaryPropagator,
@@ -354,45 +367,82 @@ def sample_trajectories(rho0: DiagonalDensity, u10: UnitaryPropagator,
     the outcome the count of CDF entries <= u in the sample's conditioning column,
     bit-identical to per-column inversion.  The uniforms are those of three
     successive `default_rng(seed).random(n_samples)` calls: one PCG64 stream, of
-    which stage s reads its n_samples draws through a generator advanced to
-    s * n_samples.  Samples are drawn and counted in chunks of `_CHUNK`, so memory
-    does not grow with `n_samples`.  Equal seeds give bit-identical tables.
+    which stage s reads its n_samples draws from position s * n_samples on.  The
+    samples are split into contiguous blocks, one per usable CPU and never more
+    than there are `_CHUNK`s; each block reaches its stretch of every stage by
+    jump-ahead (`_count_block`), so the blocks run side by side on threads and
+    their integer counts are summed.  Every sample reads the same three stream
+    positions whatever the split, so equal seeds give bit-identical tables for
+    any CPU count.  With one block it runs on the calling thread.  Memory does
+    not grow with `n_samples`.
     """
     if n_samples < 1:
         raise InvalidParameterError("n_samples must be at least 1")
     seeds = np.random.SeedSequence(seed)
-    g0, g1, g2 = (np.random.Generator(np.random.PCG64(seeds).advance(s * n_samples))
-                  for s in range(3))
-    populations = rho0.populations[:, None]
-    trans10 = transition_probabilities(u10)
-    trans21 = transition_probabilities(u21)
+    cdfs = (_column_cdfs(rho0.populations[:, None]),
+            _column_cdfs(transition_probabilities(u10)),
+            _column_cdfs(transition_probabilities(u21)))
     dims = (u21.dim, u10.dim, rho0.dim)
-    counts = np.zeros(dims[0] * dims[1] * dims[2], dtype=np.int64)
-    for start in range(0, n_samples, _CHUNK):
-        size = min(_CHUNK, n_samples - start)
-        k0 = _sample_categorical(populations, 0, g0.random(size))
-        k1 = _sample_categorical(trans10, k0, g1.random(size))
-        k2 = _sample_categorical(trans21, k1, g2.random(size))
-        k2 *= dims[1]
-        k2 += k1
-        k2 *= dims[2]
-        k2 += k0  # the flat (k2, k1, k0) index
-        counts += np.bincount(k2, minlength=counts.size)
+    count = partial(_count_block, cdfs, dims, seeds, n_samples)
+    n_blocks = min(_usable_cpus(), -(-n_samples // _CHUNK))
+    if n_blocks == 1:
+        counts = count(0, n_samples)
+    else:
+        bounds = [n_samples * k // n_blocks for k in range(n_blocks + 1)]
+        with futures.ThreadPoolExecutor(n_blocks) as pool:
+            counts = sum(pool.map(count, bounds[:-1], bounds[1:]))
     s0 = rho0.spectrum
     spectra = (s0, _relabel(s0, s0.label + 1), _relabel(s0, s0.label + 2))
     return JointDistribution3.from_cube(counts.reshape(dims) / n_samples, spectra,
                                         sample_count=n_samples)
 
 
-def _sample_categorical(columns: np.ndarray, conditions, u: np.ndarray) -> np.ndarray:
-    """outcome[j] ~ columns[:, conditions[j]], inverted at the uniform u[j].
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of the machine's where that is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _count_block(cdfs, dims, seeds, n_samples: int, start: int, stop: int) -> np.ndarray:
+    """Flat (k2, k1, k0) counts of the samples start..stop - 1 of `sample_trajectories`.
+
+    Stage s of sample j reads position s * n_samples + j of the stream of `seeds`,
+    so the block's stage-s generator is advanced to s * n_samples + start.  It
+    draws and counts `_CHUNK` samples at a time.
+    """
+    gens = [np.random.Generator(np.random.PCG64(seeds).advance(s * n_samples + start))
+            for s in range(3)]
+    counts = np.zeros(dims[0] * dims[1] * dims[2], dtype=np.int64)
+    for chunk in range(start, stop, _CHUNK):
+        size = min(_CHUNK, stop - chunk)
+        k0 = _sample_categorical(cdfs[0], 0, gens[0].random(size))
+        k1 = _sample_categorical(cdfs[1], k0, gens[1].random(size))
+        k2 = _sample_categorical(cdfs[2], k1, gens[2].random(size))
+        k2 *= dims[1]
+        k2 += k1
+        k2 *= dims[2]
+        k2 += k0  # the flat (k2, k1, k0) index
+        counts += np.bincount(k2, minlength=counts.size)
+    return counts
+
+
+def _column_cdfs(columns: np.ndarray) -> np.ndarray:
+    """The CDF of each column, scaled so that its last entry is exactly 1."""
+    cdf = np.cumsum(columns, axis=0)
+    cdf /= cdf[-1, :]
+    return cdf
+
+
+def _sample_categorical(cdf: np.ndarray, conditions, u: np.ndarray) -> np.ndarray:
+    """outcome[j] drawn from column conditions[j] of `cdf` (`_column_cdfs`) at the
+    uniform u[j].
 
     Each CDF column is non-decreasing, so counting entries <= u gives
     `searchsorted(cdf[:, col], u, side="right")`; the last row, x / x = 1 > u,
     never counts.  A one-column stage passes the scalar column index 0.
     """
-    cdf = np.cumsum(columns, axis=0)
-    cdf /= cdf[-1, :]
     out = np.zeros(u.size, dtype=np.intp)
     for row in cdf[:-1]:
         out += row[conditions] <= u

@@ -65,6 +65,8 @@ another thread's BLAS calls run single-threaded meanwhile, and pinned calls from
 two threads at once can leave the pools at one thread.  Where no OpenBLAS is
 found (other platforms or builds), both run unpinned; the kernel computes the
 same entries from a given basis, which may then depend on the thread count.
+The pin lives in `hilbert`, because `protocol` uses it too, for the transition
+product of the measured (t2, t0) marginal.
 
 Every oscillator K_en (the point function, each grid cell, each beta-sweep
 point) goes through one per-(beta, n_max) routine, `_Legs`.  Its oracle is
@@ -85,13 +87,12 @@ arbitrary precision as a second one.
 
 from __future__ import annotations
 
-import ctypes
 import importlib.machinery
 import importlib.util
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +100,8 @@ import scipy
 
 from .entropy import _nats
 from .errors import InvalidParameterError, TruncationError
-from .hilbert import EnergySpectrum, UnitaryPropagator, _gibbs_populations
+from .hilbert import (EnergySpectrum, UnitaryPropagator, _blas_pools, _gibbs_populations,
+                      _on_one_blas_thread)
 from .protocol import JointDistribution, JointDistribution3
 from .tables import SweepTable, contour_points
 
@@ -168,43 +170,6 @@ _dstevd = _load_dstevd()
 
 def _aligned(n: int) -> int:
     return -(-n // ALIGN) * ALIGN
-
-
-@lru_cache(maxsize=1)
-def _blas_pools() -> list[tuple]:
-    """(get, set) thread-count functions of the scipy-openblas libraries mapped into
-    the process (numpy's ILP64 one, scipy's LP64 one) when first asked."""
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return []
-    pools = []
-    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line}):
-        lib = ctypes.CDLL(path)
-        for suffix in ("64_", ""):
-            if hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
-                get, put = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}")
-                            for verb in ("get", "set"))
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                pools.append((get, put))
-    return pools
-
-
-def _on_one_blas_thread(fn):
-    """`fn` with every pool of `_blas_pools` set to one thread while it runs, each
-    set back to its former count afterwards, also when `fn` raises."""
-    @wraps(fn)
-    def pinned(*args, **kwargs):
-        counts = [(put, get()) for get, put in _blas_pools()]
-        for put, _ in counts:
-            put(1)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            for put, count in counts:
-                put(count)
-    return pinned
 
 
 @lru_cache(maxsize=8)

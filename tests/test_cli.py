@@ -388,6 +388,16 @@ class TestConfigFile:
         assert ":1:" in err and "experiment" in err
         assert not list(tmp_path.rglob("*.csv"))
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, below):
+        """--out at an existing file, or below one, is a configuration error,
+        not a FileExistsError or NotADirectoryError traceback."""
+        existing = tmp_path / "taken"
+        existing.write_text("keep\n", encoding="utf-8")
+        assert run_cli(["tls-theta", "--grid-spec", "0:1:3", "--out", existing / below]) == 2
+        assert "config error: out_dir:" in capsys.readouterr().err
+        assert existing.read_text(encoding="utf-8") == "keep\n"
+
     def test_out_dir_key_and_out_flag_precedence(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(f"out_dir = {tmp_path / 'from_config'}\ngrid_spec = 0:1:3\n",

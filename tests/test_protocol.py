@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -418,27 +419,26 @@ def _stochastic_columns(rng, dim, n_cols, zero_fraction):
 @pytest.mark.parametrize("dim", [2, 3, 5])
 @pytest.mark.parametrize("zero_fraction", [0.0, 0.4])
 def test_stage_draw_equals_per_column_oracle(dim, zero_fraction, seed):
-    from workreal.protocol import _sample_categorical
+    from workreal.protocol import _column_cdfs, _sample_categorical
     gen = np.random.default_rng([dim, seed])
     columns = _stochastic_columns(gen, dim, dim, zero_fraction)
     if zero_fraction:  # a zero first row in one column, a zero last row in another
         columns[0, 0] = columns[-1, -1] = 0.0
         columns /= columns.sum(axis=0)
+    cdf = _column_cdfs(columns)
     conditions = gen.integers(dim, size=20_000)
     u = np.random.default_rng(seed).random(conditions.size)
-    assert np.array_equal(_sample_categorical(columns, conditions, u),
+    assert np.array_equal(_sample_categorical(cdf, conditions, u),
                           _per_column_oracle(columns, conditions, u))
 
     single = _stochastic_columns(gen, dim, 1, zero_fraction)
-    assert np.array_equal(_sample_categorical(single, 0, u),
+    assert np.array_equal(_sample_categorical(_column_cdfs(single), 0, u),
                           _per_column_oracle(single, np.zeros(u.size, dtype=int), u))
 
     # uniforms that land exactly on CDF entries, where `<` and `<=` part ways
-    cdf = np.cumsum(columns, axis=0)
-    cdf /= cdf[-1, :]
     conditions = np.repeat(np.arange(dim), dim)
     u = np.concatenate([np.append(cdf[:-1, col], 0.0) for col in range(dim)])
-    assert np.array_equal(_sample_categorical(columns, conditions, u),
+    assert np.array_equal(_sample_categorical(cdf, conditions, u),
                           _per_column_oracle(columns, conditions, u))
 
 
@@ -471,8 +471,113 @@ def test_chunked_draw_equals_one_shot_oracle(dim):
     assert np.rint(unseeded.probs * n).sum() == n
 
 
+def _block_inputs(dim, n):
+    """`_count_block`'s leading arguments for a random dim-level protocol."""
+    from workreal.protocol import _column_cdfs
+    gen = np.random.default_rng(dim)
+    rho0 = build_thermal_state(EnergySpectrum(np.sort(gen.uniform(0, 2, dim))), 0.7)
+    u10, u21 = (UnitaryPropagator(random_unitary(gen, dim)) for _ in range(2))
+    cdfs = tuple(_column_cdfs(c) for c in (rho0.populations[:, None],
+                                            abs(u10.matrix) ** 2, abs(u21.matrix) ** 2))
+    return cdfs, (dim, dim, dim), np.random.SeedSequence(2024), n
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocks_sum_to_one_block(dim):
+    """Any split of the samples into contiguous blocks, at points that are not
+    multiples of _CHUNK, counts what one block over all of them counts."""
+    from workreal.protocol import _CHUNK, _count_block
+    n = 3 * _CHUNK + 5
+    inputs = _block_inputs(dim, n)
+    whole = _count_block(*inputs, 0, n)
+    assert whole.sum() == n
+    for points in ([1], [n - 1], [1, n - 1], [7, _CHUNK + 3, 2 * _CHUNK - 1],
+                   [n // 3, 2 * n // 3]):
+        bounds = [0, *points, n]
+        parts = [_count_block(*inputs, a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert np.array_equal(sum(parts), whole)
+
+
+@pytest.mark.parametrize("cpus, n_blocks", [(1, 1), (2, 2), (64, 3)])
+def test_one_block_per_cpu_and_never_more_than_chunks(monkeypatch, cpus, n_blocks):
+    """2 * _CHUNK + 1 samples span three chunks: the blocks cover [0, n) in order,
+    one per usable CPU but never more than the chunks, a single block runs on
+    the calling thread, and the counts do not depend on the split."""
+    import threading
+
+    from workreal import protocol
+    n = 2 * protocol._CHUNK + 1
+    calls = []
+    count_block = protocol._count_block
+
+    def recording(*args):
+        calls.append((args[-2], args[-1], threading.get_ident()))
+        return count_block(*args)
+
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(protocol, "_count_block", recording)
+    empirical = sample_trajectories(thermal(), rotation(1.1), rotation(0.4), n, 2024)
+    monkeypatch.undo()
+    reference = sample_trajectories(thermal(), rotation(1.1), rotation(0.4), n, 2024)
+    assert np.array_equal(empirical.probs, reference.probs)
+    blocks = sorted(call[:2] for call in calls)
+    assert len(blocks) == n_blocks
+    assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
+    assert blocks[-1][1] == n
+    if n_blocks == 1:
+        assert calls[0][2] == threading.get_ident()
+
+
+def test_worker_block_error_reaches_the_caller(monkeypatch):
+    """An exception in a block that runs on a worker thread is raised by
+    sample_trajectories itself, not turned into a normalization error."""
+    from workreal import protocol
+    count_block = protocol._count_block
+
+    def failing(*args):
+        if args[-2] > 0:
+            raise RuntimeError("block failed")
+        return count_block(*args)
+
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(protocol, "_count_block", failing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        sample_trajectories(thermal(), rotation(1.1), rotation(0.4), 4 * protocol._CHUNK, 1)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_counts_do_not_depend_on_the_cpu_count():
+    """10^6 samples give the same counts in a process pinned to one CPU as in one
+    that may use them all."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import workreal
+    src = str(Path(workreal.__file__).resolve().parents[1])
+    code = (
+        "import math, os, sys\n"
+        "if sys.argv[1] == 'one':\n"
+        "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from workreal import (TlsAngles, build_thermal_state, sample_trajectories,\n"
+        "                      tls_propagator, tls_spectrum)\n"
+        "from workreal.protocol import _usable_cpus\n"
+        "u = tls_propagator(TlsAngles(math.pi / 3))\n"
+        "rho0 = build_thermal_state(tls_spectrum(0), 1.0)\n"
+        "empirical = sample_trajectories(rho0, u, u, 1_000_000, 3)\n"
+        "print(_usable_cpus(), (empirical.probs * 1_000_000).astype(int).ravel().tolist())\n"
+    )
+    runs = {}
+    for cpus in ("one", "all"):
+        result = subprocess.run([sys.executable, "-c", code, cpus], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert result.returncode == 0, result.stderr
+        runs[cpus] = result.stdout.split(" ", 1)
+    assert runs["one"][0] == "1"
+    assert runs["one"][1] == runs["all"][1]
+
+
 def test_sampler_memory_does_not_grow_with_sample_count():
-    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -494,6 +599,38 @@ def test_sampler_memory_does_not_grow_with_sample_count():
                             env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert result.returncode == 0, result.stderr
     assert float(result.stdout) < 16.0  # MiB; the one-shot draw grew by about 156
+
+
+def test_measured_marginal_product_runs_on_one_blas_thread(monkeypatch):
+    """Both OpenBLAS pools read one thread inside the transition product of the
+    measured (t2, t0) marginal and are back at their former counts after it."""
+    from workreal.hilbert import _blas_pools
+    pools = _blas_pools()
+    assert len(pools) == 2
+
+    def counts():
+        return [get() for get, _ in pools]
+
+    joint3 = oscillator_three_time(1.0, 0.3, 0.3, n_max=64).joint3
+    former = counts()
+    inside = []
+    matmul = np.matmul
+
+    def recording(*args):
+        inside.append(counts())
+        return matmul(*args)
+
+    monkeypatch.setattr(np, "matmul", recording)
+    try:
+        for _, put in pools:
+            put(2)
+        joint3.marginal_t2_t0()
+        assert inside == [[1, 1]]
+        assert counts() == [2, 2]
+    finally:
+        for (_, put), count in zip(pools, former):
+            put(count)
+    assert counts() == former
 
 
 def test_pvalue_equals_scipy_stats_chi2():
