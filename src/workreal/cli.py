@@ -110,7 +110,7 @@ def parse_grid_spec(spec: str) -> np.ndarray:
     try:
         if len(parts) == 4 and parts[0] == "geom":
             start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
-            if start <= 0 or stop <= start or count < 2:
+            if not 0 < start < stop < math.inf or count < 2:
                 raise ValueError
             return np.geomspace(start, stop, count)
         if len(parts) == 3:
@@ -118,7 +118,7 @@ def parse_grid_spec(spec: str) -> np.ndarray:
             if count < 1 or not (math.isfinite(start) and math.isfinite(stop)):
                 raise ValueError
             return np.linspace(start, stop, count)
-    except ValueError:
+    except (ValueError, MemoryError):  # MemoryError: a count no array can hold
         pass
     raise InvalidParameterError(
         f"cannot parse grid spec {spec!r} (want start:stop:count, geom:..., or a value list)")
@@ -276,9 +276,9 @@ def _run_mc_crosscheck(config: SweepConfig) -> tuple[list[Path], bool]:
     rho0 = build_thermal_state(tls_spectrum(0), beta)
     exact = three_time_joint(rho0, u, u)
     empirical = sample_trajectories(rho0, u, u, config.n_samples, config.seed)
-    pvalue = empirical_chi_squared_pvalue(empirical, exact)
-    exact_cube = exact.probs
-    rows = [(k2, k1, k0, empirical.probs[k2, k1, k0], exact_cube[k2, k1, k0])
+    pvalue = empirical_chi_squared_pvalue(empirical, config.n_samples, exact)
+    exact_probs = exact.probs
+    rows = [(k2, k1, k0, empirical[k2, k1, k0], exact_probs[k2, k1, k0])
             for k2, k1, k0 in np.ndindex(2, 2, 2)]
     table = SweepTable(["k2", "k1", "k0", "empirical", "exact"], np.array(rows),
                        meta={**_base_meta(config), "theta": theta, "beta": beta,

@@ -140,25 +140,15 @@ def grouped_entropy(probs, grouping, base: float = math.e) -> tuple[EntropyRepor
             within / log_base)
 
 
-def work_entropy(workdist: WorkDistribution, view: str | None = None,
-                 base: float = math.e) -> EntropyReport:
-    """Entropy of a work distribution.
+def work_entropy(workdist: WorkDistribution, base: float = math.e) -> EntropyReport:
+    """Entropy of a work distribution, in the view it was built in.
 
     With no-degeneracy spectra the fine-grained value equals the joint outcome
     entropy; the grouped value is smaller by the within-group remainder of the
-    grouping identity.  A fine-grained distribution can be re-grouped on the fly;
-    the reverse is impossible.
+    grouping identity.
     """
-    if view is None or view == workdist.view:
-        target = workdist
-    elif workdist.view == "fine" and view == "grouped":
-        target = workdist.grouped()
-    else:
-        raise InvalidParameterError(
-            f"cannot view a {workdist.view} distribution as {view!r}"
-        )
-    return EntropyReport(_nats(target.probabilities) / math.log(base), base,
-                         int((target.probabilities > 0).sum()))
+    return EntropyReport(_nats(workdist.probabilities) / math.log(base), base,
+                         int((workdist.probabilities > 0).sum()))
 
 
 def entropy_rows(probs: np.ndarray, base: float = math.e) -> np.ndarray:

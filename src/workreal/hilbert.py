@@ -180,10 +180,9 @@ def _on_one_blas_thread(fn):
     return pinned
 
 
-def transition_probabilities(u: UnitaryPropagator | np.ndarray) -> np.ndarray:
+def transition_probabilities(u: UnitaryPropagator) -> np.ndarray:
     """|U_{ji}|^2, the probability to land on j given the earlier outcome i."""
-    matrix = u.matrix if isinstance(u, UnitaryPropagator) else np.asarray(u)
-    return np.abs(matrix) ** 2
+    return np.abs(u.matrix) ** 2
 
 
 def _gibbs_populations(levels: np.ndarray, beta: float) -> np.ndarray:

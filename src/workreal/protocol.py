@@ -84,102 +84,65 @@ class JointDistribution:
         return self.probs.sum(axis=1)
 
 
+@dataclass(frozen=True)
 class JointDistribution3:
-    """p(k2, k1, k0) for three sequential energy measurements.
-
-    Exact protocols are stored in factorized form (two transition matrices plus the
-    initial populations); the full cube is materialized only on demand, so large
-    truncated-oscillator protocols stay cheap.  Empirical frequency tables from the
-    trajectory sampler store the cube directly with a `sample_count` annotation.
+    """p(k2, k1, k0) for three sequential energy measurements, in factorized form:
+    two transition matrices plus the initial populations.  The full cube is
+    materialized only on demand, so large truncated-oscillator protocols stay
+    cheap.  The trajectory sampler returns a plain frequency array, not this.
     """
 
-    def __init__(self, spectra, *, trans10=None, trans21=None, populations=None,
-                 cube=None, sample_count=None, norm_tol: float = JOINT_NORM_TOL):
-        self.spectra = tuple(spectra)  # (t0, t1, t2)
+    trans21: np.ndarray
+    trans10: np.ndarray
+    populations: np.ndarray
+    spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum]  # (t0, t1, t2)
+    norm_tol: float = JOINT_NORM_TOL
+
+    def __post_init__(self):
+        for name in ("trans21", "trans10", "populations"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "spectra", tuple(self.spectra))
         if len(self.spectra) != 3:
             raise InvalidParameterError("three spectra are required")
-        self.sample_count = sample_count
-        self.norm_tol = norm_tol
-        self._trans10 = trans10
-        self._trans21 = trans21
-        self._populations = populations
-        self._cube = cube
-        if abs(self.total_mass() - 1.0) > norm_tol:
+        if (self.trans10.shape[1] != self.populations.size
+                or self.trans21.shape[1] != self.trans10.shape[0]):
+            raise InvalidParameterError("factor dimensions are inconsistent")
+        if abs(self.total_mass() - 1.0) > self.norm_tol:
             raise InvalidParameterError(
                 f"three-time joint not normalized: off by {self.total_mass() - 1.0:.3e}"
             )
 
-    @classmethod
-    def from_factors(cls, trans21, trans10, populations, spectra,
-                     norm_tol: float = JOINT_NORM_TOL) -> "JointDistribution3":
-        trans21 = np.asarray(trans21, dtype=float)
-        trans10 = np.asarray(trans10, dtype=float)
-        populations = np.asarray(populations, dtype=float)
-        if trans10.shape[1] != populations.size or trans21.shape[1] != trans10.shape[0]:
-            raise InvalidParameterError("factor dimensions are inconsistent")
-        return cls(spectra, trans10=trans10, trans21=trans21,
-                   populations=populations, norm_tol=norm_tol)
-
-    @classmethod
-    def from_cube(cls, cube, spectra, sample_count=None) -> "JointDistribution3":
-        cube = np.asarray(cube, dtype=float)
-        if cube.ndim != 3:
-            raise InvalidParameterError("cube must have three axes (k2, k1, k0)")
-        if np.any(cube < 0):
-            raise InvalidParameterError("probabilities must be non-negative")
-        return cls(spectra, cube=cube, sample_count=sample_count)
-
     @property
     def probs(self) -> np.ndarray:
-        """The full cube p[k2, k1, k0]; formed afresh on each read for factorized
-        protocols, whose marginals keep coming from the factors."""
-        if self._cube is not None:
-            return self._cube
-        leg1 = self._trans10 * self._populations[None, :]
-        return self._trans21[:, :, None] * leg1[None, :, :]
+        """The full cube p[k2, k1, k0], formed afresh on each read; the marginals
+        come from the factors."""
+        leg1 = self.trans10 * self.populations[None, :]
+        return self.trans21[:, :, None] * leg1[None, :, :]
 
     def total_mass(self) -> float:
-        if self._cube is not None:
-            return float(self._cube.sum())
-        p1 = self._trans10 @ self._populations
-        return float(self._trans21.sum(axis=0) @ p1)
+        return float(self.trans21.sum(axis=0) @ self.marginal_t1())
 
     def marginal_t1_t0(self) -> JointDistribution:
-        """Sum over k2.  In factorized form this is the first-leg joint itself,
-        because the k2 transition columns each sum to one up to the declared
-        normalization tolerance."""
-        if self._cube is not None:
-            probs = self._cube.sum(axis=0)
-        else:
-            probs = self._trans10 * self._populations[None, :]
-        return JointDistribution(probs, self.spectra[0], self.spectra[1],
-                                 norm_tol=self.norm_tol)
+        """Sum over k2: the first-leg joint itself, because the k2 transition
+        columns each sum to one up to the declared normalization tolerance."""
+        return JointDistribution(self.trans10 * self.populations[None, :],
+                                 self.spectra[0], self.spectra[1], norm_tol=self.norm_tol)
 
     def marginal_t2_t1(self) -> JointDistribution:
-        if self._cube is not None:
-            probs = self._cube.sum(axis=2)
-        else:
-            p1 = self._trans10 @ self._populations
-            probs = self._trans21 * p1[None, :]
-        return JointDistribution(probs, self.spectra[1], self.spectra[2],
-                                 norm_tol=self.norm_tol)
+        return JointDistribution(self.trans21 * self.marginal_t1()[None, :],
+                                 self.spectra[1], self.spectra[2], norm_tol=self.norm_tol)
 
     def marginal_t2_t0(self) -> JointDistribution:
         """Sum over the middle outcome.  This is the *measured* (t2, t0) marginal;
         it differs from the no-middle-measurement joint whenever the middle
         measurement is invasive."""
-        if self._cube is not None:
-            probs = self._cube.sum(axis=1)
-        else:
-            probs = (_composed_transitions(self._trans21, self._trans10)
-                     * self._populations[None, :])
+        probs = (_composed_transitions(self.trans21, self.trans10)
+                 * self.populations[None, :])
         return JointDistribution(probs, self.spectra[0], self.spectra[2],
                                  norm_tol=self.norm_tol)
 
     def marginal_t1(self) -> np.ndarray:
-        if self._cube is not None:
-            return self._cube.sum(axis=(0, 2))
-        return self._trans10 @ self._populations
+        return self.trans10 @ self.populations
 
 
 @_on_one_blas_thread
@@ -211,9 +174,8 @@ def three_time_joint(rho0: DiagonalDensity, u10: UnitaryPropagator, u21: Unitary
     s0 = rho0.spectrum
     s1 = spectrum_1 if spectrum_1 is not None else _relabel(s0, s0.label + 1)
     s2 = spectrum_2 if spectrum_2 is not None else _relabel(s0, s0.label + 2)
-    return JointDistribution3.from_factors(
-        transition_probabilities(u21), transition_probabilities(u10),
-        rho0.populations, (s0, s1, s2))
+    return JointDistribution3(transition_probabilities(u21), transition_probabilities(u10),
+                              rho0.populations, (s0, s1, s2))
 
 
 def two_time_joint_skipping_middle(rho0: DiagonalDensity, u10: UnitaryPropagator,
@@ -360,8 +322,9 @@ def jarzynski_deviation(workdist: WorkDistribution, beta: float, delta_f: float)
 
 def sample_trajectories(rho0: DiagonalDensity, u10: UnitaryPropagator,
                         u21: UnitaryPropagator, n_samples: int,
-                        seed: int | None) -> JointDistribution3:
-    """Monte Carlo frequency table of (k0, k1, k2) outcome triples.
+                        seed: int | None) -> np.ndarray:
+    """Monte Carlo frequencies of the (k0, k1, k2) outcome triples: the array
+    `freq[k2, k1, k0]` of counts divided by `n_samples`.
 
     Each stage (k0, then k1, then k2) draws one uniform u per sample and takes as
     the outcome the count of CDF entries <= u in the sample's conditioning column,
@@ -391,10 +354,7 @@ def sample_trajectories(rho0: DiagonalDensity, u10: UnitaryPropagator,
         bounds = [n_samples * k // n_blocks for k in range(n_blocks + 1)]
         with futures.ThreadPoolExecutor(n_blocks) as pool:
             counts = sum(pool.map(count, bounds[:-1], bounds[1:]))
-    s0 = rho0.spectrum
-    spectra = (s0, _relabel(s0, s0.label + 1), _relabel(s0, s0.label + 2))
-    return JointDistribution3.from_cube(counts.reshape(dims) / n_samples, spectra,
-                                        sample_count=n_samples)
+    return counts.reshape(dims) / n_samples
 
 
 def _usable_cpus() -> int:
@@ -455,18 +415,16 @@ def total_variation_distance(a: JointDistribution, b: JointDistribution) -> floa
     return 0.5 * float(np.abs(a.probs - b.probs).sum())
 
 
-def empirical_chi_squared_pvalue(empirical: JointDistribution3,
+def empirical_chi_squared_pvalue(frequencies: np.ndarray, n_samples: int,
                                  exact: JointDistribution3) -> float:
-    """Goodness-of-fit p-value of a sampled frequency table against the exact cube.
+    """Goodness-of-fit p-value of sampled frequencies (`sample_trajectories`, drawn
+    from `n_samples` samples) against the exact cube.
 
     Cells with zero exact probability must be empty in the sample; remaining cells
     enter a standard chi-squared statistic with (support - 1) degrees of freedom.
     """
-    n = empirical.sample_count
-    if n is None:
-        raise InvalidParameterError("first argument must be a sampled frequency table")
-    observed = empirical.probs * n
-    expected = exact.probs * n
+    observed = frequencies * n_samples
+    expected = exact.probs * n_samples
     support = expected > 0
     if np.any(observed[~support] > 0):
         return 0.0

@@ -477,7 +477,7 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
     deficit_no_middle = 1.0 - float(t_total.sum(axis=0) @ pops)
     budget = _checked_budget(tail, deficit_measured, deficit_no_middle, beta, r1, r2,
                              n_max)
-    joint3 = JointDistribution3.from_factors(t2, t1, pops, spectra, norm_tol=budget)
+    joint3 = JointDistribution3(t2, t1, pops, spectra, norm_tol=budget)
     no_middle = JointDistribution(t_total * pops[None, :], spectra[0], spectra[2],
                                   norm_tol=budget)
     return OscillatorProtocol(joint3, no_middle, n_max, budget, spectra)

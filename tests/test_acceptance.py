@@ -256,13 +256,13 @@ def test_criterion_10_property_suites(rng):
                          - two_time_joint(rho, u).probs).max() < 1e-15)
     # Monte Carlo agreement
     empirical = sample_trajectories(rho, u, u, n_samples=100_000, seed=5)
-    checks.append(empirical_chi_squared_pvalue(empirical, joint3) > 0.001)
+    checks.append(empirical_chi_squared_pvalue(empirical, 100_000, joint3) > 0.001)
     # classical surrogates cannot violate either bound
     for _ in range(200):
         dim = int(rng.integers(2, 5))
         spectra = tuple(tls_spectrum(k, tuple(np.sort(rng.uniform(0, 2, dim))))
                         for k in range(3))
-        surrogate = JointDistribution3.from_factors(
+        surrogate = JointDistribution3(
             random_stochastic_columns(rng, dim), random_stochastic_columns(rng, dim),
             rng.dirichlet(np.ones(dim)), spectra)
         no_middle = surrogate.marginal_t2_t0()

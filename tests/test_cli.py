@@ -21,8 +21,11 @@ def test_grid_spec_forms():
     np.testing.assert_allclose(parse_grid_spec("0:1:3"), [0.0, 0.5, 1.0])
     np.testing.assert_allclose(parse_grid_spec("geom:0.1:10:3"), [0.1, 1.0, 10.0])
     np.testing.assert_allclose(parse_grid_spec("0.5,1.5,2"), [0.5, 1.5, 2.0])
-    with pytest.raises(InvalidParameterError):
-        parse_grid_spec("junk")
+    # an infinite geometric end, and a count no array can hold (10^15 doubles exceed
+    # any user address space, so the allocation fails at once)
+    for spec in ("junk", "geom:0.004:inf:20", "0:1:1000000000000000"):
+        with pytest.raises(InvalidParameterError):
+            parse_grid_spec(spec)
     with pytest.raises(InvalidParameterError):
         parse_value_list("1,two,3")
 
@@ -411,6 +414,14 @@ class TestConfigFile:
     def test_invalid_values_diagnosed(self, tmp_path, capsys):
         assert run_cli(["tls-theta", "--out", tmp_path, "--beta", "-1"]) == 2
         assert "beta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, spec", [
+        ("squeeze-beta", "geom:0.004:inf:20"), ("tls-theta", "0:1:1000000000000000"),
+    ])
+    def test_unusable_grid_spec_exits_2(self, tmp_path, capsys, experiment, spec):
+        assert run_cli([experiment, "--out", tmp_path, "--grid-spec", spec]) == 2
+        assert "config error: grid_spec:" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("experiment, name, value", [
         ("jarzynski-check", "seed", "-1"), ("mc-crosscheck", "seed", "-3"),

@@ -183,7 +183,7 @@ class TestWorkEntropy:
         joint = tls_joint(math.pi / 2)
         fine_dist = work_distribution(joint, view="fine")
         fine = work_entropy(fine_dist)
-        grouped = work_entropy(fine_dist, view="grouped")
+        grouped = work_entropy(fine_dist.grouped())
         assert len(work_distribution(joint, view="grouped").works) == 3
         assert len(fine_dist.works) == 4
         groups = {}
@@ -196,11 +196,6 @@ class TestWorkEntropy:
         joint = tls_joint(1.234)
         fine = work_entropy(work_distribution(joint, view="fine"))
         assert fine.value == pytest.approx(joint_entropy(joint).value, abs=1e-12)
-
-    def test_cannot_ungroup(self):
-        dist = work_distribution(tls_joint(1.0), view="grouped")
-        with pytest.raises(InvalidParameterError):
-            work_entropy(dist, view="fine")
 
 
 def test_entropy_report_bound_is_validated():

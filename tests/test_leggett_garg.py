@@ -187,7 +187,7 @@ class TestClassicalSurrogate:
             populations = rng.dirichlet(np.ones(dim))
             s1 = random_stochastic_columns(rng, dim)
             s2 = random_stochastic_columns(rng, dim)
-            joint3 = JointDistribution3.from_factors(s2, s1, populations, spectra)
+            joint3 = JointDistribution3(s2, s1, populations, spectra)
             no_middle = joint3.marginal_t2_t0()
             mapping = DichotomicMapping(tuple(int(q) for q in
                                               rng.choice([-1, 1], size=dim)))

@@ -350,14 +350,14 @@ class TestSampler:
     def test_identity_ground_state_is_deterministic(self):
         empirical = sample_trajectories(ground(), rotation(0.0), rotation(0.0),
                                         n_samples=500, seed=3)
-        assert empirical.probs[0, 0, 0] == 1.0
+        assert empirical[0, 0, 0] == 1.0
 
     def test_seed_reproducibility(self):
         a = sample_trajectories(thermal(), rotation(1.1), rotation(0.4),
                                 n_samples=2000, seed=42)
         b = sample_trajectories(thermal(), rotation(1.1), rotation(0.4),
                                 n_samples=2000, seed=42)
-        assert np.array_equal(a.probs, b.probs)
+        assert np.array_equal(a, b)
 
     def test_frequencies_within_four_sigma(self):
         n = 1_000_000
@@ -367,20 +367,15 @@ class TestSampler:
         p = exact.probs
         sigma = np.sqrt(np.maximum(p * (1 - p) / n, 1e-30))
         mask = p > 0
-        assert np.all(np.abs(empirical.probs - p)[mask] < 4 * sigma[mask])
-        assert np.all(empirical.probs[~mask] == 0)
+        assert np.all(np.abs(empirical - p)[mask] < 4 * sigma[mask])
+        assert np.all(empirical[~mask] == 0)
 
     def test_chi_squared_agreement_over_twenty_seeds(self):
         exact = three_time_joint(thermal(), rotation(0.8), rotation(1.9))
         for seed in range(20):
             empirical = sample_trajectories(thermal(), rotation(0.8), rotation(1.9),
                                             n_samples=100_000, seed=seed)
-            assert empirical_chi_squared_pvalue(empirical, exact) > 0.001
-
-    def test_sample_count_annotation(self):
-        empirical = sample_trajectories(thermal(), rotation(0.3), rotation(0.3),
-                                        n_samples=10, seed=0)
-        assert empirical.sample_count == 10
+            assert empirical_chi_squared_pvalue(empirical, 100_000, exact) > 0.001
 
     def test_rejects_empty_request(self):
         with pytest.raises(InvalidParameterError):
@@ -394,7 +389,7 @@ class TestSampler:
         empirical = sample_trajectories(thermal(), rotation(1.1), rotation(0.4),
                                         n_samples=10_000, seed=2024)
         counts = [[[5134, 689], [74, 71]], [[217, 22], [1862, 1931]]]
-        assert np.array_equal(empirical.probs * 10_000, counts)
+        assert np.array_equal(empirical * 10_000, counts)
 
 
 def _per_column_oracle(columns, conditions, u):
@@ -465,10 +460,10 @@ def test_chunked_draw_equals_one_shot_oracle(dim):
         for seed in (0, 7, 2024):
             empirical = sample_trajectories(rho0, u10, u21, n, seed)
             counts = _one_shot_counts(rho0, u10, u21, n, seed)
-            assert np.array_equal(empirical.probs, counts / n)
+            assert np.array_equal(empirical, counts / n)
     n = 3 * _CHUNK + 5
     unseeded = sample_trajectories(rho0, u10, u21, n, None)
-    assert np.rint(unseeded.probs * n).sum() == n
+    assert np.rint(unseeded * n).sum() == n
 
 
 def _block_inputs(dim, n):
@@ -519,7 +514,7 @@ def test_one_block_per_cpu_and_never_more_than_chunks(monkeypatch, cpus, n_block
     empirical = sample_trajectories(thermal(), rotation(1.1), rotation(0.4), n, 2024)
     monkeypatch.undo()
     reference = sample_trajectories(thermal(), rotation(1.1), rotation(0.4), n, 2024)
-    assert np.array_equal(empirical.probs, reference.probs)
+    assert np.array_equal(empirical, reference)
     blocks = sorted(call[:2] for call in calls)
     assert len(blocks) == n_blocks
     assert [start for start, _ in blocks] == [0] + [stop for _, stop in blocks[:-1]]
@@ -565,7 +560,7 @@ def test_counts_do_not_depend_on_the_cpu_count():
         "u = tls_propagator(TlsAngles(math.pi / 3))\n"
         "rho0 = build_thermal_state(tls_spectrum(0), 1.0)\n"
         "empirical = sample_trajectories(rho0, u, u, 1_000_000, 3)\n"
-        "print(_usable_cpus(), (empirical.probs * 1_000_000).astype(int).ravel().tolist())\n"
+        "print(_usable_cpus(), (empirical * 1_000_000).astype(int).ravel().tolist())\n"
     )
     runs = {}
     for cpus in ("one", "all"):
@@ -639,13 +634,13 @@ def test_pvalue_equals_scipy_stats_chi2():
         exact = three_time_joint(thermal(beta), rotation(theta), rotation(theta))
         empirical = sample_trajectories(thermal(beta), rotation(theta), rotation(theta),
                                         n_samples=5_000, seed=seed)
-        observed = empirical.probs * 5_000
+        observed = empirical * 5_000
         expected = exact.probs * 5_000
         support = expected > 0
         statistic = float(((observed[support] - expected[support]) ** 2
                            / expected[support]).sum())
         reference = float(chi2.sf(statistic, int(support.sum()) - 1))
-        assert empirical_chi_squared_pvalue(empirical, exact) == reference
+        assert empirical_chi_squared_pvalue(empirical, 5_000, exact) == reference
 
 
 def test_normalization_tolerance_enforced():
@@ -656,18 +651,17 @@ def test_normalization_tolerance_enforced():
 
 
 def test_impossible_sampled_outcome_gives_zero_pvalue():
-    from workreal import JointDistribution3
     exact = three_time_joint(ground(), rotation(0.0), rotation(0.0))
     cube = np.zeros((2, 2, 2))
     cube[0, 0, 0] = 0.5
     cube[1, 1, 1] = 0.5  # unreachable under the exact dynamics
-    fake = JointDistribution3.from_cube(cube, exact.spectra, sample_count=100)
-    assert empirical_chi_squared_pvalue(fake, exact) == 0.0
+    assert empirical_chi_squared_pvalue(cube, 100, exact) == 0.0
 
 
 def test_factor_dimension_mismatch_rejected():
     from workreal import JointDistribution3
     spectra = (tls_spectrum(0), tls_spectrum(1), tls_spectrum(2))
     with pytest.raises(InvalidParameterError):
-        JointDistribution3.from_factors(np.eye(2), np.eye(3), np.array([1.0, 0.0]),
-                                        spectra)
+        JointDistribution3(np.eye(2), np.eye(3), np.array([1.0, 0.0]), spectra)
+    with pytest.raises(InvalidParameterError):
+        JointDistribution3(np.eye(2), np.eye(2), np.array([1.0, 0.0]), spectra[:2])
