@@ -51,12 +51,10 @@ from .protocol import (
     jarzynski_deviation,
     sample_trajectories,
     three_time_joint,
-    total_variation_distance,
     total_work_distribution,
     two_time_joint,
     two_time_joint_skipping_middle,
     work_distribution,
-    work_pair_distribution,
 )
 from .squeezing import (
     OscillatorProtocol,
@@ -70,7 +68,6 @@ from .squeezing import (
     select_n_max,
     squeeze_grid_sweep,
     squeeze_matrix_closed_form,
-    squeeze_matrix_exponential_oracle,
     squeeze_propagator,
     thermal_tail_mass,
 )

@@ -16,6 +16,11 @@ Every experiment takes `--config PATH` and `--out DIR`, plus its settings:
 The config file holds `key = value` lines for `out_dir` and those settings; flags
 win.  Any other flag or key exits 2.  Exit codes: 0 success (all budgets met),
 2 invalid configuration, 3 truncation budget failure.
+
+The library computes every entropy and K_en in nats.  `--entropy-base 2` converts
+at output: each runner divides its K_en columns by log 2 before the table is
+written, and squeeze-grid draws its contours on the converted grid, so the
+contour levels are in the output unit.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .protocol import (
     two_time_joint,
 )
 from .squeezing import N_MAX_CAP, beta_sweep_min_k, oscillator_three_time, squeeze_grid_sweep
-from .tables import SweepTable, write_table_csv
+from .tables import SweepTable, contour_points, write_table_csv
 from .two_level import TlsAngles, tls_propagator, tls_spectrum, tls_theta_sweep
 
 # each setting's type, and the values a convention setting allows
@@ -53,6 +58,8 @@ SETTINGS = {
     "degeneracy": (str, ("fine", "grouped")),
     "middle_entropy": (str, ("initial", "measured")),
 }
+# K_en levels of the squeeze-grid contour files, in the output unit
+CONTOUR_LEVELS = (0.0, -0.05)
 
 
 @dataclass
@@ -90,14 +97,13 @@ class SweepConfig:
         for name, parse in (("grid_spec", parse_grid_spec), ("beta_grid", parse_value_list)):
             if getattr(self, name) is not None:
                 try:
-                    parse(getattr(self, name))
+                    values = parse(getattr(self, name))
                 except InvalidParameterError as err:
                     problems.append(f"{name}: {err}")
+                    continue
+                if name == "beta_grid" and not np.all(values > 0):
+                    problems.append(f"beta_grid: must be positive, got {self.beta_grid!r}")
         return problems
-
-    @property
-    def base(self) -> float:
-        return 2.0 if self.entropy_base == "2" else math.e
 
 
 def parse_grid_spec(spec: str) -> np.ndarray:
@@ -196,6 +202,13 @@ def _base_meta(config: SweepConfig) -> dict:
     return meta
 
 
+def _in_output_base(config: SweepConfig, table: SweepTable, *columns: str) -> None:
+    """Convert the named K_en columns from the library's nats to the run's base."""
+    if config.entropy_base == "2":
+        for name in columns:
+            table.rows[:, table.columns.index(name)] /= math.log(2)
+
+
 def _write(config: SweepConfig, name: str, table: SweepTable) -> Path:
     write_table_csv(config.out_dir / name, table)
     return config.out_dir / name
@@ -204,23 +217,24 @@ def _write(config: SweepConfig, name: str, table: SweepTable) -> Path:
 def _run_tls_theta(config: SweepConfig) -> tuple[list[Path], bool]:
     beta = config.beta if config.beta is not None else 1.0
     grid = parse_grid_spec(config.grid_spec) if config.grid_spec else None
-    table = tls_theta_sweep(beta=beta, theta_grid=grid, base=config.base)
+    table = tls_theta_sweep(beta=beta, theta_grid=grid)
+    _in_output_base(config, table, "k_en_fine", "k_en_grouped")
     table.meta = {**_base_meta(config), **table.meta}
     return [_write(config, "tls_theta.csv", table)], True
 
 
 def _run_squeeze_grid(config: SweepConfig) -> tuple[list[Path], bool]:
     beta = config.beta if config.beta is not None else 0.1
-    grid = parse_grid_spec(config.grid_spec) if config.grid_spec else None
+    grid = parse_grid_spec(config.grid_spec or "0:0.1:101")
     table = squeeze_grid_sweep(beta=beta, r1_grid=grid, r2_grid=grid,
                                n_max=config.n_max, degeneracy=config.degeneracy,
-                               base=config.base, middle_entropy=config.middle_entropy)
-    contours = table.meta.pop("contours")
+                               middle_entropy=config.middle_entropy)
+    _in_output_base(config, table, "k_en")
     table.meta = {**_base_meta(config), **table.meta}
     written = [_write(config, "squeeze_grid.csv", table)]
-    for level, points in contours.items():
-        contour_table = SweepTable(["r1", "r2"],
-                                   points.reshape(-1, 2) if points.size else np.empty((0, 2)),
+    z = table.column("k_en").reshape(grid.size, grid.size)
+    for level in CONTOUR_LEVELS:
+        contour_table = SweepTable(["r1", "r2"], contour_points(grid, grid, z, level),
                                    meta={**_base_meta(config), "contour_level": level})
         written.append(_write(config, f"squeeze_grid_contour_{level:g}.csv", contour_table))
     return written, True
@@ -231,7 +245,8 @@ def _run_squeeze_beta(config: SweepConfig) -> tuple[list[Path], bool]:
         np.array([0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0])
     r_grid = parse_grid_spec(config.grid_spec) if config.grid_spec else None
     table = beta_sweep_min_k(betas, r_grid=r_grid, degeneracy=config.degeneracy,
-                             base=config.base, middle_entropy=config.middle_entropy)
+                             middle_entropy=config.middle_entropy)
+    _in_output_base(config, table, "min_k_en")
     table.meta = {**_base_meta(config), **table.meta}
     return [_write(config, "squeeze_beta.csv", table)], True
 

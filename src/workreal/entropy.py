@@ -1,13 +1,13 @@
 """Shannon, joint, and conditional entropies of outcome and work distributions.
 
-Natural logarithm by default; every macrorealism verdict downstream is sign-based
-and therefore base-independent, but reported magnitudes fix base e unless a caller
-asks for base 2.  Zero-probability entries are skipped exactly (0 log 0 := 0).
+Every entropy is in nats (natural logarithm).  The macrorealism verdicts
+downstream are sign-based and therefore independent of the logarithm base; the
+CLI converts its K_en columns to bits at output when asked.  Zero-probability
+entries are skipped exactly (0 log 0 := 0).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,11 +21,11 @@ _SILENT_SUM_TOL = 1e-12
 RANGE_TOL = 1e-9
 
 
-def _check_range(values, base: float, support_sizes) -> None:
+def _check_range(values, support_sizes) -> None:
     """Every entropy must lie in [0, log(support size)], within RANGE_TOL."""
     values = np.asarray(values, dtype=float)
     support_sizes = np.asarray(support_sizes)
-    bounds = np.log(np.maximum(support_sizes, 1)) / math.log(base)
+    bounds = np.log(np.maximum(support_sizes, 1))
     outside = ~((-RANGE_TOL <= values) & (values <= bounds + RANGE_TOL))
     if np.any(outside):
         k = np.argmax(outside)
@@ -37,11 +37,10 @@ def _check_range(values, base: float, support_sizes) -> None:
 @dataclass(frozen=True)
 class EntropyReport:
     value: float
-    base: float
     support_size: int
 
     def __post_init__(self):
-        _check_range(self.value, self.base, self.support_size)
+        _check_range(self.value, self.support_size)
 
 
 def _checked_probs(probs) -> np.ndarray:
@@ -70,19 +69,18 @@ def _row_nats(probs: np.ndarray) -> np.ndarray:
     return -(probs * np.log(np.where(probs > 0, probs, 1.0))).sum(axis=-1)
 
 
-def shannon_entropy(probs, base: float = math.e) -> EntropyReport:
+def shannon_entropy(probs) -> EntropyReport:
     """-sum p log p over the nonzero entries of `probs`."""
     probs = _checked_probs(probs)
-    return EntropyReport(_nats(probs) / math.log(base), base,
-                         int((probs > 0).sum()))
+    return EntropyReport(_nats(probs), int((probs > 0).sum()))
 
 
-def shannon_entropy_rows(probs, base: float = math.e) -> np.ndarray:
+def shannon_entropy_rows(probs) -> np.ndarray:
     """shannon_entropy(row).value for each row of `probs`, with the same checks."""
-    return entropy_rows(_checked_probs(probs), base)
+    return entropy_rows(_checked_probs(probs))
 
 
-def conditional_entropy(joint: JointDistribution, base: float = math.e) -> EntropyReport:
+def conditional_entropy(joint: JointDistribution) -> EntropyReport:
     """Mean entropy of the later outcome given the earlier one.
 
     Computed directly from the conditionals p(k_j | k_i); columns with zero
@@ -93,24 +91,22 @@ def conditional_entropy(joint: JointDistribution, base: float = math.e) -> Entro
     value = 0.0
     for i in np.nonzero(marginal > 0)[0]:
         value += marginal[i] * _nats(probs[:, i] / marginal[i])
-    return EntropyReport(value / math.log(base), base, int((probs > 0).sum()))
+    return EntropyReport(value, int((probs > 0).sum()))
 
 
-def joint_entropy(joint: JointDistribution, base: float = math.e) -> EntropyReport:
+def joint_entropy(joint: JointDistribution) -> EntropyReport:
     """-sum p(k_j, k_i) log p(k_j, k_i) over the joint support."""
-    return EntropyReport(_nats(joint.probs.ravel()) / math.log(base), base,
-                         int((joint.probs > 0).sum()))
+    return EntropyReport(_nats(joint.probs.ravel()), int((joint.probs > 0).sum()))
 
 
-def marginal_entropy(joint: JointDistribution, which: str = "earlier",
-                     base: float = math.e) -> EntropyReport:
+def marginal_entropy(joint: JointDistribution, which: str = "earlier") -> EntropyReport:
     if which not in ("earlier", "later"):
         raise InvalidParameterError(f"unknown marginal {which!r}")
     marginal = joint.marginal_earlier() if which == "earlier" else joint.marginal_later()
-    return shannon_entropy(marginal, base=base)
+    return shannon_entropy(marginal)
 
 
-def grouped_entropy(probs, grouping, base: float = math.e) -> tuple[EntropyReport, float]:
+def grouped_entropy(probs, grouping) -> tuple[EntropyReport, float]:
     """Entropy of the coarse-grained distribution plus the within-group remainder.
 
     `grouping` is a partition of the support of `probs` into index subsets I_j;
@@ -135,25 +131,23 @@ def grouped_entropy(probs, grouping, base: float = math.e) -> tuple[EntropyRepor
     for group, qj in zip(grouping, q):
         if qj > 0:
             within += qj * _nats(probs[list(group)] / qj)
-    log_base = math.log(base)
-    return (EntropyReport(_nats(q) / log_base, base, int((q > 0).sum())),
-            within / log_base)
+    return EntropyReport(_nats(q), int((q > 0).sum())), within
 
 
-def work_entropy(workdist: WorkDistribution, base: float = math.e) -> EntropyReport:
+def work_entropy(workdist: WorkDistribution) -> EntropyReport:
     """Entropy of a work distribution, in the view it was built in.
 
     With no-degeneracy spectra the fine-grained value equals the joint outcome
     entropy; the grouped value is smaller by the within-group remainder of the
     grouping identity.
     """
-    return EntropyReport(_nats(workdist.probabilities) / math.log(base), base,
+    return EntropyReport(_nats(workdist.probabilities),
                          int((workdist.probabilities > 0).sum()))
 
 
-def entropy_rows(probs: np.ndarray, base: float = math.e) -> np.ndarray:
+def entropy_rows(probs: np.ndarray) -> np.ndarray:
     """-sum p log p of each row of already normalized probabilities, range-checked
     like EntropyReport.  On `work_probability_rows` output this is work_entropy."""
-    values = _row_nats(probs) / math.log(base)
-    _check_range(values, base, (probs > 0).sum(axis=-1))
+    values = _row_nats(probs)
+    _check_range(values, (probs > 0).sum(axis=-1))
     return values

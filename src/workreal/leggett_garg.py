@@ -9,7 +9,6 @@ three-time outcome table is itself a perfectly classical joint distribution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,12 +122,6 @@ def k3_correlator_flipped(c: CorrelatorSet) -> float:
     return _k_cor_flipped(c.c01, c.c12, c.c02)
 
 
-def _require_common_base(*reports: EntropyReport) -> None:
-    bases = {r.base for r in reports}
-    if len(bases) != 1:
-        raise InvalidParameterError(f"entropy reports mix logarithm bases {bases}")
-
-
 def k3_entropic(h_w21: EntropyReport, h_w10: EntropyReport, h_w20: EntropyReport,
                 h_e1: EntropyReport) -> float:
     """(1/2)(H(w21) + H(w10) - H(w20) - H(E1)); negative iff the entropic bound fails.
@@ -136,7 +129,6 @@ def k3_entropic(h_w21: EntropyReport, h_w10: EntropyReport, h_w20: EntropyReport
     h_w20 must come from the no-middle branch and h_e1 is the entropy of the middle
     marginal of the measured protocol.
     """
-    _require_common_base(h_w21, h_w10, h_w20, h_e1)
     return _k_en(h_w21.value, h_w10.value, h_w20.value, h_e1.value)
 
 
@@ -144,8 +136,7 @@ def entropic_k3_from_protocol(rho0: DiagonalDensity, u10: UnitaryPropagator,
                               u21: UnitaryPropagator,
                               spectrum_1: EnergySpectrum | None = None,
                               spectrum_2: EnergySpectrum | None = None,
-                              degeneracy: str = "fine",
-                              base: float = math.e) -> float:
+                              degeneracy: str = "fine") -> float:
     """Run the full pipeline and evaluate the entropic parameter.
 
     `degeneracy` picks the work-entropy convention: "fine" keeps one entry per
@@ -156,26 +147,26 @@ def entropic_k3_from_protocol(rho0: DiagonalDensity, u10: UnitaryPropagator,
         raise InvalidParameterError(f"unknown degeneracy convention {degeneracy!r}")
     joint3 = three_time_joint(rho0, u10, u21, spectrum_1=spectrum_1, spectrum_2=spectrum_2)
     no_middle = two_time_joint_skipping_middle(rho0, u10, u21, spectrum_later=spectrum_2)
-    return k3_entropic(*_entropy_reports(joint3, no_middle, degeneracy, base))
+    return k3_entropic(*_entropy_reports(joint3, no_middle, degeneracy))
 
 
-def _entropy_reports(joint3, no_middle: JointDistribution, view: str,
-                     base: float) -> tuple[EntropyReport, ...]:
+def _entropy_reports(joint3, no_middle: JointDistribution,
+                     view: str) -> tuple[EntropyReport, ...]:
     """(H(W21), H(W10), H(W20), H(E1)) of a three-point protocol: the work
     entropies of its two measured legs and of the no-middle branch in the
     work-distribution `view` ("fine" or "grouped"), and the entropy of its
     middle marginal."""
-    h_w10 = work_entropy(work_distribution(joint3.marginal_t1_t0(), view=view), base=base)
-    h_w21 = work_entropy(work_distribution(joint3.marginal_t2_t1(), view=view), base=base)
-    h_w20 = work_entropy(work_distribution(no_middle, view=view), base=base)
-    h_e1 = shannon_entropy(joint3.marginal_t1(), base=base)
+    h_w10 = work_entropy(work_distribution(joint3.marginal_t1_t0(), view=view))
+    h_w21 = work_entropy(work_distribution(joint3.marginal_t2_t1(), view=view))
+    h_w20 = work_entropy(work_distribution(no_middle, view=view))
+    h_e1 = shannon_entropy(joint3.marginal_t1())
     return h_w21, h_w10, h_w20, h_e1
 
 
 def lg_parameter_rows(populations: np.ndarray, trans10: np.ndarray, trans21: np.ndarray,
                       trans20: np.ndarray,
-                      spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum],
-                      base: float = math.e) -> dict[str, np.ndarray]:
+                      spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum]
+                      ) -> dict[str, np.ndarray]:
     """k_cor, k_cor_flipped, k_en_fine and k_en_grouped for N protocols at once.
 
     `trans10` and `trans21` are the (N, d, d) transition matrices of the measured
@@ -202,10 +193,10 @@ def lg_parameter_rows(populations: np.ndarray, trans10: np.ndarray, trans21: np.
         correlators.append(q @ joints @ q)
         _check_correlator(name, correlators[-1])
     out = {"k_cor": _k_cor(*correlators), "k_cor_flipped": _k_cor_flipped(*correlators)}
-    h_e1 = shannon_entropy_rows(p1, base)
+    h_e1 = shannon_entropy_rows(p1)
     for view in ("fine", "grouped"):
-        h_w10 = entropy_rows(work_probability_rows(j10, s0, s1, view), base)
-        h_w21 = entropy_rows(work_probability_rows(j21, s1, s2, view), base)
-        h_w20 = entropy_rows(work_probability_rows(j20, s0, s2, view), base)
+        h_w10 = entropy_rows(work_probability_rows(j10, s0, s1, view))
+        h_w21 = entropy_rows(work_probability_rows(j21, s1, s2, view))
+        h_w20 = entropy_rows(work_probability_rows(j20, s0, s2, view))
         out[f"k_en_{view}"] = _k_en(h_w21, h_w10, h_w20, h_e1)
     return out

@@ -297,20 +297,6 @@ def total_work_distribution(joint3: JointDistribution3,
     return work_distribution(joint3.marginal_t2_t0(), view=view)
 
 
-def work_pair_distribution(joint3: JointDistribution3) -> list[tuple[float, float, float]]:
-    """(w1, w2, probability) triples, one per outcome path with nonzero probability.
-
-    Materializes the cube; intended for modest dimensions.
-    """
-    cube = joint3.probs
-    s0, s1, s2 = joint3.spectra
-    k2, k1, k0 = np.nonzero(cube)
-    w1 = s1.levels[k1] - s0.levels[k0]
-    w2 = s2.levels[k2] - s1.levels[k1]
-    order = np.lexsort((k0, k1, k2))
-    return [(float(w1[k]), float(w2[k]), float(cube[k2[k], k1[k], k0[k]])) for k in order]
-
-
 def jarzynski_deviation(workdist: WorkDistribution, beta: float, delta_f: float) -> float:
     """|<exp(-beta w)> - exp(-beta dF)|, accumulated in log space to avoid overflow."""
     if not (beta > 0 and math.isfinite(beta)):
@@ -407,12 +393,6 @@ def _sample_categorical(cdf: np.ndarray, conditions, u: np.ndarray) -> np.ndarra
     for row in cdf[:-1]:
         out += row[conditions] <= u
     return out
-
-
-def total_variation_distance(a: JointDistribution, b: JointDistribution) -> float:
-    if a.probs.shape != b.probs.shape:
-        raise InvalidParameterError("distributions must share a shape")
-    return 0.5 * float(np.abs(a.probs - b.probs).sum())
 
 
 def empirical_chi_squared_pvalue(frequencies: np.ndarray, n_samples: int,

@@ -78,11 +78,10 @@ cached per size.  A truncated G is the top-left block of that padded
 exponential, and the mass each column puts on the padded rows is its leak past
 n_max (`SqueezeMatrix.column_defects`), the quantity `select_n_max` certifies.
 The padding is exact to float64 wherever that leak is far below the tolerance,
-since the squeezed amplitude then never reaches the padded edge.  An independent
-scaling-and-squaring matrix exponential (scipy's `expm`, imported inside the
-function) is kept as the oracle for gate comparisons; the tests add the
-closed-form series of Kim, de Oliveira & Knight (PRA 40, 2494 (1989)) in
-arbitrary precision as a second one.
+since the squeezed amplitude then never reaches the padded edge.  The tests hold
+the oracles for gate comparisons: an independent scaling-and-squaring matrix
+exponential (scipy's `expm`) and the closed-form series of Kim, de Oliveira &
+Knight (PRA 40, 2494 (1989)) in arbitrary precision.
 """
 
 from __future__ import annotations
@@ -103,7 +102,7 @@ from .errors import InvalidParameterError, TruncationError
 from .hilbert import (EnergySpectrum, UnitaryPropagator, _blas_pools, _gibbs_populations,
                       _on_one_blas_thread)
 from .protocol import JointDistribution, JointDistribution3
-from .tables import SweepTable, contour_points
+from .tables import SweepTable
 
 THERMAL_TAIL_TOL = 1e-12
 COLUMN_DEFECT_TOL = 1e-10
@@ -113,7 +112,6 @@ ALIGN = 8
 PANEL = 384
 N_MAX_CAP = 8192
 MAX_BUDGET = 1e-6
-CONTOUR_LEVELS = (0.0, -0.05)
 REFINE_XTOL = 1e-4
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -288,24 +286,6 @@ def _squeeze_transitions(r: float, n_max: int) -> np.ndarray:
         _parity_columns(float(r), size, size, p, (0, (size - p + 1) // 2), t[p::2, p::2],
                         squared=True)
     return t
-
-
-def squeeze_matrix_exponential_oracle(r: float, n_max: int) -> SqueezeMatrix:
-    """Ground truth by scaling-and-squaring: expm of (r/2)(adag^2 - a^2).
-
-    The generator itself is truncated here, so `column_defects` is |1 - column
-    norm| of this matrix, not a leak past n_max."""
-    from scipy.linalg import expm
-
-    _validate_squeeze_args(r, n_max)
-    size = n_max + 1
-    g = np.eye(size)
-    if r != 0.0:
-        raising_sq = np.zeros((size, size))
-        for m in range(size - 2):
-            raising_sq[m + 2, m] = math.sqrt((m + 1.0) * (m + 2.0))
-        g = expm(0.5 * r * (raising_sq - raising_sq.T))
-    return SqueezeMatrix(g, r, n_max, np.abs(1.0 - (g * g).sum(axis=0)))
 
 
 def squeeze_propagator(sq: SqueezeMatrix) -> UnitaryPropagator:
@@ -567,9 +547,8 @@ class _Legs:
 
 def entropic_k3_oscillator(beta: float, r1: float, r2: float,
                            n_max: int | None = None, degeneracy: str = "fine",
-                           base: float = math.e,
                            middle_entropy: str = "initial") -> tuple[float, float]:
-    """The entropic macrorealism parameter and the truncation budget of its run.
+    """The entropic macrorealism parameter in nats and the truncation budget of its run.
 
     `middle_entropy` picks the distribution whose entropy enters as H(E1):
     "measured" uses the middle marginal of the three-point protocol (the literal
@@ -587,13 +566,15 @@ def entropic_k3_oscillator(beta: float, r1: float, r2: float,
         n_max = select_n_max(beta, r1 + r2)
     value, budget = _Legs(beta, n_max, degeneracy, f"r1={r1}, r2={r2}").cell(
         r1, r2, middle_entropy)
-    return float(value) / math.log(base), budget
+    return float(value), budget
 
 
 def golden_section_minimum(f, a: float, b: float, xtol: float = 1e-4):
     """Minimizer of a unimodal function on [a, b], located to within xtol."""
     if not b > a:
         raise InvalidParameterError("need b > a")
+    if not 0.0 < xtol < math.inf:
+        raise InvalidParameterError(f"xtol must be positive and finite, got {xtol}")
     h = b - a
     if h <= xtol:
         x = 0.5 * (a + b)
@@ -643,23 +624,18 @@ def diagonal_scan(beta: float, r_grid: np.ndarray, degeneracy: str = "fine",
     )
 
 
-def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
-                       r2_grid: np.ndarray | None = None, n_max: int | None = None,
-                       degeneracy: str = "fine", base: float = math.e,
+def squeeze_grid_sweep(beta: float, r1_grid: np.ndarray, r2_grid: np.ndarray,
+                       n_max: int | None = None, degeneracy: str = "fine",
                        middle_entropy: str = "initial") -> SweepTable:
-    """K_en over a rectangular (r1, r2) grid, plus contour point sets.
+    """K_en in nats over a rectangular (r1, r2) grid.
 
     One `_Legs` serves the whole sweep: every distinct amplitude among r1, r2 and
     r1 + r2 is built once and reduced to the vectors its cells need.  The grouped
     convention needs the whole r2 joint per cell, so it builds the r2 matrix once
-    per grid column.  The contours at CONTOUR_LEVELS are in meta["contours"].
-    Raises TruncationError at the first cell whose budget exceeds MAX_BUDGET.
+    per grid column.  Raises TruncationError at the first cell whose budget
+    exceeds MAX_BUDGET.
     """
     _check_conventions(degeneracy, middle_entropy)
-    if r1_grid is None:
-        r1_grid = np.linspace(0.0, 0.1, 101)
-    if r2_grid is None:
-        r2_grid = np.linspace(0.0, 0.1, 101)
     r1_grid = np.asarray(r1_grid, dtype=float)
     r2_grid = np.asarray(r2_grid, dtype=float)
     for grid in (r1_grid, r2_grid):
@@ -669,32 +645,25 @@ def squeeze_grid_sweep(beta: float = 0.1, r1_grid: np.ndarray | None = None,
         n_max = select_n_max(beta, float(r1_grid.max() + r2_grid.max()))
     legs = _Legs(beta, n_max, degeneracy,
                  f"r grid up to ({r1_grid.max():g}, {r2_grid.max():g})")
-    log_base = math.log(base)
     rows = np.empty((r1_grid.size * r2_grid.size, 4))
-    z = np.empty((r1_grid.size, r2_grid.size))
     worst_budget = 0.0
     for j, r2 in enumerate(r2_grid):
         t2 = None if degeneracy == "fine" else _squeeze_transitions(float(r2), n_max)
         for i, r1 in enumerate(r1_grid):
             value, budget = legs.cell(r1, r2, middle_entropy, t2)
             worst_budget = max(worst_budget, budget)
-            z[i, j] = value / log_base
-            rows[i * r2_grid.size + j] = (r1, r2, z[i, j], budget)
-    contours = {level: contour_points(r1_grid, r2_grid, z, level)
-                for level in CONTOUR_LEVELS}
+            rows[i * r2_grid.size + j] = (r1, r2, value, budget)
     return SweepTable(
         ["r1", "r2", "k_en", "truncation_budget"], rows,
         meta={"experiment": "squeeze-grid", "beta": beta, "n_max": n_max,
               "degeneracy": degeneracy, "middle_entropy": middle_entropy,
-              "thermal_tail": legs.tail, "worst_truncation_budget": worst_budget,
-              "contours": contours},
+              "thermal_tail": legs.tail, "worst_truncation_budget": worst_budget},
     )
 
 
 def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
-                     degeneracy: str = "fine", base: float = math.e,
-                     middle_entropy: str = "initial") -> SweepTable:
-    """Per beta: the deepest K_en on the r1 = r2 line and where it sits.
+                     degeneracy: str = "fine", middle_entropy: str = "initial") -> SweepTable:
+    """Per beta: the deepest K_en (in nats) on the r1 = r2 line and where it sits.
 
     A coarse geometric scan brackets the single dip (stopping once the parameter
     has risen well past it), then golden-section search refines the minimizer to
@@ -712,7 +681,6 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
     if r_grid.size < 2 or np.any(np.diff(r_grid) <= 0):
         raise InvalidParameterError(
             "r grid must be strictly increasing, with at least two points")
-    log_base = math.log(base)
     rows = []
     for beta in map(float, np.asarray(beta_grid, dtype=float)):
         legs: dict[int, _Legs] = {}
@@ -722,7 +690,7 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
             if n_max not in _legs:
                 _legs[n_max] = _Legs(_beta, n_max, degeneracy, f"r1=r2={r}")
             value, _budgets[r] = _legs[n_max].cell(r, r, middle_entropy)
-            return float(value) / log_base
+            return float(value)
 
         coarse: list[tuple[float, float]] = []
         best = math.inf

@@ -102,8 +102,8 @@ def default_theta_grid(n_points: int = 721) -> np.ndarray:
 
 
 def tls_lg_parameters(beta: float, angles: TlsAngles,
-                      spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum] | None = None,
-                      base: float = math.e) -> dict[str, float]:
+                      spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum] | None = None
+                      ) -> dict[str, float]:
     """All macrorealism parameters for one angle setting (both intervals equal),
     through the object pipeline."""
     if spectra is None:
@@ -117,18 +117,16 @@ def tls_lg_parameters(beta: float, angles: TlsAngles,
     }
     for view in ("fine", "grouped"):
         out[f"k_en_{view}"] = entropic_k3_from_protocol(
-            rho0, u, u, spectrum_1=spectra[1], spectrum_2=spectra[2], degeneracy=view,
-            base=base)
+            rho0, u, u, spectrum_1=spectra[1], spectrum_2=spectra[2], degeneracy=view)
     return out
 
 
 def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None,
-                    spectra=None, alpha: float = 0.0, beta_angle: float = 0.0,
-                    base: float = math.e) -> SweepTable:
+                    spectra=None, alpha: float = 0.0, beta_angle: float = 0.0) -> SweepTable:
     """Macrorealism parameters on a theta grid at fixed inverse temperature.
 
     Row k equals tls_lg_parameters(beta, TlsAngles(theta_grid[k], alpha,
-    beta_angle), spectra, base) bit for bit; all angles are computed at once.
+    beta_angle), spectra) bit for bit; all angles are computed at once.
     Raises InvalidParameterError for spectra whose work values chain into a group
     spanning WORK_DEGENERACY_TOL or more (see `work_probability_rows`); the
     per-angle API still handles those.
@@ -147,7 +145,7 @@ def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None,
     require_unitary(u20, composed_unitarity_tol(TLS_UNITARITY_TOL, TLS_UNITARITY_TOL, 2))
     trans = np.abs(u) ** 2
     values = lg_parameter_rows(build_thermal_state(spectra[0], beta).populations,
-                               trans, trans, np.abs(u20) ** 2, spectra, base=base)
+                               trans, trans, np.abs(u20) ** 2, spectra)
     columns = ["theta", "k_cor", "k_cor_flipped", "k_en_fine", "k_en_grouped"]
     rows = np.column_stack([theta_grid] + [values[name] for name in columns[1:]])
     return SweepTable(columns, rows, meta={"experiment": "tls-theta", "beta": beta,

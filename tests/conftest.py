@@ -3,11 +3,20 @@
 The protocol oracle here is deliberately different from the library path: it
 builds projectors as explicit matrices and evaluates the measure/evolve/measure
 chain as literal operator sandwiches with traces, instead of multiplying
-transition probabilities.
+transition probabilities.  The squeeze oracle exponentiates the truncated
+generator by scaling and squaring (scipy's `expm`), independent of the library's
+eigenbasis kernel.
 """
+
+import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+
+from workreal.errors import InvalidParameterError
+from workreal.protocol import JointDistribution, JointDistribution3
+from workreal.squeezing import SqueezeMatrix, _validate_squeeze_args
 
 
 def projector(dim: int, k: int) -> np.ndarray:
@@ -55,6 +64,42 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_stochastic_columns(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Column-stochastic matrix with Dirichlet columns (a classical channel)."""
     return rng.dirichlet(np.ones(dim), size=dim).T
+
+
+def work_pair_distribution(joint3: JointDistribution3) -> list[tuple[float, float, float]]:
+    """(w1, w2, probability) triples, one per outcome path with nonzero probability.
+
+    Materializes the cube; intended for modest dimensions.
+    """
+    cube = joint3.probs
+    s0, s1, s2 = joint3.spectra
+    k2, k1, k0 = np.nonzero(cube)
+    w1 = s1.levels[k1] - s0.levels[k0]
+    w2 = s2.levels[k2] - s1.levels[k1]
+    order = np.lexsort((k0, k1, k2))
+    return [(float(w1[k]), float(w2[k]), float(cube[k2[k], k1[k], k0[k]])) for k in order]
+
+
+def total_variation_distance(a: JointDistribution, b: JointDistribution) -> float:
+    if a.probs.shape != b.probs.shape:
+        raise InvalidParameterError("distributions must share a shape")
+    return 0.5 * float(np.abs(a.probs - b.probs).sum())
+
+
+def squeeze_matrix_exponential_oracle(r: float, n_max: int) -> SqueezeMatrix:
+    """Ground truth by scaling-and-squaring: expm of (r/2)(adag^2 - a^2).
+
+    The generator itself is truncated here, so `column_defects` is |1 - column
+    norm| of this matrix, not a leak past n_max."""
+    _validate_squeeze_args(r, n_max)
+    size = n_max + 1
+    g = np.eye(size)
+    if r != 0.0:
+        raising_sq = np.zeros((size, size))
+        for m in range(size - 2):
+            raising_sq[m + 2, m] = math.sqrt((m + 1.0) * (m + 2.0))
+        g = expm(0.5 * r * (raising_sq - raising_sq.T))
+    return SqueezeMatrix(g, r, n_max, np.abs(1.0 - (g * g).sum(axis=0)))
 
 
 @pytest.fixture

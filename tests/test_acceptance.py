@@ -15,6 +15,7 @@ from workreal import (
     DichotomicMapping,
     JointDistribution3,
     build_thermal_state,
+    contour_points,
     dichotomic_correlator,
     empirical_chi_squared_pvalue,
     entropic_k3_oscillator,
@@ -30,7 +31,6 @@ from workreal import (
     select_n_max,
     shannon_entropy,
     squeeze_matrix_closed_form,
-    squeeze_matrix_exponential_oracle,
     three_time_joint,
     total_work_distribution,
     two_time_joint,
@@ -42,7 +42,8 @@ from workreal.protocol import JointDistribution
 from workreal.squeezing import beta_sweep_min_k, diagonal_scan, golden_section_minimum
 from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum, tls_theta_sweep
 
-from conftest import random_stochastic_columns, sandwich_joint2, sandwich_joint3
+from conftest import (random_stochastic_columns, sandwich_joint2, sandwich_joint3,
+                      squeeze_matrix_exponential_oracle)
 
 
 def verdict(number, ok, message):
@@ -172,12 +173,12 @@ def test_criterion_06_oscillator_violation_landmark(oscillator_diagonal):
 
 def test_criterion_07_grid_negative_region_and_asymmetry():
     from workreal import squeeze_grid_sweep
-    table = squeeze_grid_sweep(beta=0.1, r1_grid=np.linspace(0.0, 0.1, 41),
-                               r2_grid=np.linspace(0.0, 0.1, 41))
+    grid = np.linspace(0.0, 0.1, 41)
+    table = squeeze_grid_sweep(beta=0.1, r1_grid=grid, r2_grid=grid)
     z = table.column("k_en").reshape(41, 41)
     landmark_cell = z[8, 8]  # r1 = r2 = 0.02
     negative_region = int((z < 0).sum())
-    contour = table.meta["contours"][0.0]
+    contour = contour_points(grid, grid, z, 0.0)
     n_max = select_n_max(0.1, 0.35)
     k_ab = entropic_k3_oscillator(0.1, 0.05, 0.3, n_max=n_max)[0]
     k_ba = entropic_k3_oscillator(0.1, 0.3, 0.05, n_max=n_max)[0]

@@ -151,11 +151,11 @@ class TestTlsTheta:
         run_cli(["tls-theta", "--out", tmp_path, "--grid-spec", "1.0:1.0:1",
                  "--entropy-base", "2"])
         table = read_table_csv(tmp_path / "tls_theta.csv")
-        nats = read_table_csv(tmp_path / "tls_theta.csv")  # same file, meta check
-        assert nats.meta["entropy_base"] == "2"
+        assert table.meta["entropy_base"] == "2"
         from workreal.two_level import tls_lg_parameters, TlsAngles
-        expected = tls_lg_parameters(1.0, TlsAngles(1.0), base=2.0)
-        assert table.rows[0, 3] == pytest.approx(expected["k_en_fine"], rel=1e-14)
+        nats = tls_lg_parameters(1.0, TlsAngles(1.0))
+        assert table.rows[0, 3] == nats["k_en_fine"] / math.log(2)
+        assert table.rows[0, 4] == nats["k_en_grouped"] / math.log(2)
 
 
 class TestSqueezeGrid:
@@ -426,10 +426,13 @@ class TestConfigFile:
     @pytest.mark.parametrize("experiment, name, value", [
         ("jarzynski-check", "seed", "-1"), ("mc-crosscheck", "seed", "-3"),
         ("squeeze-grid", "n_max", "8193"), ("jarzynski-check", "n_max", "8193"),
+        ("squeeze-beta", "beta_grid", "0.1,0.2,0.3,0"),
+        ("squeeze-beta", "beta_grid", "0.5,-1"),
     ])
     def test_out_of_range_settings_exit_2(self, tmp_path, capsys, experiment, name, value):
-        """A negative seed and an n_max above N_MAX_CAP are refused before any run
-        starts, as a flag and as a config key; nothing is sampled or allocated."""
+        """A negative seed, an n_max above N_MAX_CAP and a beta grid with a
+        non-positive entry are refused before any run starts, as a flag and as a
+        config key; nothing is sampled, allocated or computed."""
         flag = f"--{name.replace('_', '-')}={value}"
         assert run_cli([experiment, "--out", tmp_path / "flag", flag]) == 2
         assert f"{name}: must be" in capsys.readouterr().err
@@ -441,12 +444,62 @@ class TestConfigFile:
 
 
 def test_sweeps_leave_the_entropy_base_to_the_manifest():
-    """A base-10 sweep's meta claims no base; the CLI manifest writes the setting."""
+    """A library sweep's meta claims no base; the CLI manifest writes the setting."""
     from workreal.squeezing import beta_sweep_min_k, squeeze_grid_sweep
     from workreal.two_level import tls_theta_sweep
     grid = np.array([0.0, 0.05])
-    tables = [tls_theta_sweep(theta_grid=np.array([1.0]), base=10.0),
-              squeeze_grid_sweep(beta=1.0, r1_grid=grid, r2_grid=grid, base=10.0),
-              beta_sweep_min_k([1.0], r_grid=np.geomspace(0.05, 0.4, 6), base=10.0)]
+    tables = [tls_theta_sweep(theta_grid=np.array([1.0])),
+              squeeze_grid_sweep(beta=1.0, r1_grid=grid, r2_grid=grid),
+              beta_sweep_min_k([1.0], r_grid=np.geomspace(0.05, 0.4, 6))]
     for table in tables:
         assert "entropy_base" not in table.meta, table.meta["experiment"]
+
+
+def _csv_parts(path):
+    """(manifest lines, header, data rows as lists of field strings) of a CSV."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    manifest = [line for line in lines if line.startswith("#")]
+    header, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    return manifest, header, rows
+
+
+@pytest.mark.parametrize("experiment, args, csv, entropic", [
+    ("tls-theta", ["--grid-spec", "0:6.283185307179586:73"], "tls_theta.csv",
+     {"k_en_fine", "k_en_grouped"}),
+    ("squeeze-grid", ["--beta", "1.0", "--grid-spec", "0:0.3:7", "--n-max", "96",
+                      "--middle-entropy", "measured"], "squeeze_grid.csv", {"k_en"}),
+    ("squeeze-beta", ["--beta-grid", "0.5,1.0", "--grid-spec", "geom:0.05:0.4:6"],
+     "squeeze_beta.csv", {"min_k_en"}),
+], ids=["tls-theta", "squeeze-grid", "squeeze-beta"])
+def test_entropy_base_converts_only_the_k_en_columns(tmp_path, experiment, args, csv,
+                                                     entropic):
+    """The library works in nats; --entropy-base 2 divides each K_en column by
+    log 2 at output and leaves every other column and manifest line as it is.
+    The squeeze-grid contours are drawn on the converted grid: its deepest cell,
+    about -0.045 nats, lies below the -0.05 level only in bits."""
+    for base in ("e", "2"):
+        assert run_cli([experiment, *args, "--entropy-base", base,
+                        "--out", tmp_path / base]) == 0
+    manifest_e, header, rows_e = _csv_parts(tmp_path / "e" / csv)
+    manifest_2, header_2, rows_2 = _csv_parts(tmp_path / "2" / csv)
+    assert header_2 == header and len(rows_2) == len(rows_e) > 0
+    assert set(manifest_e) ^ set(manifest_2) == {"# entropy_base = e", "# entropy_base = 2"}
+    for k, name in enumerate(header):
+        nats = [row[k] for row in rows_e]
+        bits = [row[k] for row in rows_2]
+        if name in entropic:
+            assert [float(x) for x in bits] == [float(x) / math.log(2) for x in nats], name
+        else:
+            assert bits == nats, name
+    if experiment == "squeeze-grid":
+        from workreal.tables import contour_points
+        grid = parse_grid_spec("0:0.3:7")
+        counts = {}
+        for base in ("e", "2"):
+            z = read_table_csv(tmp_path / base / csv).column("k_en").reshape(7, 7)
+            for level in (0.0, -0.05):
+                contour = read_table_csv(
+                    tmp_path / base / f"squeeze_grid_contour_{level:g}.csv").rows
+                np.testing.assert_array_equal(contour, contour_points(grid, grid, z, level))
+                counts[base, level] = len(contour)
+        assert counts["e", 0.0] > 0 and counts["e", -0.05] == 0 < counts["2", -0.05]

@@ -48,10 +48,6 @@ def test_quarter_three_quarter():
     assert report.support_size == 2
 
 
-def test_base_two_rescales():
-    assert shannon_entropy([0.5, 0.5], base=2).value == pytest.approx(1.0)
-
-
 def test_negative_probability_rejected():
     with pytest.raises(InvalidParameterError):
         shannon_entropy([1.1, -0.1])
@@ -201,4 +197,24 @@ class TestWorkEntropy:
 def test_entropy_report_bound_is_validated():
     from workreal import EntropyReport
     with pytest.raises(InvalidParameterError):
-        EntropyReport(value=1.0, base=math.e, support_size=2)
+        EntropyReport(value=1.0, support_size=2)
+
+
+def test_no_library_function_takes_a_logarithm_base():
+    """Entropies and K_en are in nats throughout the library; only the CLI
+    converts units, at output."""
+    import dataclasses
+    import inspect
+
+    import workreal.entropy
+    import workreal.leggett_garg
+    import workreal.squeezing
+    import workreal.two_level
+    from workreal import EntropyReport
+    for module in (workreal.entropy, workreal.leggett_garg, workreal.two_level,
+                   workreal.squeezing):
+        for name, function in inspect.getmembers(module, inspect.isfunction):
+            assert "base" not in inspect.signature(function).parameters, \
+                f"{module.__name__}.{name}"
+    assert [field.name for field in dataclasses.fields(EntropyReport)] == \
+        ["value", "support_size"]

@@ -136,12 +136,6 @@ class TestK3Entropic:
         value, _ = entropic_k3_oscillator(0.1, 0.02, 0.02)
         assert value < 0.0
 
-    def test_mixed_bases_rejected(self):
-        a = shannon_entropy([0.5, 0.5])
-        b = shannon_entropy([0.5, 0.5], base=2)
-        with pytest.raises(InvalidParameterError):
-            k3_entropic(a, a, a, b)
-
 
 class TestTwoLevelInvariants:
     def test_beta_independence(self):

@@ -14,17 +14,16 @@ from workreal import (
     jarzynski_deviation,
     sample_trajectories,
     three_time_joint,
-    total_variation_distance,
     total_work_distribution,
     two_time_joint,
     two_time_joint_skipping_middle,
     work_distribution,
-    work_pair_distribution,
 )
 from workreal.squeezing import oscillator_three_time
 from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum
 
-from conftest import random_unitary, sandwich_joint2, sandwich_joint3
+from conftest import (random_unitary, sandwich_joint2, sandwich_joint3,
+                      total_variation_distance, work_pair_distribution)
 
 P0_BETA1 = 0.73105857863000488
 P1_BETA1 = 0.26894142136999512

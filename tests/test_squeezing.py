@@ -21,7 +21,6 @@ from workreal import (
     oscillator_three_time,
     select_n_max,
     squeeze_matrix_closed_form,
-    squeeze_matrix_exponential_oracle,
     squeeze_propagator,
     thermal_tail_mass,
     total_work_distribution,
@@ -48,6 +47,8 @@ from workreal.squeezing import (
     golden_section_minimum,
     squeeze_grid_sweep,
 )
+
+from conftest import squeeze_matrix_exponential_oracle
 
 G00_HALF = 0.94171061583167571  # sech(1/2)^(1/2), frozen at 40 digits
 KERNEL_SIZES = (1, 2, 3, 64, 65, 128, 191, 448, 1024)
@@ -755,7 +756,7 @@ class TestEntropicParameter:
         pops = __import__("workreal").build_thermal_state(protocol.spectra[0], 1.0)
         for degeneracy in ("fine", "grouped"):
             h_w21, h_w10, h_w20, h_e1 = _entropy_reports(
-                protocol.joint3, protocol.no_middle, degeneracy, math.e)
+                protocol.joint3, protocol.no_middle, degeneracy)
             measured = k3_entropic(h_w21, h_w10, h_w20, h_e1)
             fast_measured, _ = entropic_k3_oscillator(
                 1.0, 0.12, 0.2, n_max=96, degeneracy=degeneracy,
@@ -856,6 +857,17 @@ def test_golden_section_finds_quadratic_minimum():
     assert fx == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("xtol", [0.0, -1e-4, math.nan, math.inf])
+def test_golden_section_refuses_a_tolerance_it_cannot_meet(xtol):
+    """xtol = 0 would loop forever once the bracket stops shrinking; every
+    tolerance that is not positive and finite is refused before f is called."""
+    def never(x):
+        raise AssertionError(f"f evaluated at {x}")
+
+    with pytest.raises(InvalidParameterError, match="xtol"):
+        golden_section_minimum(never, 0.0, 1.0, xtol=xtol)
+
+
 def test_propagator_certificate_fails_on_a_flipped_sign():
     """The unitarity certificate of `squeeze_propagator` is the leak bound
     |(G^T G - 1)[m, n]| <= sqrt(d_m d_n); one flipped sign in a low corner
@@ -875,7 +887,7 @@ def oracle_grouped_work_entropy(joint_probs):
 
 
 def oracle_entropic_k3_oscillator(beta, r1, r2, n_max=None, degeneracy="fine",
-                                  base=math.e, middle_entropy="initial"):
+                                  middle_entropy="initial"):
     """K_en as a standalone point function: t1, t2 and t_total built in turn, and
     the fine and grouped formulas written out.  Builds go through the module
     attributes so that a monkeypatched counter sees them."""
@@ -908,11 +920,11 @@ def oracle_entropic_k3_oscillator(beta, r1, r2, n_max=None, degeneracy="fine",
         h_w21 = oracle_grouped_work_entropy(t2 * p1[None, :])
         h_w20 = oracle_grouped_work_entropy(t_total * pops[None, :])
         value = 0.5 * (h_w21 + h_w10 - h_w20 - _nats(p1) + h_e1_shift)
-    return float(value) / math.log(base), budget
+    return float(value), budget
 
 
 def oracle_beta_sweep_rows(beta_grid, r_grid=None, refine_xtol=1e-4, degeneracy="fine",
-                           base=math.e, middle_entropy="initial"):
+                           middle_entropy="initial"):
     """The rows of `beta_sweep_min_k` from a loop over the oracle point function."""
     if r_grid is None:
         r_grid = np.geomspace(0.004, 0.8, 20)
@@ -922,7 +934,7 @@ def oracle_beta_sweep_rows(beta_grid, r_grid=None, refine_xtol=1e-4, degeneracy=
         best = math.inf
         for r in r_grid:
             value, _ = oracle_entropic_k3_oscillator(beta, float(r), float(r),
-                                                     degeneracy=degeneracy, base=base,
+                                                     degeneracy=degeneracy,
                                                      middle_entropy=middle_entropy)
             coarse.append((float(r), value))
             best = min(best, value)
@@ -938,7 +950,7 @@ def oracle_beta_sweep_rows(beta_grid, r_grid=None, refine_xtol=1e-4, degeneracy=
 
         def k_of_r(r, _beta=float(beta), _n=n_max, _budgets=budgets):
             value, _budgets[r] = oracle_entropic_k3_oscillator(
-                _beta, r, r, n_max=_n, degeneracy=degeneracy, base=base,
+                _beta, r, r, n_max=_n, degeneracy=degeneracy,
                 middle_entropy=middle_entropy)
             return value
 
@@ -947,36 +959,33 @@ def oracle_beta_sweep_rows(beta_grid, r_grid=None, refine_xtol=1e-4, degeneracy=
     return np.array(rows)
 
 
-CONVENTIONS = [(degeneracy, middle, base) for degeneracy in ("fine", "grouped")
-               for middle in ("initial", "measured") for base in (math.e, 2.0)]
+CONVENTIONS = [(degeneracy, middle) for degeneracy in ("fine", "grouped")
+               for middle in ("initial", "measured")]
 
 
 class TestOnePath:
     """Every oscillator K_en runs through one per-(beta, n_max) routine; it must
     reproduce the standalone point function bit for bit."""
 
-    @pytest.mark.parametrize("degeneracy, middle, base", CONVENTIONS)
-    def test_point_function_equals_the_oracle(self, degeneracy, middle, base):
+    @pytest.mark.parametrize("degeneracy, middle", CONVENTIONS)
+    def test_point_function_equals_the_oracle(self, degeneracy, middle):
         for r1, r2, n_max in ((0.12, 0.2, 96), (0.1, 0.1, 96), (0.0, 0.15, 96),
                               (0.15, 0.0, 96), (0.0, 0.0, 96), (0.05, 0.3, None)):
-            kwargs = dict(n_max=n_max, degeneracy=degeneracy, base=base,
-                          middle_entropy=middle)
+            kwargs = dict(n_max=n_max, degeneracy=degeneracy, middle_entropy=middle)
             assert (entropic_k3_oscillator(1.0, r1, r2, **kwargs)
                     == oracle_entropic_k3_oscillator(1.0, r1, r2, **kwargs))
 
-    @pytest.mark.parametrize("degeneracy, middle, base", CONVENTIONS)
-    def test_grid_cells_equal_the_oracle(self, degeneracy, middle, base):
+    @pytest.mark.parametrize("degeneracy, middle", CONVENTIONS)
+    def test_grid_cells_equal_the_oracle(self, degeneracy, middle):
         """Dyadic amplitudes, so every r1 + r2 is exact and no two cache keys of
         the grid stand for different floats."""
         r1_grid = np.array([0.0, 0.0625, 0.125])
         r2_grid = np.array([0.0, 0.0625, 0.1875])
         table = squeeze_grid_sweep(beta=1.0, r1_grid=r1_grid, r2_grid=r2_grid, n_max=96,
-                                   degeneracy=degeneracy, base=base,
-                                   middle_entropy=middle)
+                                   degeneracy=degeneracy, middle_entropy=middle)
         for r1, r2, value, budget in table.rows:
             assert (value, budget) == oracle_entropic_k3_oscillator(
-                1.0, r1, r2, n_max=96, degeneracy=degeneracy, base=base,
-                middle_entropy=middle)
+                1.0, r1, r2, n_max=96, degeneracy=degeneracy, middle_entropy=middle)
 
     @pytest.mark.parametrize("degeneracy", ["fine", "grouped"])
     def test_beta_sweep_rows_equal_the_oracle_loop(self, degeneracy):

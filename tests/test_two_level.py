@@ -134,11 +134,11 @@ EDGE_GRID = np.array([0.0, 1e-170, 2 * math.pi, -0.5, math.pi / 2, math.pi])
 NEAR_DEGENERATE = tuple(tls_spectrum(k, (0.0, 0.6e-9 * (k + 1))) for k in range(3))
 
 
-def per_angle_rows(beta, grid, spectra=None, alpha=0.0, beta_angle=0.0, base=math.e):
+def per_angle_rows(beta, grid, spectra=None, alpha=0.0, beta_angle=0.0):
     rows = []
     for theta in grid:
         values = tls_lg_parameters(beta, TlsAngles(theta, alpha, beta_angle),
-                                   spectra=spectra, base=base)
+                                   spectra=spectra)
         rows.append((theta, values["k_cor"], values["k_cor_flipped"],
                      values["k_en_fine"], values["k_en_grouped"]))
     return np.array(rows)
@@ -146,14 +146,13 @@ def per_angle_rows(beta, grid, spectra=None, alpha=0.0, beta_angle=0.0, base=mat
 
 @pytest.mark.parametrize("beta, grid, options", [
     (1.0, default_theta_grid(), {}),
-    (1.0, default_theta_grid(), {"base": 2.0}),
     (0.4, default_theta_grid(181), {"spectra": incommensurate_tls_spectra()}),
     (1.0, default_theta_grid(181), {"alpha": 0.3, "beta_angle": 1.1}),
     (1.0, EDGE_GRID, {}),
     # ground-state start: the excited column of every joint is empty, so whole
     # work groups are absent and stay in the grouped rows as zeros
     (math.inf, np.concatenate([EDGE_GRID, default_theta_grid(181)]), {}),
-], ids=["base-e", "base-2", "incommensurate", "phases", "zero-transitions",
+], ids=["base-e", "incommensurate", "phases", "zero-transitions",
         "ground-state"])
 def test_array_sweep_equals_per_angle_oracle(beta, grid, options):
     rows = tls_theta_sweep(beta=beta, theta_grid=grid, **options).rows
