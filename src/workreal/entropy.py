@@ -147,7 +147,7 @@ def work_entropy(workdist: WorkDistribution) -> EntropyReport:
 
 def entropy_rows(probs: np.ndarray) -> np.ndarray:
     """-sum p log p of each row of already normalized probabilities, range-checked
-    like EntropyReport.  On `work_probability_rows` output this is work_entropy."""
+    like EntropyReport.  On rows of work probabilities this is work_entropy."""
     values = _row_nats(probs)
     _check_range(values, (probs > 0).sum(axis=-1))
     return values

@@ -13,22 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import (
-    EntropyReport,
-    entropy_rows,
-    shannon_entropy,
-    shannon_entropy_rows,
-    work_entropy,
-)
+from .entropy import EntropyReport, shannon_entropy, work_entropy
 from .errors import InvalidParameterError
 from .hilbert import DiagonalDensity, EnergySpectrum, UnitaryPropagator
 from .protocol import (
     JointDistribution,
-    check_joint_probs,
     three_time_joint,
     two_time_joint_skipping_middle,
     work_distribution,
-    work_probability_rows,
 )
 
 CORRELATOR_TOL = 1e-12
@@ -162,41 +154,3 @@ def _entropy_reports(joint3, no_middle: JointDistribution,
     h_e1 = shannon_entropy(joint3.marginal_t1())
     return h_w21, h_w10, h_w20, h_e1
 
-
-def lg_parameter_rows(populations: np.ndarray, trans10: np.ndarray, trans21: np.ndarray,
-                      trans20: np.ndarray,
-                      spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum]
-                      ) -> dict[str, np.ndarray]:
-    """k_cor, k_cor_flipped, k_en_fine and k_en_grouped for N protocols at once.
-
-    `trans10` and `trans21` are the (N, d, d) transition matrices of the measured
-    legs, `trans20` those of the composed propagator of the no-middle branch, and
-    `populations` the initial populations shared by every protocol; the
-    correlators use the GROUND_EXCITED mapping.  Each value is the one the
-    object pipeline (three_time_joint, work_distribution, work_entropy, ...)
-    gives for that protocol, bit for bit, and every check of that pipeline is
-    applied to the whole stack: joint non-negativity and normalization, the
-    correlator bound, work-distribution normalization, the middle-marginal sum
-    check with its renormalization warning and the entropy range.
-    """
-    s0, s1, s2 = spectra
-    q = GROUND_EXCITED.values
-    if trans10.shape[-2:] != (q.size, q.size):
-        raise InvalidParameterError("mapping does not cover every outcome index")
-    p1 = trans10 @ populations
-    j10 = trans10 * populations
-    j21 = trans21 * p1[:, None, :]
-    j20 = trans20 * populations
-    correlators = []
-    for name, joints in (("c01", j10), ("c12", j21), ("c02", j20)):
-        check_joint_probs(joints)
-        correlators.append(q @ joints @ q)
-        _check_correlator(name, correlators[-1])
-    out = {"k_cor": _k_cor(*correlators), "k_cor_flipped": _k_cor_flipped(*correlators)}
-    h_e1 = shannon_entropy_rows(p1)
-    for view in ("fine", "grouped"):
-        h_w10 = entropy_rows(work_probability_rows(j10, s0, s1, view))
-        h_w21 = entropy_rows(work_probability_rows(j21, s1, s2, view))
-        h_w20 = entropy_rows(work_probability_rows(j20, s0, s2, view))
-        out[f"k_en_{view}"] = _k_en(h_w21, h_w10, h_w20, h_e1)
-    return out

@@ -224,7 +224,7 @@ class WorkDistribution:
         order = np.argsort(self.works, kind="stable")
         works = self.works[order]
         probs = self.probabilities[order]
-        boundaries = _group_starts(works)
+        boundaries = np.flatnonzero(np.diff(works) >= WORK_DEGENERACY_TOL) + 1
         merged_w, merged_p = [], []
         for chunk in np.split(np.arange(works.size), boundaries):
             p = probs[chunk].sum()
@@ -234,61 +234,18 @@ class WorkDistribution:
                                 norm_tol=self.norm_tol)
 
 
-def _fine_order(works: np.ndarray, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """The fine view's order: by work value, then later index, then earlier index."""
-    return np.lexsort((earlier, later, works))
-
-
-def _group_starts(sorted_works: np.ndarray) -> np.ndarray:
-    """Positions that open a new group: adjacent gaps of at least WORK_DEGENERACY_TOL."""
-    return np.flatnonzero(np.diff(sorted_works) >= WORK_DEGENERACY_TOL) + 1
-
-
 def work_distribution(joint: JointDistribution, view: str = "grouped") -> WorkDistribution:
     """Distribution of w = E_later(k_j) - E_earlier(k_i) under `joint`."""
     later, earlier = np.nonzero(joint.probs)
     works = joint.spectrum_later.levels[later] - joint.spectrum_earlier.levels[earlier]
     probs = joint.probs[later, earlier]
-    order = _fine_order(works, later, earlier)
+    order = np.lexsort((earlier, later, works))  # by work, then later, then earlier index
     fine = WorkDistribution(works[order], probs[order], "fine", norm_tol=joint.norm_tol)
     if view == "fine":
         return fine
     if view == "grouped":
         return fine.grouped()
     raise InvalidParameterError(f"unknown view {view!r}")
-
-
-def work_probability_rows(joints: np.ndarray, spectrum_earlier: EnergySpectrum,
-                          spectrum_later: EnergySpectrum, view: str = "grouped") -> np.ndarray:
-    """`work_distribution(joint, view).probabilities` for each joint of a stack.
-
-    `joints` has shape (N, d_later, d_earlier) and holds already checked joints.
-    Row k lists the probabilities of joint k in the order of that view, except
-    that index pairs of zero probability, and in the grouped view groups no pair
-    of the joint reaches, stay in place as zeros instead of being dropped.  Zeros
-    change no sum and no entropy.  Both views depend on the spectra alone: a
-    grouped entry sums one group of the fine columns, the partition of all work
-    values under the gap rule.  A joint whose support leaves out part of a group
-    would be grouped the same way only if no group spans WORK_DEGENERACY_TOL or
-    more, so spectra with such a chained group raise InvalidParameterError.
-    """
-    later, earlier = np.indices(joints.shape[1:]).reshape(2, -1)
-    works = spectrum_later.levels[later] - spectrum_earlier.levels[earlier]
-    order = _fine_order(works, later, earlier)
-    rows = joints.reshape(joints.shape[0], -1)[:, order]
-    if view == "grouped":
-        works = works[order]
-        groups = np.split(np.arange(works.size), _group_starts(works))
-        span = max(works[group[-1]] - works[group[0]] for group in groups)
-        if span >= WORK_DEGENERACY_TOL:
-            raise InvalidParameterError(
-                f"a group of work values spans {span:.3e}, not below "
-                f"WORK_DEGENERACY_TOL = {WORK_DEGENERACY_TOL:.0e}")
-        rows = np.stack([rows[:, group].sum(axis=1) for group in groups], axis=1)
-    elif view != "fine":
-        raise InvalidParameterError(f"unknown view {view!r}")
-    _require_normalized(rows.sum(axis=1), JOINT_NORM_TOL, "work distribution")
-    return rows
 
 
 def total_work_distribution(joint3: JointDistribution3,

@@ -99,8 +99,7 @@ import scipy
 
 from .entropy import _nats
 from .errors import InvalidParameterError, TruncationError
-from .hilbert import (EnergySpectrum, UnitaryPropagator, _blas_pools, _gibbs_populations,
-                      _on_one_blas_thread)
+from .hilbert import EnergySpectrum, UnitaryPropagator, _gibbs_populations, _on_one_blas_thread
 from .protocol import JointDistribution, JointDistribution3
 from .tables import SweepTable
 
@@ -354,6 +353,12 @@ def _vacuum_cut(r: float) -> int:
 
 @lru_cache(maxsize=256)
 def _select_n_max_cached(beta: float, r_total: float) -> int:
+    # the thermal tail alone is past the cap; below beta ~ 3e-307 its support
+    # does not even fit a float
+    if -math.log(THERMAL_TAIL_TOL) / beta > N_MAX_CAP + 1:
+        raise TruncationError(
+            f"no truncation up to {N_MAX_CAP} levels holds the thermal tail at "
+            f"beta={beta}, r={r_total}")
     support_hi = _thermal_support(beta, SUPPORT_TOL)
     n_thermal = _thermal_support(beta, THERMAL_TAIL_TOL)
     lower = max(64 * max(1, math.ceil(n_thermal / 64)), _vacuum_cut(r_total))
@@ -392,13 +397,13 @@ def select_n_max(beta: float, r_total: float) -> int:
     cached answer; a larger amplitude never yields a smaller truncation.  The
     leaks of every candidate are read off one padded build by a reverse
     cumulative sum over its rows; the build doubles only when no candidate in it
-    passes.  Raises TruncationError, without building
-    anything, when the squeezed vacuum alone already needs more than 8192 levels.
+    passes.  Raises TruncationError, without building anything, when the thermal
+    tail or the squeezed vacuum alone already needs more than 8192 levels.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise InvalidParameterError("beta must be positive and finite")
     if not (math.isfinite(r_total) and r_total >= 0.0):
-        raise InvalidParameterError("r_total must be >= 0")
+        raise InvalidParameterError("r_total must be finite and >= 0")
     quantized = round(math.ceil(r_total / 0.02) * 0.02, 10)
     return _select_n_max_cached(float(beta), quantized)
 
@@ -583,6 +588,7 @@ def golden_section_minimum(f, a: float, b: float, xtol: float = 1e-4):
     d = a + INV_PHI * h
     fc, fd = f(c), f(d)
     while (b - a) > xtol:
+        width = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - INV_PHI * (b - a)
@@ -591,6 +597,9 @@ def golden_section_minimum(f, a: float, b: float, xtol: float = 1e-4):
             a, c, fc = c, d, fd
             d = a + INV_PHI * (b - a)
             fd = f(d)
+        if b - a >= width:
+            raise InvalidParameterError(
+                f"xtol={xtol} is below the float spacing the bracket [{a}, {b}] can reach")
     return (c, fc) if fc < fd else (d, fd)
 
 

@@ -9,12 +9,14 @@ which reduces to a real rotation for alpha = beta = 0.  theta controls how much
 population transfers between the instantaneous eigenstates; theta = 0 is the
 adiabatic limit.  Both evolution intervals use the same matrix in the sweep.
 
-`tls_lg_parameters` is the per-angle public API: it runs one angle through the
-object pipeline (propagators, joints, work distributions, entropy reports).
-`tls_theta_sweep` is array code: it builds the propagators of every angle as one
-(N, 2, 2) stack and evaluates all angles at once with `lg_parameter_rows`,
-applying every check of the object pipeline to the whole stack.  The tests use
-`tls_lg_parameters` as the sweep's oracle and require equal bits.
+`tls_lg_parameters` is the per-angle public API: it runs one angle, with any
+phases and spectra, through the object pipeline (propagators, joints, work
+distributions, entropy reports).  `tls_theta_sweep` is array code for the one
+protocol the experiment runs: zero phases and the unit-gap spectrum (0, 1) at
+all three times.  It builds the propagators of every angle as one (N, 2, 2)
+stack, evaluates all angles at once and applies every check of the object
+pipeline to the whole stack.  The tests use `tls_lg_parameters` as the sweep's
+oracle and require equal bits.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .entropy import entropy_rows, shannon_entropy_rows
 from .errors import InvalidParameterError
 from .hilbert import (
     EnergySpectrum,
@@ -34,12 +37,16 @@ from .hilbert import (
 )
 from .leggett_garg import (
     GROUND_EXCITED,
+    _check_correlator,
+    _k_cor,
+    _k_cor_flipped,
+    _k_en,
     correlator_set,
     entropic_k3_from_protocol,
     k3_correlator,
     k3_correlator_flipped,
-    lg_parameter_rows,
 )
+from .protocol import JOINT_NORM_TOL, _require_normalized, check_joint_probs
 from .tables import SweepTable
 
 TWO_PI = 2.0 * math.pi
@@ -121,31 +128,56 @@ def tls_lg_parameters(beta: float, angles: TlsAngles,
     return out
 
 
-def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None,
-                    spectra=None, alpha: float = 0.0, beta_angle: float = 0.0) -> SweepTable:
-    """Macrorealism parameters on a theta grid at fixed inverse temperature.
+def _work_rows(joints: np.ndarray, view: str) -> np.ndarray:
+    """`work_distribution(joint, view).probabilities` for each joint of an (N, 2, 2)
+    stack of unit-gap joints.  The fine row lists the pairs (later, earlier) at work
+    -1, 0, 0 and +1 in the fine view's order; the grouped row merges the two at
+    work 0.  Pairs of zero probability stay in place as zeros, which change no sum
+    and no entropy."""
+    rows = joints[:, (0, 0, 1, 1), (1, 0, 1, 0)]
+    if view == "grouped":
+        rows = np.stack([rows[:, 0], rows[:, 1] + rows[:, 2], rows[:, 3]], axis=1)
+    _require_normalized(rows.sum(axis=1), JOINT_NORM_TOL, "work distribution")
+    return rows
 
-    Row k equals tls_lg_parameters(beta, TlsAngles(theta_grid[k], alpha,
-    beta_angle), spectra) bit for bit; all angles are computed at once.
-    Raises InvalidParameterError for spectra whose work values chain into a group
-    spanning WORK_DEGENERACY_TOL or more (see `work_probability_rows`); the
-    per-angle API still handles those.
+
+def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None) -> SweepTable:
+    """Macrorealism parameters on a theta grid at fixed inverse temperature, with
+    zero phases and the spectrum (0, 1) at all three times.
+
+    Row k equals tls_lg_parameters(beta, TlsAngles(theta_grid[k])) bit for bit;
+    all angles are computed at once.  Every check of the object pipeline is
+    applied to the whole stack: joint non-negativity and normalization, the
+    correlator bound, work-distribution normalization, the middle-marginal sum
+    check with its renormalization warning and the entropy range.
     """
     if theta_grid is None:
         theta_grid = default_theta_grid()
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.ndim != 1 or theta_grid.size == 0:
         raise InvalidParameterError("theta grid must be a non-empty 1-d array")
-    _require_finite(theta=theta_grid, alpha=alpha, beta_angle=beta_angle)
-    if spectra is None:
-        spectra = (tls_spectrum(0), tls_spectrum(1), tls_spectrum(2))
-    u = _su2_matrices(np.mod(theta_grid, TWO_PI), alpha, beta_angle)
+    _require_finite(theta=theta_grid)
+    u = _su2_matrices(np.mod(theta_grid, TWO_PI), 0.0, 0.0)
     require_unitary(u, TLS_UNITARITY_TOL)
     u20 = u @ u
     require_unitary(u20, composed_unitarity_tol(TLS_UNITARITY_TOL, TLS_UNITARITY_TOL, 2))
     trans = np.abs(u) ** 2
-    values = lg_parameter_rows(build_thermal_state(spectra[0], beta).populations,
-                               trans, trans, np.abs(u20) ** 2, spectra)
+    populations = build_thermal_state(tls_spectrum(0), beta).populations
+    p1 = trans @ populations
+    joints = {"c01": trans * populations, "c12": trans * p1[:, None, :],
+              "c02": np.abs(u20) ** 2 * populations}
+    q = GROUND_EXCITED.values
+    correlators = []
+    for name, joint in joints.items():
+        check_joint_probs(joint)
+        correlators.append(q @ joint @ q)
+        _check_correlator(name, correlators[-1])
+    values = {"k_cor": _k_cor(*correlators), "k_cor_flipped": _k_cor_flipped(*correlators)}
+    h_e1 = shannon_entropy_rows(p1)
+    for view in ("fine", "grouped"):
+        h_w10, h_w21, h_w20 = (entropy_rows(_work_rows(joint, view))
+                               for joint in joints.values())
+        values[f"k_en_{view}"] = _k_en(h_w21, h_w10, h_w20, h_e1)
     columns = ["theta", "k_cor", "k_cor_flipped", "k_en_fine", "k_en_grouped"]
     rows = np.column_stack([theta_grid] + [values[name] for name in columns[1:]])
     return SweepTable(columns, rows, meta={"experiment": "tls-theta", "beta": beta,

@@ -120,11 +120,11 @@ def test_cli_run_loads_the_eigensolver_without_scipy_linalg(tmp_path):
     `scipy.linalg` package, and the BLAS pin still finds both OpenBLAS pools."""
     import workreal
     src = str(Path(workreal.__file__).resolve().parents[1])
-    code = ("import sys, workreal.cli, workreal.squeezing\n"
+    code = ("import sys, workreal.cli, workreal.hilbert\n"
             "assert workreal.cli.main(['squeeze-grid', '--grid-spec', '0:0.1:5',\n"
             "                          '--out', sys.argv[1]]) == 0\n"
             "print('scipy.linalg' in sys.modules, 'scipy.linalg._flapack' in sys.modules,\n"
-            "      len(workreal.squeezing._blas_pools()))")
+            "      len(workreal.hilbert._blas_pools()))")
     result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert result.returncode == 0, result.stderr
@@ -240,8 +240,9 @@ class TestSqueezeGrid:
         assert not (tmp_path / "squeeze_grid.csv").exists()
 
     def test_cap_failure_builds_nothing(self, tmp_path, capsys, monkeypatch):
-        """r1 + r2 = 4 at beta = 0.1 needs more than 8192 levels: exit 3 with the
-        point named, before any squeeze matrix is built."""
+        """r1 + r2 = 4 at beta = 0.1 needs more than 8192 levels, and so does the
+        thermal tail alone at beta = 1e-310, whose support overflows a float: exit
+        3 with the point named, before any squeeze matrix is built."""
         import workreal.squeezing as squeezing
 
         def no_build(*args):
@@ -252,6 +253,13 @@ class TestSqueezeGrid:
         assert code == 3
         message = capsys.readouterr().err
         assert "beta=0.1" in message and "r=4" in message
+        for args in (["squeeze-grid", "--beta", "1e-310", "--grid-spec", "0:0.1:3"],
+                     ["squeeze-beta", "--beta-grid", "1e-310"]):
+            out = tmp_path / args[0]
+            assert run_cli(args + ["--out", out]) == 3
+            message = capsys.readouterr().err
+            assert "beta=1e-310" in message and "r=" in message
+            assert not list(out.glob("*.csv"))
 
 
     @pytest.mark.parametrize("beta", ["0.03", "0.01"])

@@ -279,11 +279,12 @@ def test_frozen_work_distribution():
 @pytest.mark.parametrize("zero_fraction", [0.0, 0.3])
 def test_work_rows_equal_np_unique_grouping(zero_fraction):
     """A (7201, 2, 2) stack of two-level joints, with and without exact zeros: the
-    entropy of each grouped row is that of the joint's own grouped distribution,
-    also where a whole group is absent and stays in its row as a zero."""
+    entropy of each grouped row of the sweep's work rows is that of the joint's own
+    grouped distribution, also where a whole group is absent and stays in its row
+    as a zero."""
     from workreal import JointDistribution, work_entropy
     from workreal.entropy import entropy_rows
-    from workreal.protocol import work_probability_rows
+    from workreal.two_level import _work_rows
     rng = np.random.default_rng(7201)
     flip = rng.random(7201)
     cut = rng.random(7201)
@@ -294,7 +295,7 @@ def test_work_rows_equal_np_unique_grouping(zero_fraction):
     joints = trans * np.array([P0_BETA1, P1_BETA1])
     assert (np.count_nonzero(joints == 0) > 0) == (zero_fraction > 0)
     s0, s1 = tls_spectrum(0), tls_spectrum(1)
-    rows = work_probability_rows(joints, s0, s1, "grouped")
+    rows = _work_rows(joints, "grouped")
     expected = [work_entropy(work_distribution(JointDistribution(joint, s0, s1),
                                                "grouped")).value for joint in joints]
     assert np.array_equal(entropy_rows(rows), expected)

@@ -26,6 +26,7 @@ from workreal import (
     total_work_distribution,
     work_distribution,
 )
+import workreal.hilbert as hilbert
 import workreal.squeezing as squeezing
 from workreal.entropy import _nats
 from workreal.leggett_garg import _entropy_reports, k3_entropic
@@ -344,7 +345,7 @@ class TestTiledProducts:
         one thread inside the kernel and inside its eigensolver, and are back at
         their former counts after a build, also after one that raises and after
         one whose eigensolver reports a LAPACK failure."""
-        pools = squeezing._blas_pools()
+        pools = hilbert._blas_pools()
         assert len(pools) == 2
 
         def counts():
@@ -629,6 +630,11 @@ class TestTruncationSelection:
         with pytest.raises(TruncationError) as excinfo:
             select_n_max(0.1, 4.0)
         assert "beta=0.1" in str(excinfo.value) and "r=4" in str(excinfo.value)
+        # the thermal tail alone past the cap, its support too large for a float
+        for beta in (1e-308, 1e-310):
+            with pytest.raises(TruncationError) as excinfo:
+                select_n_max(beta, 0.1)
+            assert f"beta={beta}" in str(excinfo.value) and "r=0.1" in str(excinfo.value)
 
     def test_failed_search_drops_its_bases(self, monkeypatch):
         """A search that builds up to the cap and fails leaves no eigenbasis in the
@@ -857,15 +863,21 @@ def test_golden_section_finds_quadratic_minimum():
     assert fx == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("xtol", [0.0, -1e-4, math.nan, math.inf])
+@pytest.mark.parametrize("xtol", [0.0, -1e-4, math.nan, math.inf, 1e-20])
 def test_golden_section_refuses_a_tolerance_it_cannot_meet(xtol):
-    """xtol = 0 would loop forever once the bracket stops shrinking; every
-    tolerance that is not positive and finite is refused before f is called."""
-    def never(x):
-        raise AssertionError(f"f evaluated at {x}")
+    """xtol = 0 would loop forever once the bracket stops shrinking, and so would
+    1e-20 on [0, 1], below the float spacing there.  A tolerance that is not
+    positive and finite is refused before f is called; one the bracket cannot
+    reach is refused at the first iteration that leaves it no narrower."""
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return (x - 0.3) ** 2
 
     with pytest.raises(InvalidParameterError, match="xtol"):
-        golden_section_minimum(never, 0.0, 1.0, xtol=xtol)
+        golden_section_minimum(f, 0.0, 1.0, xtol=xtol)
+    assert bool(calls) == (xtol == 1e-20)
 
 
 def test_propagator_certificate_fails_on_a_flipped_sign():

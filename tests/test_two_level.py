@@ -103,19 +103,18 @@ class TestSweep:
     def test_correlators_blind_to_energy_values(self):
         """Dichotomic parameters see only outcome indices, so swapping in
         incommensurate spectra cannot move them at all."""
-        grid = default_theta_grid(91)
-        default = tls_theta_sweep(beta=1.0, theta_grid=grid)
-        incommensurate = tls_theta_sweep(beta=1.0, theta_grid=grid,
-                                         spectra=incommensurate_tls_spectra())
-        assert np.array_equal(default.column("k_cor"), incommensurate.column("k_cor"))
-        assert np.array_equal(default.column("k_cor_flipped"),
-                              incommensurate.column("k_cor_flipped"))
+        for theta in default_theta_grid(91):
+            default = tls_lg_parameters(1.0, TlsAngles(theta))
+            incommensurate = tls_lg_parameters(1.0, TlsAngles(theta),
+                                               spectra=incommensurate_tls_spectra())
+            assert incommensurate["k_cor"] == default["k_cor"]
+            assert incommensurate["k_cor_flipped"] == default["k_cor_flipped"]
 
     def test_incommensurate_spectra_merge_fine_and_grouped(self):
-        table = tls_theta_sweep(beta=1.0, theta_grid=default_theta_grid(61),
-                                spectra=incommensurate_tls_spectra())
-        np.testing.assert_allclose(table.column("k_en_fine"),
-                                   table.column("k_en_grouped"), atol=1e-12)
+        for theta in default_theta_grid(61):
+            values = tls_lg_parameters(1.0, TlsAngles(theta),
+                                       spectra=incommensurate_tls_spectra())
+            assert values["k_en_fine"] == pytest.approx(values["k_en_grouped"], abs=1e-12)
 
     def test_default_grid_size(self):
         assert default_theta_grid().size == 721
@@ -134,46 +133,38 @@ EDGE_GRID = np.array([0.0, 1e-170, 2 * math.pi, -0.5, math.pi / 2, math.pi])
 NEAR_DEGENERATE = tuple(tls_spectrum(k, (0.0, 0.6e-9 * (k + 1))) for k in range(3))
 
 
-def per_angle_rows(beta, grid, spectra=None, alpha=0.0, beta_angle=0.0):
+def per_angle_rows(beta, grid):
     rows = []
     for theta in grid:
-        values = tls_lg_parameters(beta, TlsAngles(theta, alpha, beta_angle),
-                                   spectra=spectra)
+        values = tls_lg_parameters(beta, TlsAngles(theta))
         rows.append((theta, values["k_cor"], values["k_cor_flipped"],
                      values["k_en_fine"], values["k_en_grouped"]))
     return np.array(rows)
 
 
-@pytest.mark.parametrize("beta, grid, options", [
-    (1.0, default_theta_grid(), {}),
-    (0.4, default_theta_grid(181), {"spectra": incommensurate_tls_spectra()}),
-    (1.0, default_theta_grid(181), {"alpha": 0.3, "beta_angle": 1.1}),
-    (1.0, EDGE_GRID, {}),
+@pytest.mark.parametrize("beta, grid", [
+    (1.0, default_theta_grid()),
+    (0.1, default_theta_grid(7201)),
+    (5.0, default_theta_grid(7201)),
+    # the CLI grid -7:20:999: angles outside [0, 2 pi), and at beta 800 an
+    # excited population that underflows to zero
+    (800.0, np.linspace(-7.0, 20.0, 999)),
+    (1.0, EDGE_GRID),
     # ground-state start: the excited column of every joint is empty, so whole
     # work groups are absent and stay in the grouped rows as zeros
-    (math.inf, np.concatenate([EDGE_GRID, default_theta_grid(181)]), {}),
-], ids=["base-e", "incommensurate", "phases", "zero-transitions",
-        "ground-state"])
-def test_array_sweep_equals_per_angle_oracle(beta, grid, options):
-    rows = tls_theta_sweep(beta=beta, theta_grid=grid, **options).rows
-    expected = per_angle_rows(beta, grid, **options)
+    (math.inf, np.concatenate([EDGE_GRID, default_theta_grid(181)])),
+], ids=["base-e", "beta-0.1", "beta-5", "beta-800", "zero-transitions", "ground-state"])
+def test_array_sweep_equals_per_angle_oracle(beta, grid):
+    rows = tls_theta_sweep(beta=beta, theta_grid=grid).rows
+    expected = per_angle_rows(beta, grid)
     assert np.array_equal(rows, expected)
     assert np.array_equal(np.signbit(rows), np.signbit(expected))
 
 
-@pytest.mark.parametrize("beta", [1.0, math.inf],
-                         ids=["near-degenerate", "near-degenerate-ground-state"])
-def test_array_sweep_refuses_chained_work_values(beta):
-    """A joint's support could split a group that spans the gap tolerance, so the
-    sweep refuses such spectra; the per-angle API still evaluates them."""
-    from workreal import InvalidParameterError
-    with pytest.raises(InvalidParameterError, match="spans"):
-        tls_theta_sweep(beta=beta, theta_grid=EDGE_GRID, spectra=NEAR_DEGENERATE)
-
-
 def test_oracle_cases_reach_their_edges():
-    """The edge rows really have empty transitions, and the near-degenerate
-    ground-state rows really group differently from the fine view."""
+    """The edge rows really have empty transitions, and the per-angle API
+    evaluates near-degenerate spectra, whose work values chain into groups, with
+    a grouped view that differs from the fine one."""
     for theta in EDGE_GRID[:3]:
         matrix = tls_propagator(TlsAngles(theta)).matrix
         assert np.abs(matrix[0, 1]) ** 2 == 0.0
@@ -186,5 +177,3 @@ def test_sweep_rejects_bad_grids():
     for grid in (np.array([]), np.array([0.0, math.nan]), np.zeros((2, 2))):
         with pytest.raises(InvalidParameterError):
             tls_theta_sweep(theta_grid=grid)
-    with pytest.raises(InvalidParameterError):
-        tls_theta_sweep(theta_grid=np.array([1.0]), alpha=math.inf)
