@@ -10,7 +10,7 @@ Every experiment takes `--config PATH` and `--out DIR`, plus its settings:
     tls-theta        --beta --grid-spec --entropy-base
     squeeze-grid     --beta --n-max --grid-spec --entropy-base --degeneracy --middle-entropy
     squeeze-beta     --grid-spec --beta-grid --entropy-base --degeneracy --middle-entropy
-    jarzynski-check  --n-max --seed
+    jarzynski-check  --seed
     mc-crosscheck    --beta --seed --theta --n-samples
 
 The config file holds `key = value` lines for `out_dir` and those settings; flags
@@ -103,6 +103,11 @@ class SweepConfig:
                     continue
                 if name == "beta_grid" and not np.all(values > 0):
                     problems.append(f"beta_grid: must be positive, got {self.beta_grid!r}")
+                # a squeeze run's largest total amplitude is r + r = 2 r at its largest r
+                if (name == "grid_spec" and self.experiment != "tls-theta"
+                        and not math.isfinite(2.0 * float(values.max()))):
+                    problems.append(f"grid_spec: the largest r + r is not finite, "
+                                    f"got {self.grid_spec!r}")
         return problems
 
 
@@ -271,7 +276,7 @@ def _run_jarzynski_check(config: SweepConfig) -> tuple[list[Path], bool]:
         rows.append((0.0, beta, angles.theta, deviation, 1e-10, float(ok)))
     # oscillator: total work through the middle measurement (equal spectra, dF = 0)
     for beta in (0.5, 1.0):
-        protocol = oscillator_three_time(beta, 0.3, 0.3, n_max=config.n_max)
+        protocol = oscillator_three_time(beta, 0.3, 0.3)
         deviation = jarzynski_deviation(total_work_distribution(protocol.joint3),
                                         beta, 0.0)
         ok = deviation < protocol.truncation_budget
@@ -308,7 +313,7 @@ EXPERIMENTS = {
                                           "degeneracy", "middle_entropy")),
     "squeeze-beta": (_run_squeeze_beta, ("grid_spec", "beta_grid", "entropy_base",
                                           "degeneracy", "middle_entropy")),
-    "jarzynski-check": (_run_jarzynski_check, ("n_max", "seed")),
+    "jarzynski-check": (_run_jarzynski_check, ("seed",)),
     "mc-crosscheck": (_run_mc_crosscheck, ("beta", "seed", "theta", "n_samples")),
 }
 

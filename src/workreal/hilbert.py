@@ -189,8 +189,10 @@ def _gibbs_populations(levels: np.ndarray, beta: float) -> np.ndarray:
     if beta == math.inf:
         ground = levels == levels.min()
         return ground / ground.sum()
-    # max-shift keeps every exponent <= 0, so no overflow for any beta
-    weights = np.exp(-beta * (levels - levels.min()))
+    # max-shift keeps every exponent <= 0.  At a huge beta, beta * gap can overflow
+    # to inf; its weight exp(-inf) = 0 is exact, so that overflow goes unreported
+    with np.errstate(over="ignore"):
+        weights = np.exp(-beta * (levels - levels.min()))
     return weights / weights.sum()
 
 

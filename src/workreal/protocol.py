@@ -193,9 +193,9 @@ def two_time_joint_skipping_middle(rho0: DiagonalDensity, u10: UnitaryPropagator
 class WorkDistribution:
     """Discrete work values with probabilities.
 
-    `view` is "fine" (one entry per contributing index pair, zero-probability pairs
-    dropped) or "grouped" (entries within `WORK_DEGENERACY_TOL` of each other merged,
-    values strictly increasing).
+    `view` is "fine" (one entry per index pair of nonzero probability, works
+    non-decreasing, ties ordered by later, then earlier index) or "grouped" (entries
+    within `WORK_DEGENERACY_TOL` of each other merged, works strictly increasing).
     """
 
     works: np.ndarray
@@ -213,25 +213,21 @@ class WorkDistribution:
         _require_normalized(probs.sum(), self.norm_tol, "work distribution")
         if self.view == "grouped" and np.any(np.diff(works) <= 0):
             raise InvalidParameterError("grouped work values must be strictly increasing")
+        if np.any(np.diff(works) < 0):
+            raise InvalidParameterError("fine work values must be non-decreasing")
         object.__setattr__(self, "works", works)
         object.__setattr__(self, "probabilities", probs)
 
     def grouped(self) -> "WorkDistribution":
-        """Merge entries whose work values coincide within WORK_DEGENERACY_TOL
-        (adjacent-gap clustering)."""
+        """Merge the runs of adjacent entries whose gaps are below WORK_DEGENERACY_TOL
+        (adjacent-gap clustering of the already ordered works)."""
         if self.view == "grouped":
             return self
-        order = np.argsort(self.works, kind="stable")
-        works = self.works[order]
-        probs = self.probabilities[order]
-        boundaries = np.flatnonzero(np.diff(works) >= WORK_DEGENERACY_TOL) + 1
-        merged_w, merged_p = [], []
-        for chunk in np.split(np.arange(works.size), boundaries):
-            p = probs[chunk].sum()
-            merged_w.append(float(np.dot(works[chunk], probs[chunk]) / p))
-            merged_p.append(float(p))
-        return WorkDistribution(np.array(merged_w), np.array(merged_p), "grouped",
-                                norm_tol=self.norm_tol)
+        cuts = [0, *(np.flatnonzero(np.diff(self.works) >= WORK_DEGENERACY_TOL) + 1), None]
+        runs = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+        probs = np.array([self.probabilities[run].sum() for run in runs])
+        works = np.array([np.dot(self.works[run], self.probabilities[run]) for run in runs]) / probs
+        return WorkDistribution(works, probs, "grouped", norm_tol=self.norm_tol)
 
 
 def work_distribution(joint: JointDistribution, view: str = "grouped") -> WorkDistribution:

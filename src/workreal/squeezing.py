@@ -651,7 +651,7 @@ def squeeze_grid_sweep(beta: float, r1_grid: np.ndarray, r2_grid: np.ndarray,
         if grid.size == 0 or np.any(grid < 0) or not np.all(np.isfinite(grid)):
             raise InvalidParameterError("grids must be non-empty, finite, non-negative")
     if n_max is None:
-        n_max = select_n_max(beta, float(r1_grid.max() + r2_grid.max()))
+        n_max = select_n_max(beta, float(r1_grid.max()) + float(r2_grid.max()))
     legs = _Legs(beta, n_max, degeneracy,
                  f"r grid up to ({r1_grid.max():g}, {r2_grid.max():g})")
     rows = np.empty((r1_grid.size * r2_grid.size, 4))

@@ -100,28 +100,19 @@ def contour_points(x_values: np.ndarray, y_values: np.ndarray, z: np.ndarray,
                    level: float) -> np.ndarray:
     """Linear edge crossings of z(x, y) = level on a rectangular grid.
 
-    z[i, j] is the value at (x_values[i], y_values[j]).  Returns an (n, 2) array of
-    crossing points sorted lexicographically; no attempt is made to chain them into
-    curves.
+    z[i, j] is the value at (x_values[i], y_values[j]).  Boolean masks find the nodes
+    at the level and the x and y edges whose end values a, b straddle it, crossed at
+    t = a / (a - b) of the edge.  Returns an (n, 2) array of the distinct points
+    sorted lexicographically; no attempt is made to chain them into curves.
     """
+    x, y = np.asarray(x_values, dtype=float), np.asarray(y_values, dtype=float)
     f = z - level
-    points: set[tuple[float, float]] = set()
-    for i, j in zip(*np.nonzero(f == 0.0)):
-        points.add((float(x_values[i]), float(y_values[j])))
-    for i in range(f.shape[0] - 1):
-        for j in range(f.shape[1]):
-            a, b = f[i, j], f[i + 1, j]
-            if (a < 0 < b) or (b < 0 < a):
-                t = a / (a - b)
-                points.add((float(x_values[i] + t * (x_values[i + 1] - x_values[i])),
-                            float(y_values[j])))
-    for i in range(f.shape[0]):
-        for j in range(f.shape[1] - 1):
-            a, b = f[i, j], f[i, j + 1]
-            if (a < 0 < b) or (b < 0 < a):
-                t = a / (a - b)
-                points.add((float(x_values[i]),
-                            float(y_values[j] + t * (y_values[j + 1] - y_values[j]))))
-    if not points:
-        return np.empty((0, 2))
-    return np.array(sorted(points))
+    i, j = np.nonzero(f == 0.0)
+    points = [np.column_stack([x[i], y[j]])]
+    for a, b, along_x in ((f[:-1], f[1:], True), (f[:, :-1], f[:, 1:], False)):
+        i, j = np.nonzero((a < 0) & (0 < b) | (b < 0) & (0 < a))
+        t = a[i, j] / (a[i, j] - b[i, j])
+        points.append(np.column_stack([x[i] + t * (x[i + 1] - x[i]), y[j]]) if along_x
+                      else np.column_stack([x[i], y[j] + t * (y[j + 1] - y[j])]))
+    # return_index sorts stably: of points equal but for a zero's sign, the first found stays
+    return np.unique(np.concatenate(points), axis=0, return_index=True)[0]

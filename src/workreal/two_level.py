@@ -38,13 +38,15 @@ from .hilbert import (
 from .leggett_garg import (
     GROUND_EXCITED,
     _check_correlator,
+    _correlators,
+    _entropy_reports,
+    _joints,
     _k_cor,
     _k_cor_flipped,
     _k_en,
-    correlator_set,
-    entropic_k3_from_protocol,
     k3_correlator,
     k3_correlator_flipped,
+    k3_entropic,
 )
 from .protocol import JOINT_NORM_TOL, _require_normalized, check_joint_probs
 from .tables import SweepTable
@@ -112,20 +114,17 @@ def tls_lg_parameters(beta: float, angles: TlsAngles,
                       spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum] | None = None
                       ) -> dict[str, float]:
     """All macrorealism parameters for one angle setting (both intervals equal),
-    through the object pipeline."""
+    through the object pipeline: k_cor, k_cor_flipped, k_en_fine and k_en_grouped
+    (nats), all from one three-time joint and one no-middle joint."""
     if spectra is None:
         spectra = (tls_spectrum(0), tls_spectrum(1), tls_spectrum(2))
-    rho0 = build_thermal_state(spectra[0], beta)
     u = tls_propagator(angles)
-    correlators = correlator_set(rho0, u, u, GROUND_EXCITED)
-    out = {
-        "k_cor": k3_correlator(correlators),
-        "k_cor_flipped": k3_correlator_flipped(correlators),
-    }
-    for view in ("fine", "grouped"):
-        out[f"k_en_{view}"] = entropic_k3_from_protocol(
-            rho0, u, u, spectrum_1=spectra[1], spectrum_2=spectra[2], degeneracy=view)
-    return out
+    joints = _joints(build_thermal_state(spectra[0], beta), u, u, *spectra[1:])
+    correlators = _correlators(*joints, GROUND_EXCITED)
+    return {"k_cor": k3_correlator(correlators),
+            "k_cor_flipped": k3_correlator_flipped(correlators),
+            **{f"k_en_{view}": k3_entropic(*reports)
+               for view, reports in _entropy_reports(*joints).items()}}
 
 
 def _work_rows(joints: np.ndarray, view: str) -> np.ndarray:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,7 +200,7 @@ class TestSqueezeGrid:
               "middle_entropy"}),
             ("squeeze-beta", "geom:0.05:0.4:6", "squeeze_beta.csv",
              {"grid_spec", "beta_grid", "entropy_base", "degeneracy", "middle_entropy"}),
-            ("jarzynski-check", "0:1:3", "jarzynski_check.csv", {"n_max", "seed"}),
+            ("jarzynski-check", "0:1:3", "jarzynski_check.csv", {"seed"}),
             ("mc-crosscheck", "0:1:3", "mc_crosscheck.csv",
              {"beta", "seed", "theta", "n_samples"}),
         ]
@@ -433,12 +434,12 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("experiment, name, value", [
         ("jarzynski-check", "seed", "-1"), ("mc-crosscheck", "seed", "-3"),
-        ("squeeze-grid", "n_max", "8193"), ("jarzynski-check", "n_max", "8193"),
+        ("squeeze-grid", "n_max", "8193"), ("squeeze-grid", "n_max", "0"),
         ("squeeze-beta", "beta_grid", "0.1,0.2,0.3,0"),
         ("squeeze-beta", "beta_grid", "0.5,-1"),
     ])
     def test_out_of_range_settings_exit_2(self, tmp_path, capsys, experiment, name, value):
-        """A negative seed, an n_max above N_MAX_CAP and a beta grid with a
+        """A negative seed, an n_max outside 1..N_MAX_CAP and a beta grid with a
         non-positive entry are refused before any run starts, as a flag and as a
         config key; nothing is sampled, allocated or computed."""
         flag = f"--{name.replace('_', '-')}={value}"
@@ -450,6 +451,33 @@ class TestConfigFile:
         assert f"{name}: must be" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
 
+
+@pytest.mark.parametrize("args, code, message", [
+    (["squeeze-grid", "--grid-spec", "0:1e308:2"], 2,
+     "config error: grid_spec: the largest r + r is not finite, got '0:1e308:2'"),
+    (["squeeze-beta", "--grid-spec", "0.1,1e308", "--beta-grid", "1"], 2,
+     "config error: grid_spec: the largest r + r is not finite, got '0.1,1e308'"),
+    (["squeeze-grid", "--beta", "1e308", "--grid-spec", "0:0.1:3"], 0, ""),
+], ids=["squeeze-grid-r-overflow", "squeeze-beta-r-overflow", "squeeze-grid-beta-1e308"])
+def test_overflowing_settings_raise_no_runtime_warning(tmp_path, capsys, args, code, message):
+    """A grid whose largest r + r overflows is refused before any run, naming
+    grid_spec; at beta 1e308 every excited weight is exactly 0 and the run
+    succeeds.  Neither prints a numpy RuntimeWarning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli([*args, "--out", tmp_path]) == code
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err == (message + "\n" if message else "")
+    assert bool(list(tmp_path.rglob("*.csv"))) == (code == 0)
+
+
+def test_jarzynski_check_takes_no_n_max(tmp_path):
+    """jarzynski-check's oscillator rows choose their own truncation."""
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["jarzynski-check", "--n-max", "64", "--out", tmp_path])
+    assert exit_info.value.code == 2
+    assert "n_max" not in EXPERIMENTS["jarzynski-check"][1]
 
 def test_sweeps_leave_the_entropy_base_to_the_manifest():
     """A library sweep's meta claims no base; the CLI manifest writes the setting."""

@@ -19,6 +19,7 @@ from workreal import (
     two_time_joint_skipping_middle,
     work_distribution,
 )
+from workreal.protocol import WORK_DEGENERACY_TOL
 from workreal.squeezing import oscillator_three_time
 from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum
 
@@ -299,6 +300,76 @@ def test_work_rows_equal_np_unique_grouping(zero_fraction):
     expected = [work_entropy(work_distribution(JointDistribution(joint, s0, s1),
                                                "grouped")).value for joint in joints]
     assert np.array_equal(entropy_rows(rows), expected)
+
+
+
+def _former_grouped(fine):
+    """The former `WorkDistribution.grouped`: a stable argsort of the works, both
+    gathers, then one `np.split` of an index array into the runs."""
+    order = np.argsort(fine.works, kind="stable")
+    works = fine.works[order]
+    probs = fine.probabilities[order]
+    boundaries = np.flatnonzero(np.diff(works) >= WORK_DEGENERACY_TOL) + 1
+    merged_w, merged_p = [], []
+    for chunk in np.split(np.arange(works.size), boundaries):
+        p = probs[chunk].sum()
+        merged_w.append(float(np.dot(works[chunk], probs[chunk]) / p))
+        merged_p.append(float(p))
+    return np.array(merged_w), np.array(merged_p)
+
+
+def _straddling_joints():
+    """Random joints over levels spaced so that their work gaps fall just below,
+    at and just above WORK_DEGENERACY_TOL."""
+    from workreal import JointDistribution
+    rng = np.random.default_rng(25)
+    spacings = [0.0, 1e-12, 0.5e-9, 0.999999e-9, 1e-9, 1.000001e-9, 2e-9, 0.3]
+    joints = []
+    for _ in range(80):
+        n = int(rng.integers(2, 8))
+        earlier = np.cumsum(rng.choice(spacings, size=n))
+        later = np.sort(earlier + rng.choice([0.0, 0.4e-9, 1e-9], size=n))
+        probs = rng.random((n, n)) * (rng.random((n, n)) > 0.25)
+        probs[0, -1] += 0.1
+        joints.append(JointDistribution(probs / probs.sum(), EnergySpectrum(earlier, 0),
+                                        EnergySpectrum(later, 1)))
+    return joints
+
+
+def test_grouped_by_slices_equals_the_former_argsort_oracle():
+    """The grouped view merges the fine view's runs by slices, bit for bit as the
+    former argsort and split did: on the total work of jarzynski-check's beta 0.5
+    oscillator row, on its no-middle joint, and on work gaps straddling the
+    degeneracy tolerance."""
+    oscillator = oscillator_three_time(0.5, 0.3, 0.3)
+    joints = [oscillator.joint3.marginal_t2_t0(), oscillator.no_middle,
+              two_time_joint(thermal(), rotation(math.pi / 2)), *_straddling_joints()]
+    gaps = []
+    for joint in joints:
+        fine = work_distribution(joint, "fine")
+        grouped = fine.grouped()
+        works, probs = _former_grouped(fine)
+        assert np.array_equal(grouped.works, works)
+        assert np.array_equal(np.signbit(grouped.works), np.signbit(works))
+        assert np.array_equal(grouped.probabilities, probs)
+        gaps.append(np.diff(fine.works))
+    gaps = np.concatenate(gaps)
+    tol = WORK_DEGENERACY_TOL
+    assert np.any((0.999 * tol < gaps) & (gaps < tol))
+    assert np.any((tol <= gaps) & (gaps < 1.001 * tol))
+    assert len(work_distribution(joints[0], "grouped").works) > 200
+
+
+def test_fine_view_must_be_ordered_by_work():
+    """Non-decreasing works are an invariant of the fine view, which the grouped
+    view's merge by slices relies on."""
+    from workreal.protocol import WorkDistribution
+    ties = WorkDistribution(np.array([-1.0, 0.0, 0.0, 1.0]), np.full(4, 0.25), "fine")
+    assert ties.grouped().works.tolist() == [-1.0, 0.0, 1.0]
+    with pytest.raises(InvalidParameterError, match="non-decreasing"):
+        WorkDistribution(np.array([0.0, -1.0, 1.0]), np.array([0.5, 0.25, 0.25]), "fine")
+    with pytest.raises(InvalidParameterError, match="strictly increasing"):
+        WorkDistribution(np.array([0.0, 0.0]), np.array([0.5, 0.5]), "grouped")
 
 
 class TestJarzynski:

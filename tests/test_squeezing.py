@@ -618,6 +618,16 @@ class TestTruncationSelection:
         below = squeeze_matrix_closed_form(0.2, n_max - 64).column_defects
         assert below[:support].max() >= 1e-10
 
+    def test_grid_whose_largest_sum_overflows_is_refused_quietly(self):
+        """r1 + r2 of the largest grid amplitudes is summed as Python floats, so an
+        overflow is an inf that select_n_max refuses, with no numpy warning."""
+        import warnings
+        grid = np.array([0.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParameterError, match="r_total must be finite"):
+                squeeze_grid_sweep(1.0, grid, grid)
+
     def test_cap_fails_before_building(self, monkeypatch):
         """When the squeezed vacuum alone needs more than 8192 levels, the search
         raises without a single eigendecomposition."""
@@ -760,9 +770,9 @@ class TestEntropicParameter:
         pipeline in every convention combination."""
         protocol = oscillator_three_time(1.0, 0.12, 0.2, n_max=96)
         pops = __import__("workreal").build_thermal_state(protocol.spectra[0], 1.0)
+        reports = _entropy_reports(protocol.joint3, protocol.no_middle)
         for degeneracy in ("fine", "grouped"):
-            h_w21, h_w10, h_w20, h_e1 = _entropy_reports(
-                protocol.joint3, protocol.no_middle, degeneracy)
+            h_w21, h_w10, h_w20, h_e1 = reports[degeneracy]
             measured = k3_entropic(h_w21, h_w10, h_w20, h_e1)
             fast_measured, _ = entropic_k3_oscillator(
                 1.0, 0.12, 0.2, n_max=96, degeneracy=degeneracy,

@@ -177,3 +177,79 @@ def test_sweep_rejects_bad_grids():
     for grid in (np.array([]), np.array([0.0, math.nan]), np.zeros((2, 2))):
         with pytest.raises(InvalidParameterError):
             tls_theta_sweep(theta_grid=grid)
+
+
+def test_one_three_time_joint_and_one_no_middle_joint_per_angle(monkeypatch):
+    """Both correlator parameters and both entropy views come from one three-time
+    joint and one no-middle joint: each is built once per call, wherever the
+    pipeline reaches for it."""
+    from workreal import leggett_garg, protocol, two_level
+    built = {"three_time_joint": 0, "two_time_joint_skipping_middle": 0}
+    for name in built:
+        original = getattr(protocol, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            built[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (protocol, leggett_garg, two_level):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    for spectra in (None, incommensurate_tls_spectra(), NEAR_DEGENERATE):
+        for key in built:
+            built[key] = 0
+        tls_lg_parameters(1.0, TlsAngles(1.1, 0.4, 2.3), spectra=spectra)
+        assert built == {"three_time_joint": 1, "two_time_joint_skipping_middle": 1}
+
+
+# (beta, angles, incommensurate spectra?) -> values recorded when every angle built
+# its joints three times, once for the correlators and once per entropy view
+RECORDED = [
+    (1.0, TlsAngles(1.1), True,
+     (-0.12392334002662515, 0.3296727813989521, 0.3322824811496782, 0.3322824811496782)),
+    (0.1, TlsAngles(2.5), True,
+     (0.7214873541392733, -0.07965626140766026, -0.002353920260311171,
+      -0.002353920260311171)),
+    (math.inf, TlsAngles(4.0), True,
+     (0.5404468019796526, -0.11319681888395938, 0.119627828123474, 0.119627828123474)),
+    (0.7, TlsAngles(1.1, 0.4, 2.3), False,
+     (0.2541542505894851, 0.7077503720150624, 0.5054960252606474, 0.3325533621287202)),
+    (5.0, TlsAngles(5.9, 3.0, -1.2), False,
+     (0.009254635299516117, 0.9367330660435523, 0.05079101850879407,
+      -0.034235203517549176)),
+    (math.inf, TlsAngles(0.8, 1.0, 1.0), False,
+     (0.07653397071144508, 0.7732406800586106, 0.21400486940993735, 0.03349446559075259)),
+]
+
+
+@pytest.mark.parametrize("beta, angles, incommensurate, expected", RECORDED, ids=[
+    "incommensurate-beta-1", "incommensurate-beta-0.1", "incommensurate-ground-state",
+    "phases-beta-0.7", "phases-beta-5", "phases-ground-state"])
+def test_per_angle_values_are_frozen(beta, angles, incommensurate, expected):
+    spectra = incommensurate_tls_spectra() if incommensurate else None
+    values = tls_lg_parameters(beta, angles, spectra=spectra)
+    assert tuple(values.values()) == expected
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, 5.0, math.inf])
+def test_per_angle_values_equal_the_public_pipeline(beta):
+    """tls_lg_parameters against correlator_set and entropic_k3_from_protocol
+    called per view, each building its own joints: equal bits on random angles
+    with nonzero phases, and with incommensurate or near-degenerate spectra."""
+    from workreal import build_thermal_state, correlator_set, entropic_k3_from_protocol
+    from workreal.leggett_garg import k3_correlator, k3_correlator_flipped
+    rng = np.random.default_rng(17)
+    for spectra in (None, incommensurate_tls_spectra(), NEAR_DEGENERATE):
+        levels = spectra or (tls_spectrum(0), tls_spectrum(1), tls_spectrum(2))
+        rho0 = build_thermal_state(levels[0], beta)
+        for theta, alpha, beta_angle in rng.uniform(-7.0, 14.0, size=(40, 3)):
+            angles = TlsAngles(theta, alpha, beta_angle)
+            u = tls_propagator(angles)
+            c = correlator_set(rho0, u, u)
+            expected = [k3_correlator(c), k3_correlator_flipped(c)] + [
+                entropic_k3_from_protocol(rho0, u, u, spectrum_1=levels[1],
+                                          spectrum_2=levels[2], degeneracy=view)
+                for view in ("fine", "grouped")]
+            values = list(tls_lg_parameters(beta, angles, spectra=spectra).values())
+            assert np.array_equal(np.array(values), np.array(expected))
+            assert np.array_equal(np.signbit(values), np.signbit(expected))
