@@ -15,7 +15,9 @@ Every experiment takes `--config PATH` and `--out DIR`, plus its settings:
 
 The config file holds `key = value` lines for `out_dir` and those settings; flags
 win.  Any other flag or key exits 2.  Exit codes: 0 success (all budgets met),
-2 invalid configuration, 3 truncation budget failure.
+2 invalid configuration, 3 a budget or bound not met: a truncation budget, a
+Jarzynski row's bound, or an mc-crosscheck cell MC_Z_BOUND or more standard
+errors from its exact probability.
 
 The library computes every entropy and K_en in nats.  `--entropy-base 2` converts
 at output: each runner divides its K_en columns by log 2 before the table is
@@ -36,19 +38,24 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidParameterError, TruncationError
-from .hilbert import build_thermal_state, free_energy_difference
+from .hilbert import build_thermal_state
 from .protocol import (
     empirical_chi_squared_pvalue,
     jarzynski_deviation,
     sample_trajectories,
     three_time_joint,
     total_work_distribution,
-    work_distribution,
-    two_time_joint,
 )
 from .squeezing import N_MAX_CAP, beta_sweep_min_k, oscillator_three_time, squeeze_grid_sweep
 from .tables import SweepTable, contour_points, write_table_csv
-from .two_level import TlsAngles, tls_propagator, tls_spectrum, tls_theta_sweep
+from .two_level import (
+    TWO_PI,
+    TlsAngles,
+    tls_jarzynski_deviations,
+    tls_propagator,
+    tls_spectrum,
+    tls_theta_sweep,
+)
 
 # each setting's type, and the values a convention setting allows
 SETTINGS = {
@@ -60,6 +67,9 @@ SETTINGS = {
 }
 # K_en levels of the squeeze-grid contour files, in the output unit
 CONTOUR_LEVELS = (0.0, -0.05)
+# an mc-crosscheck cell this many standard errors sqrt(p (1 - p) / n) from its
+# exact probability p fails the run
+MC_Z_BOUND = 5.0
 
 
 @dataclass
@@ -259,33 +269,29 @@ def _run_squeeze_beta(config: SweepConfig) -> tuple[list[Path], bool]:
 def _run_jarzynski_check(config: SweepConfig) -> tuple[list[Path], bool]:
     seed = config.seed if config.seed is not None else 20
     rng = np.random.default_rng(seed)
-    rows = []
-    all_ok = True
-    # two-level: random angles, temperatures, and spectra at each measurement time
-    for _ in range(100):
-        beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        angles = TlsAngles(*rng.uniform(0.0, 2.0 * math.pi, size=3))
-        s0 = tls_spectrum(0, (0.0, float(rng.uniform(0.2, 3.0))))
-        s1 = tls_spectrum(1, (0.0, float(rng.uniform(0.2, 3.0))))
-        rho0 = build_thermal_state(s0, beta)
-        joint = two_time_joint(rho0, tls_propagator(angles), spectrum_later=s1)
-        deviation = jarzynski_deviation(work_distribution(joint), beta,
-                                        free_energy_difference(s0, s1, beta))
-        ok = deviation < 1e-10
-        all_ok &= ok
-        rows.append((0.0, beta, angles.theta, deviation, 1e-10, float(ok)))
+    # two-level: 100 rows of random temperatures, angles and spectra (0, gap) at the
+    # two measurement times, drawn row by row: log beta, the three angles, the gaps
+    draws = rng.uniform([np.log(0.1), 0.0, 0.0, 0.0, 0.2, 0.2],
+                        [np.log(10.0), TWO_PI, TWO_PI, TWO_PI, 3.0, 3.0], size=(100, 6))
+    beta = np.exp(draws[:, 0])
+    deviation = tls_jarzynski_deviations(beta, *draws[:, 1:].T)
+    ok = deviation < 1e-10
+    all_ok = bool(ok.all())
+    two_level = np.column_stack([np.zeros(100), beta, np.mod(draws[:, 1], TWO_PI), deviation,
+                                 np.full(100, 1e-10), ok])
     # oscillator: total work through the middle measurement (equal spectra, dF = 0)
+    oscillator = []
     for beta in (0.5, 1.0):
         protocol = oscillator_three_time(beta, 0.3, 0.3)
         deviation = jarzynski_deviation(total_work_distribution(protocol.joint3),
                                         beta, 0.0)
         ok = deviation < protocol.truncation_budget
         all_ok &= ok
-        rows.append((1.0, beta, 0.3, deviation, protocol.truncation_budget, float(ok)))
+        oscillator.append((1.0, beta, 0.3, deviation, protocol.truncation_budget, float(ok)))
     table = SweepTable(
         ["model", "beta", "parameter", "deviation", "bound", "within_bound"],
-        np.array(rows), meta={**_base_meta(config), "seed": seed,
-                              "model_codes": "0=two-level 1=oscillator"})
+        np.vstack([two_level, oscillator]),
+        meta={**_base_meta(config), "seed": seed, "model_codes": "0=two-level 1=oscillator"})
     return [_write(config, "jarzynski_check.csv", table)], all_ok
 
 
@@ -303,7 +309,16 @@ def _run_mc_crosscheck(config: SweepConfig) -> tuple[list[Path], bool]:
     table = SweepTable(["k2", "k1", "k0", "empirical", "exact"], np.array(rows),
                        meta={**_base_meta(config), "theta": theta, "beta": beta,
                              "chi_squared_pvalue": pvalue})
-    return [_write(config, "mc_crosscheck.csv", table)], True
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.abs(empirical - exact_probs) / np.sqrt(
+            exact_probs * (1.0 - exact_probs) / config.n_samples)
+    z[empirical == exact_probs] = 0.0  # a cell of probability 0 or 1, met exactly
+    worst = np.unravel_index(np.argmax(z), z.shape)
+    if z[worst] >= MC_Z_BOUND:
+        print(f"mc-crosscheck: cell (k2, k1, k0) = {tuple(map(int, worst))} lies "
+              f"{z[worst]:.2f} standard errors from its exact value "
+              f"(bound {MC_Z_BOUND:g})", file=sys.stderr)
+    return [_write(config, "mc_crosscheck.csv", table)], bool(z[worst] < MC_Z_BOUND)
 
 
 # each experiment's runner and the settings it reads, in manifest order

@@ -75,20 +75,25 @@ def dichotomic_correlator(joint: JointDistribution, mapping: DichotomicMapping) 
 def correlator_set(rho0: DiagonalDensity, u10: UnitaryPropagator, u21: UnitaryPropagator,
                    mapping: DichotomicMapping = GROUND_EXCITED) -> CorrelatorSet:
     """Assemble the three correlators with the required branch discipline."""
-    return _correlators(*_joints(rho0, u10, u21), mapping)
+    leg10, leg21, _, no_middle = _joints(rho0, u10, u21)
+    return _correlators(leg10, leg21, no_middle, mapping)
 
 
 def _joints(rho0, u10, u21, spectrum_1=None, spectrum_2=None):
-    """The three-time joint and the no-middle (t2, t0) joint of one protocol."""
-    return (three_time_joint(rho0, u10, u21, spectrum_1=spectrum_1, spectrum_2=spectrum_2),
+    """The two-time statistics of one protocol, each built once: the measured legs
+    (t1, t0) and (t2, t1) and the middle marginal of its three-time joint, and
+    the no-middle (t2, t0) joint."""
+    joint3 = three_time_joint(rho0, u10, u21, spectrum_1=spectrum_1, spectrum_2=spectrum_2)
+    return (joint3.marginal_t1_t0(), joint3.marginal_t2_t1(), joint3.marginal_t1(),
             two_time_joint_skipping_middle(rho0, u10, u21, spectrum_later=spectrum_2))
 
 
-def _correlators(joint3, no_middle: JointDistribution, mapping: DichotomicMapping) -> CorrelatorSet:
-    """C01 and C12 from the measured legs of `joint3`, C02 from the no-middle branch."""
+def _correlators(leg10: JointDistribution, leg21: JointDistribution,
+                 no_middle: JointDistribution, mapping: DichotomicMapping) -> CorrelatorSet:
+    """C01 and C12 from the measured legs, C02 from the no-middle branch."""
     return CorrelatorSet(
-        c01=dichotomic_correlator(joint3.marginal_t1_t0(), mapping),
-        c12=dichotomic_correlator(joint3.marginal_t2_t1(), mapping),
+        c01=dichotomic_correlator(leg10, mapping),
+        c12=dichotomic_correlator(leg21, mapping),
         c02=dichotomic_correlator(no_middle, mapping),
     )
 
@@ -151,15 +156,16 @@ def entropic_k3_from_protocol(rho0: DiagonalDensity, u10: UnitaryPropagator,
     return k3_entropic(*_entropy_reports(*joints, (degeneracy,))[degeneracy])
 
 
-def _entropy_reports(joint3, no_middle: JointDistribution, views=("fine", "grouped")) -> dict:
-    """(H(W21), H(W10), H(W20), H(E1)) of a three-point protocol in each
-    work-distribution view of `views` ("fine", "grouped"): the work entropies of
-    its two measured legs and of the no-middle branch, and the entropy of its
-    middle marginal.  Each leg's fine distribution is built once; the grouped
-    view merges it."""
-    fine = [work_distribution(joint, "fine")
-            for joint in (joint3.marginal_t2_t1(), joint3.marginal_t1_t0(), no_middle)]
-    h_e1 = shannon_entropy(joint3.marginal_t1())
+def _entropy_reports(leg10: JointDistribution, leg21: JointDistribution,
+                     middle: np.ndarray, no_middle: JointDistribution,
+                     views=("fine", "grouped")) -> dict:
+    """(H(W21), H(W10), H(W20), H(E1)) of a three-point protocol (the statistics
+    of `_joints`) in each work-distribution view of `views` ("fine", "grouped"):
+    the work entropies of its two measured legs and of the no-middle branch, and
+    the entropy of its middle marginal.  Each leg's fine distribution is built
+    once; the grouped view merges it."""
+    fine = [work_distribution(joint, "fine") for joint in (leg21, leg10, no_middle)]
+    h_e1 = shannon_entropy(middle)
     return {view: (*map(work_entropy, fine if view == "fine"
                         else [dist.grouped() for dist in fine]), h_e1)
             for view in views}

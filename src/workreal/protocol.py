@@ -235,7 +235,9 @@ def work_distribution(joint: JointDistribution, view: str = "grouped") -> WorkDi
     later, earlier = np.nonzero(joint.probs)
     works = joint.spectrum_later.levels[later] - joint.spectrum_earlier.levels[earlier]
     probs = joint.probs[later, earlier]
-    order = np.lexsort((earlier, later, works))  # by work, then later, then earlier index
+    # by work, then later, then earlier index: np.nonzero lists the pairs in
+    # (later, earlier) order already, and a stable sort keeps that order among ties
+    order = np.argsort(works, kind="stable")
     fine = WorkDistribution(works[order], probs[order], "fine", norm_tol=joint.norm_tol)
     if view == "fine":
         return fine

@@ -17,6 +17,12 @@ all three times.  It builds the propagators of every angle as one (N, 2, 2)
 stack, evaluates all angles at once and applies every check of the object
 pipeline to the whole stack.  The tests use `tls_lg_parameters` as the sweep's
 oracle and require equal bits.
+
+`tls_jarzynski_deviations` does the same for jarzynski-check's two-level rows:
+each row has its own temperature, angles and spectra (0, gap0) and (0, gap1),
+and all rows run as one (N, 2, 2) stack.  Their oracle is the object pipeline
+two_time_joint -> work_distribution -> jarzynski_deviation, run row by row;
+the tests require equal bits.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .entropy import entropy_rows, shannon_entropy_rows
 from .errors import InvalidParameterError
@@ -48,7 +55,7 @@ from .leggett_garg import (
     k3_correlator_flipped,
     k3_entropic,
 )
-from .protocol import JOINT_NORM_TOL, _require_normalized, check_joint_probs
+from .protocol import JOINT_NORM_TOL, WORK_DEGENERACY_TOL, _require_normalized, check_joint_probs
 from .tables import SweepTable
 
 TWO_PI = 2.0 * math.pi
@@ -72,8 +79,9 @@ class TlsAngles:
         object.__setattr__(self, "theta", self.theta % TWO_PI)
 
 
-def _su2_matrices(theta, alpha: float, beta_angle: float) -> np.ndarray:
-    """The propagator matrix for each canonical theta, shape theta.shape + (2, 2)."""
+def _su2_matrices(theta, alpha, beta_angle) -> np.ndarray:
+    """The propagator matrix for each canonical theta, shape theta.shape + (2, 2).
+    The phases are scalars, shared by every theta, or arrays of theta's shape."""
     theta = np.asarray(theta, dtype=float)
     c = np.cos(theta / 2.0)
     s = np.sin(theta / 2.0)
@@ -120,7 +128,8 @@ def tls_lg_parameters(beta: float, angles: TlsAngles,
         spectra = (tls_spectrum(0), tls_spectrum(1), tls_spectrum(2))
     u = tls_propagator(angles)
     joints = _joints(build_thermal_state(spectra[0], beta), u, u, *spectra[1:])
-    correlators = _correlators(*joints, GROUND_EXCITED)
+    leg10, leg21, _, no_middle = joints
+    correlators = _correlators(leg10, leg21, no_middle, GROUND_EXCITED)
     return {"k_cor": k3_correlator(correlators),
             "k_cor_flipped": k3_correlator_flipped(correlators),
             **{f"k_en_{view}": k3_entropic(*reports)
@@ -181,3 +190,62 @@ def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None) -> 
     rows = np.column_stack([theta_grid] + [values[name] for name in columns[1:]])
     return SweepTable(columns, rows, meta={"experiment": "tls-theta", "beta": beta,
                                            "theta_points": theta_grid.size})
+
+
+def tls_jarzynski_deviations(beta, theta, alpha, beta_angle, gap0, gap1) -> np.ndarray:
+    """|<exp(-beta w)> - exp(-beta dF)| of the two-time work for each row (1-d
+    arrays of one length): a thermal start on the spectrum s0 = (0, gap0), the
+    propagator of the angles (theta, alpha, beta_angle), a measurement on
+    s1 = (0, gap1).
+
+    Row k equals, bit for bit, jarzynski_deviation(work_distribution(joint), beta,
+    free_energy_difference(s0, s1, beta)) of that row's two_time_joint; all rows
+    are computed at once, with that path's unitarity and joint checks applied to
+    the whole stack.  Of the works -gap0, 0, gap1 - gap0 and gap1 only the middle
+    two may merge under WORK_DEGENERACY_TOL; rows where an outer one would are
+    refused.
+    """
+    beta, theta, alpha, beta_angle, gap0, gap1 = (
+        np.asarray(x, dtype=float) for x in (beta, theta, alpha, beta_angle, gap0, gap1))
+    _require_finite(theta=theta, alpha=alpha, beta_angle=beta_angle)
+    for name, value in (("beta", beta), ("gap0", gap0), ("gap1", gap1)):
+        if not np.all((value > 0) & np.isfinite(value)):
+            raise InvalidParameterError(f"{name} must be positive and finite")
+    u = _su2_matrices(np.mod(theta, TWO_PI), alpha, beta_angle)
+    require_unitary(u, TLS_UNITARITY_TOL)
+    # the Gibbs weights (1, exp(-beta gap)) and their sums, as build_thermal_state
+    # and thermodynamic_potentials form them for the spectrum (0, gap)
+    excited0, excited1 = np.exp(-beta * gap0), np.exp(-beta * gap1)
+    z0, z1 = 1.0 + excited0, 1.0 + excited1
+    joints = np.abs(u) ** 2 * np.stack([1.0 / z0, excited0 / z0], axis=-1)[:, None, :]
+    check_joint_probs(joints)
+    # the works of the pairs (later, earlier) = (0, 0), (0, 1), (1, 0), (1, 1), in
+    # np.nonzero's order, sorted by work as work_distribution sorts them
+    works = np.stack([np.zeros_like(gap0), -gap0, gap1, gap1 - gap0], axis=-1)
+    order = np.argsort(works, axis=-1, kind="stable")
+    works = np.take_along_axis(works, order, axis=-1)
+    probs = np.take_along_axis(joints.reshape(-1, 4), order, axis=-1)
+    # WorkDistribution.grouped: each run's probability sum and works @ probs.  The
+    # outer works stay alone; a merged middle run holds the work 0 exactly, so its
+    # dot product is the other term whatever the summation.  An empty slot (a pair
+    # of zero probability, or the second of a merged run) enters logsumexp as an
+    # exact 0 term.  Such a row keeps at most two terms besides the largest, so the
+    # zeros leave its sum as the object path forms it without them.
+    cuts = np.diff(works, axis=-1) >= WORK_DEGENERACY_TOL
+    if not np.all(cuts[:, [0, 2]]):
+        raise InvalidParameterError("gaps so small that an outer work merges")
+    weighted = works * probs
+    merged = ~cuts[:, 1]
+    for column in (probs, weighted):
+        column[merged, 1] += column[merged, 2]
+        column[merged, 2] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exponents = np.where(probs > 0, np.log(probs) - beta[:, None] * (weighted / probs),
+                             -np.inf)
+    lse = logsumexp(exponents, axis=-1)
+    deviations = []
+    for b, log_mean, z_earlier, z_later in zip(beta.tolist(), lse.tolist(), z0.tolist(),
+                                               z1.tolist()):
+        delta_f = math.log(z_earlier) / b - math.log(z_later) / b  # F = -log(Z) / beta
+        deviations.append(abs(math.exp(-b * delta_f) * math.expm1(log_mean + b * delta_f)))
+    return np.array(deviations)

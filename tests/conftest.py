@@ -15,8 +15,16 @@ import pytest
 from scipy.linalg import expm
 
 from workreal.errors import InvalidParameterError
-from workreal.protocol import JointDistribution, JointDistribution3
+from workreal.hilbert import build_thermal_state, free_energy_difference
+from workreal.protocol import (
+    JointDistribution,
+    JointDistribution3,
+    jarzynski_deviation,
+    two_time_joint,
+    work_distribution,
+)
 from workreal.squeezing import SqueezeMatrix, _validate_squeeze_args
+from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum
 
 
 def projector(dim: int, k: int) -> np.ndarray:
@@ -100,6 +108,27 @@ def squeeze_matrix_exponential_oracle(r: float, n_max: int) -> SqueezeMatrix:
             raising_sq[m + 2, m] = math.sqrt((m + 1.0) * (m + 2.0))
         g = expm(0.5 * r * (raising_sq - raising_sq.T))
     return SqueezeMatrix(g, r, n_max, np.abs(1.0 - (g * g).sum(axis=0)))
+
+
+def jarzynski_check_draws(seed: int) -> np.ndarray:
+    """jarzynski-check's two-level parameters drawn one call at a time, as its
+    former per-row loop drew them: rows (beta, theta, alpha, beta_angle, gap0, gap1)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(100):
+        beta = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=3)
+        rows.append((beta, *angles, float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.2, 3.0))))
+    return np.array(rows)
+
+
+def object_jarzynski_deviation(beta, theta, alpha, beta_angle, gap0, gap1) -> float:
+    """One two-level Jarzynski row through the object pipeline."""
+    s0, s1 = tls_spectrum(0, (0.0, gap0)), tls_spectrum(1, (0.0, gap1))
+    u = tls_propagator(TlsAngles(theta, alpha, beta_angle))
+    joint = two_time_joint(build_thermal_state(s0, beta), u, spectrum_later=s1)
+    return jarzynski_deviation(work_distribution(joint), beta,
+                               free_energy_difference(s0, s1, beta))
 
 
 @pytest.fixture

@@ -13,6 +13,8 @@ from workreal.cli import EXPERIMENTS, build_parser, main, parse_grid_spec, parse
 from workreal.errors import InvalidParameterError
 from workreal.tables import SweepTable, format_float, read_table_csv, write_table_csv
 
+from conftest import jarzynski_check_draws, object_jarzynski_deviation
+
 
 def run_cli(args):
     return main([str(a) for a in args])
@@ -344,6 +346,31 @@ class TestJarzynskiCheck:
         assert np.all(table.column("deviation") < table.column("bound"))
         assert table.rows.shape[0] == 102
 
+    @pytest.mark.parametrize("seed", [1, 7, 40])
+    def test_two_level_rows_equal_the_object_path(self, tmp_path, seed):
+        """The stacked two-level rows: the parameters drawn one call at a time and
+        each deviation through the object pipeline, bit for bit."""
+        assert run_cli(["jarzynski-check", "--out", tmp_path, "--seed", seed]) == 0
+        rows = read_table_csv(tmp_path / "jarzynski_check.csv").rows[:100]
+        draws = jarzynski_check_draws(seed)
+        deviation = [object_jarzynski_deviation(*row) for row in draws]
+        assert np.array_equal(rows[:, 1], draws[:, 0])
+        assert np.array_equal(rows[:, 2], draws[:, 1])
+        assert np.array_equal(rows[:, 3], deviation)
+
+    @pytest.mark.parametrize("seed, digest", [
+        ("1", "22c6c1702f5ce9cb7cdfc6cd2faab1c2506f1c2d9b395556048cb7f1df183555"),
+        (None, "ac658fb79122b98fda676e902aeb40b73c9c7c734161ca5bacf6ad346ca60341")],
+        ids=["seed-1", "default-seed"])
+    def test_csv_bytes_as_recorded_from_the_per_row_loop(self, tmp_path, seed, digest):
+        """The sha256 of jarzynski_check.csv as the former per-row object loop
+        wrote it."""
+        import hashlib
+        args = ["jarzynski-check", "--out", tmp_path] + (["--seed", seed] if seed else [])
+        assert run_cli(args) == 0
+        data = (tmp_path / "jarzynski_check.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
 
 class TestMcCrosscheck:
     def test_byte_identical_reruns(self, tmp_path):
@@ -365,6 +392,32 @@ class TestMcCrosscheck:
     def test_seed_required(self, tmp_path, capsys):
         assert run_cli(["mc-crosscheck", "--out", tmp_path]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_samples", [None, 10**6, 10**7])
+    def test_unbiased_sampler_passes(self, tmp_path, n_samples):
+        """At the default sample count and at CI's 10^6 and 10^7, seed 1 keeps every
+        cell within MC_Z_BOUND standard errors."""
+        args = ["mc-crosscheck", "--out", tmp_path, "--seed", "1"]
+        assert run_cli(args + (["--n-samples", n_samples] if n_samples else [])) == 0
+
+    def test_biased_sampler_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        """A sampler that moves 1% of the probability from one cell to another
+        exits 3 and names the worst cell; the table is still written."""
+        from workreal import cli
+        sample = cli.sample_trajectories
+
+        def biased(*args):
+            freq = sample(*args)
+            freq[0, 0, 0] -= 0.01
+            freq[1, 1, 1] += 0.01
+            return freq
+
+        monkeypatch.setattr(cli, "sample_trajectories", biased)
+        assert run_cli(["mc-crosscheck", "--out", tmp_path, "--seed", "1",
+                        "--n-samples", "100000"]) == 3
+        err = capsys.readouterr().err
+        assert "cell (k2, k1, k0) = (1, 1, 1) lies 8.01 standard errors" in err
+        assert (tmp_path / "mc_crosscheck.csv").is_file()
 
 
 class TestConfigFile:

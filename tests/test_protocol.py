@@ -372,6 +372,33 @@ def test_fine_view_must_be_ordered_by_work():
         WorkDistribution(np.array([0.0, 0.0]), np.array([0.5, 0.5]), "grouped")
 
 
+def test_stable_work_sort_equals_the_three_key_lexsort():
+    """work_distribution orders the pairs by one stable sort of the works.  That
+    equals the former lexsort by (work, later, earlier) because np.nonzero lists
+    the pairs in (later, earlier) order; checked on random joints over integer
+    levels, where most works tie, with zero entries dropped by np.nonzero."""
+    from workreal import JointDistribution
+    rng = np.random.default_rng(26)
+    ties = 0
+    for _ in range(200):
+        d_later, d_earlier = rng.integers(1, 9, size=2)
+        probs = rng.random((d_later, d_earlier)) * (rng.random((d_later, d_earlier)) > 0.3)
+        probs[0, 0] += 0.1
+        levels_earlier = np.sort(rng.integers(-3, 4, size=d_earlier)).astype(float)
+        levels_later = np.sort(rng.integers(-3, 4, size=d_later)).astype(float)
+        joint = JointDistribution(probs / probs.sum(), EnergySpectrum(levels_earlier, 0),
+                                  EnergySpectrum(levels_later, 1))
+        later, earlier = np.nonzero(joint.probs)
+        works = levels_later[later] - levels_earlier[earlier]
+        fine = work_distribution(joint, "fine")
+        order = np.lexsort((earlier, later, works))
+        assert np.array_equal(np.argsort(works, kind="stable"), order)
+        assert np.array_equal(fine.works, works[order])
+        assert np.array_equal(fine.probabilities, joint.probs[later, earlier][order])
+        ties += works.size - np.unique(works).size
+    assert ties > 1000
+
+
 class TestJarzynski:
     def test_equal_spectra_any_unitary(self, rng):
         for _ in range(20):

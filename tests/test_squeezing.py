@@ -770,7 +770,9 @@ class TestEntropicParameter:
         pipeline in every convention combination."""
         protocol = oscillator_three_time(1.0, 0.12, 0.2, n_max=96)
         pops = __import__("workreal").build_thermal_state(protocol.spectra[0], 1.0)
-        reports = _entropy_reports(protocol.joint3, protocol.no_middle)
+        joint3 = protocol.joint3
+        reports = _entropy_reports(joint3.marginal_t1_t0(), joint3.marginal_t2_t1(),
+                                   joint3.marginal_t1(), protocol.no_middle)
         for degeneracy in ("fine", "grouped"):
             h_w21, h_w10, h_w20, h_e1 = reports[degeneracy]
             measured = k3_entropic(h_w21, h_w10, h_w20, h_e1)

@@ -8,11 +8,14 @@ from workreal.two_level import (
     TlsAngles,
     default_theta_grid,
     incommensurate_tls_spectra,
+    tls_jarzynski_deviations,
     tls_lg_parameters,
     tls_propagator,
     tls_spectrum,
     tls_theta_sweep,
 )
+
+from conftest import jarzynski_check_draws, object_jarzynski_deviation
 
 
 def binary_entropy(x):
@@ -253,3 +256,56 @@ def test_per_angle_values_equal_the_public_pipeline(beta):
             values = list(tls_lg_parameters(beta, angles, spectra=spectra).values())
             assert np.array_equal(np.array(values), np.array(expected))
             assert np.array_equal(np.signbit(values), np.signbit(expected))
+
+
+# rows (beta, theta, alpha, beta_angle, gap0, gap1) at the edges of the stacked
+# Jarzynski rows.  Theta 0 and 1e-170 (whose sin^2 underflows) empty the two
+# off-diagonal pairs, and at beta 800 the excited population underflows to 0;
+# at theta pi the diagonal pairs keep probabilities near 1e-33.  Equal gaps and
+# gaps 0.5e-9 apart merge the middle works 0 and gap1 - gap0; 2e-9 apart they
+# stay apart.
+JARZYNSKI_EDGES = np.array([
+    (beta, theta, 0.7, -2.1, gap0, gap1)
+    for beta in (0.1, 10.0, 800.0)
+    for theta in (0.0, 1e-170, math.pi, 1.0)
+    for gap0, gap1 in ((1.3, 1.3), (1.3, 1.3 + 0.5e-9), (1.3 + 0.5e-9, 1.3),
+                       (1.3, 1.3 + 2e-9), (1.3 + 2e-9, 1.3), (0.2, 3.0))])
+
+
+def test_stacked_jarzynski_rows_equal_the_object_path():
+    """Every row of tls_jarzynski_deviations equals the per-row object pipeline bit
+    for bit: on jarzynski-check's draws for seeds 1 to 40, and on the edge rows."""
+    for rows in [jarzynski_check_draws(seed) for seed in range(1, 41)] + [JARZYNSKI_EDGES]:
+        expected = np.array([object_jarzynski_deviation(*row) for row in rows])
+        assert np.array_equal(tls_jarzynski_deviations(*rows.T), expected)
+
+
+def test_jarzynski_edge_rows_reach_their_edges():
+    """In the object path the edge rows keep one, two or all four pairs, and with
+    all four the middle works merge exactly where the gaps differ by under 1e-9."""
+    from workreal import build_thermal_state, two_time_joint, work_distribution
+    present = []
+    for beta, theta, alpha, beta_angle, gap0, gap1 in JARZYNSKI_EDGES:
+        s0, s1 = tls_spectrum(0, (0.0, gap0)), tls_spectrum(1, (0.0, gap1))
+        joint = two_time_joint(build_thermal_state(s0, beta),
+                               tls_propagator(TlsAngles(theta, alpha, beta_angle)),
+                               spectrum_later=s1)
+        fine = work_distribution(joint, "fine")
+        present.append(fine.works.size)
+        if fine.works.size == 4:
+            merged = abs(gap1 - gap0) < 1e-9
+            assert fine.grouped().works.size == (3 if merged else 4)
+    assert sorted(set(present)) == [1, 2, 4]
+
+
+@pytest.mark.parametrize("column, value", [
+    (0, 0.0), (0, math.inf), (1, math.nan), (4, 0.0), (5, -1.0), (5, math.inf),
+    (4, 1e-10)])
+def test_stacked_jarzynski_rows_refuse_bad_parameters(column, value):
+    """A non-positive or non-finite beta or gap, a non-finite angle, and a gap so
+    small that an outer work would merge with a middle one are refused."""
+    from workreal import InvalidParameterError
+    rows = jarzynski_check_draws(3)
+    rows[5, column] = value
+    with pytest.raises(InvalidParameterError):
+        tls_jarzynski_deviations(*rows.T)
