@@ -22,12 +22,11 @@ from .errors import InvalidParameterError, TruncationError
 from .hilbert import (
     DiagonalDensity,
     EnergySpectrum,
-    ThermodynamicPotentials,
     UnitaryPropagator,
     build_thermal_state,
     compose_propagators,
+    free_energy,
     free_energy_difference,
-    thermodynamic_potentials,
     transition_probabilities,
     validate_unitary,
 )
@@ -60,7 +59,6 @@ from .squeezing import (
     OscillatorProtocol,
     SqueezeMatrix,
     beta_sweep_min_k,
-    diagonal_scan,
     entropic_k3_oscillator,
     golden_section_minimum,
     oscillator_spectrum,
@@ -74,7 +72,6 @@ from .squeezing import (
 from .tables import SweepTable, contour_points, read_table_csv, write_table_csv
 from .two_level import (
     TlsAngles,
-    incommensurate_tls_spectra,
     tls_lg_parameters,
     tls_propagator,
     tls_spectrum,

@@ -15,9 +15,11 @@ Every experiment takes `--config PATH` and `--out DIR`, plus its settings:
 
 The config file holds `key = value` lines for `out_dir` and those settings; flags
 win.  Any other flag or key exits 2.  Exit codes: 0 success (all budgets met),
-2 invalid configuration, 3 a budget or bound not met: a truncation budget, a
-Jarzynski row's bound, or an mc-crosscheck cell MC_Z_BOUND or more standard
-errors from its exact probability.
+2 invalid configuration, or an output directory, table or run log that cannot
+be written ("config error: out_dir: ..."), 3 a budget or bound not met: a
+truncation budget, a Jarzynski row's bound, or an mc-crosscheck cell MC_Z_BOUND
+or more standard errors from its exact probability; 3 also when an allocation
+fails ("out of memory: ..." with numpy's bytes and shape).
 
 The library computes every entropy and K_en in nats.  `--entropy-base 2` converts
 at output: each runner divides its K_en columns by log 2 before the table is
@@ -341,23 +343,24 @@ def run(config: SweepConfig) -> int:
         return 2
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print(f"config error: out_dir: {err}", file=sys.stderr)
-        return 2
-    started = time.monotonic()
-    try:
+        started = time.monotonic()
         written, budgets_ok = EXPERIMENTS[config.experiment][0](config)
+        log_lines = [f"experiment = {config.experiment}",
+                     f"wall_time_s = {time.monotonic() - started:.3f}"] + \
+            [f"wrote {path}" for path in written]
+        (config.out_dir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     except TruncationError as err:
         print(f"truncation budget failure: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:  # numpy's message names the bytes and the shape
+        print(f"out of memory: {err}", file=sys.stderr)
         return 3
     except InvalidParameterError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    elapsed = time.monotonic() - started
-    log_lines = [f"experiment = {config.experiment}",
-                 f"wall_time_s = {elapsed:.3f}"] + \
-        [f"wrote {path}" for path in written]
-    (config.out_dir / "run.log").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    except OSError as err:  # the output directory, a table or the run log
+        print(f"config error: out_dir: {err}", file=sys.stderr)
+        return 2
     for line in log_lines:
         print(line)
     if not budgets_ok:

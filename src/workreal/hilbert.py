@@ -81,18 +81,6 @@ class DiagonalDensity:
         return self.populations.size
 
 
-@dataclass(frozen=True)
-class ThermodynamicPotentials:
-    partition_function: float
-    free_energy: float
-
-    def __post_init__(self):
-        if not (self.partition_function > 0):
-            raise InvalidParameterError("partition function must be positive")
-        if not math.isfinite(self.free_energy):
-            raise InvalidParameterError("free energy must be finite")
-
-
 def validate_unitary(matrix: np.ndarray) -> float:
     """Return max |(U^dag U - 1)_{mn}|; `require_unitary` compares it with a tolerance.
 
@@ -208,26 +196,21 @@ def build_thermal_state(spectrum: EnergySpectrum, beta: float) -> DiagonalDensit
     return DiagonalDensity(_gibbs_populations(spectrum.levels, beta), spectrum, beta=beta)
 
 
-def thermodynamic_potentials(spectrum: EnergySpectrum, beta: float) -> ThermodynamicPotentials:
-    """Z and F = -ln(Z)/beta, evaluated with the same max-shift as the thermal state."""
+def free_energy(spectrum: EnergySpectrum, beta: float) -> float:
+    """F = -ln(Z)/beta, with Z summed under the same max-shift as the thermal state."""
     if not (beta > 0 and math.isfinite(beta)):
         raise InvalidParameterError(f"beta must be positive and finite, got {beta}")
     e_min = spectrum.levels.min()
-    z_shifted = np.exp(-beta * (spectrum.levels - e_min)).sum()
-    log_z = math.log(z_shifted) - beta * e_min
-    # F is exact in log space; Z itself can leave the float range for strongly
-    # shifted spectra and saturates at the representable extremes
-    if log_z > 709.0:
-        z = math.inf
-    else:
-        z = max(math.exp(log_z), 5e-324)
-    return ThermodynamicPotentials(partition_function=z, free_energy=-log_z / beta)
+    log_z = math.log(np.exp(-beta * (spectrum.levels - e_min)).sum()) - beta * e_min
+    free = float(-log_z / beta)
+    if not math.isfinite(free):
+        raise InvalidParameterError("free energy must be finite")
+    return free
 
 
 def free_energy_difference(earlier: EnergySpectrum, later: EnergySpectrum, beta: float) -> float:
     """F(later) - F(earlier) at a common inverse temperature."""
-    return (thermodynamic_potentials(later, beta).free_energy
-            - thermodynamic_potentials(earlier, beta).free_energy)
+    return free_energy(later, beta) - free_energy(earlier, beta)
 
 
 def compose_propagators(u10: UnitaryPropagator, u21: UnitaryPropagator) -> UnitaryPropagator:

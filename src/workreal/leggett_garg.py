@@ -72,11 +72,12 @@ def dichotomic_correlator(joint: JointDistribution, mapping: DichotomicMapping) 
     return float(q @ joint.probs @ q)
 
 
-def correlator_set(rho0: DiagonalDensity, u10: UnitaryPropagator, u21: UnitaryPropagator,
-                   mapping: DichotomicMapping = GROUND_EXCITED) -> CorrelatorSet:
-    """Assemble the three correlators with the required branch discipline."""
+def correlator_set(rho0: DiagonalDensity, u10: UnitaryPropagator,
+                   u21: UnitaryPropagator) -> CorrelatorSet:
+    """Assemble the three correlators, Q = +1 on the ground and -1 on the excited
+    level, with the required branch discipline."""
     leg10, leg21, _, no_middle = _joints(rho0, u10, u21)
-    return _correlators(leg10, leg21, no_middle, mapping)
+    return _correlators(leg10, leg21, no_middle)
 
 
 def _joints(rho0, u10, u21, spectrum_1=None, spectrum_2=None):
@@ -89,12 +90,12 @@ def _joints(rho0, u10, u21, spectrum_1=None, spectrum_2=None):
 
 
 def _correlators(leg10: JointDistribution, leg21: JointDistribution,
-                 no_middle: JointDistribution, mapping: DichotomicMapping) -> CorrelatorSet:
+                 no_middle: JointDistribution) -> CorrelatorSet:
     """C01 and C12 from the measured legs, C02 from the no-middle branch."""
     return CorrelatorSet(
-        c01=dichotomic_correlator(leg10, mapping),
-        c12=dichotomic_correlator(leg21, mapping),
-        c02=dichotomic_correlator(no_middle, mapping),
+        c01=dichotomic_correlator(leg10, GROUND_EXCITED),
+        c12=dichotomic_correlator(leg21, GROUND_EXCITED),
+        c02=dichotomic_correlator(no_middle, GROUND_EXCITED),
     )
 
 

@@ -53,8 +53,8 @@ then restores their counts.  The eigensolver is LAPACK's divide-and-conquer
 `dstevd` on scipy's OpenBLAS 0.3.30, called through scipy's f2py wrapper, the
 same call `scipy.linalg.eigh_tridiagonal` makes with its default driver.  The
 wrapper's extension, `scipy.linalg._flapack`, is loaded from its file without
-running the `scipy.linalg` package, which would cost every process about 55 ms
-and 5 MiB of modules it never uses; it is registered under its own name, so a
+running the `scipy.linalg` package, which would cost every process 55-95 ms and
+6.3 MiB of modules it never uses; it is registered under its own name, so a
 later `import scipy.linalg` reuses it.  Where the file is missing or will not
 load, the public `scipy.linalg.lapack.dstevd`, the same function, is used.  The
 merges of `dstevd` call dgemm: unpinned, it wakes scipy's pool from about 190
@@ -177,7 +177,7 @@ def _parity_basis(size: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     a contiguous (eigen index, row) array, zero-padded to a multiple of ALIGN rows.
 
     The eigensolver is LAPACK's `dstevd` through scipy's f2py wrapper, loaded
-    without the `scipy.linalg` package (about 55 ms and 5 MiB per process), or
+    without the `scipy.linalg` package (55-95 ms and 6.3 MiB per process), or
     the public `scipy.linalg.lapack.dstevd` where that load fails: the call
     `eigh_tridiagonal` makes with its default driver.  Raises LinAlgError where
     LAPACK reports a failure."""
@@ -601,36 +601,6 @@ def golden_section_minimum(f, a: float, b: float, xtol: float = 1e-4):
             raise InvalidParameterError(
                 f"xtol={xtol} is below the float spacing the bracket [{a}, {b}] can reach")
     return (c, fc) if fc < fd else (d, fd)
-
-
-def diagonal_scan(beta: float, r_grid: np.ndarray, degeneracy: str = "fine",
-                  middle_entropy: str = "initial") -> SweepTable:
-    """K_en in nats along the r1 = r2 = r line.  meta["sign_change_bracketed"] is
-    whether the parameter turns positive again on the grid after its dip, so that
-    the zero crossing beyond the minimum lies inside it."""
-    r_values = [float(r) for r in np.asarray(r_grid, dtype=float)]
-    if not r_values or min(r_values) < 0:
-        raise InvalidParameterError("r grid must be non-empty and non-negative")
-    rows = []
-    seen_negative = False
-    crossed_back = False
-    for r in r_values:
-        if r == 0.0:
-            rows.append((0.0, 0.0, 0, 0.0))
-            continue
-        n_max = select_n_max(beta, 2.0 * r)
-        value, budget = entropic_k3_oscillator(beta, r, r, n_max=n_max,
-                                               degeneracy=degeneracy,
-                                               middle_entropy=middle_entropy)
-        rows.append((r, value, n_max, budget))
-        seen_negative = seen_negative or value < 0.0
-        crossed_back = crossed_back or (seen_negative and value > 0.0)
-    return SweepTable(
-        ["r", "k_en", "n_max", "truncation_budget"],
-        np.array(rows),
-        meta={"experiment": "squeeze-diagonal", "beta": beta, "degeneracy": degeneracy,
-              "middle_entropy": middle_entropy, "sign_change_bracketed": crossed_back},
-    )
 
 
 def squeeze_grid_sweep(beta: float, r1_grid: np.ndarray, r2_grid: np.ndarray,

@@ -106,14 +106,6 @@ def tls_spectrum(label: int = 0, levels=(0.0, 1.0)) -> EnergySpectrum:
     return EnergySpectrum(np.asarray(levels, dtype=float), label=label)
 
 
-def incommensurate_tls_spectra() -> tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum]:
-    """Splittings 1, sqrt2, sqrt3: no two work values coincide, so the grouped and
-    fine-grained conventions agree."""
-    return (tls_spectrum(0, (0.0, 1.0)),
-            tls_spectrum(1, (0.0, math.sqrt(2.0))),
-            tls_spectrum(2, (0.0, math.sqrt(3.0))))
-
-
 def default_theta_grid(n_points: int = 721) -> np.ndarray:
     return np.linspace(0.0, TWO_PI, n_points)
 
@@ -129,7 +121,7 @@ def tls_lg_parameters(beta: float, angles: TlsAngles,
     u = tls_propagator(angles)
     joints = _joints(build_thermal_state(spectra[0], beta), u, u, *spectra[1:])
     leg10, leg21, _, no_middle = joints
-    correlators = _correlators(leg10, leg21, no_middle, GROUND_EXCITED)
+    correlators = _correlators(leg10, leg21, no_middle)
     return {"k_cor": k3_correlator(correlators),
             "k_cor_flipped": k3_correlator_flipped(correlators),
             **{f"k_en_{view}": k3_entropic(*reports)
@@ -214,7 +206,7 @@ def tls_jarzynski_deviations(beta, theta, alpha, beta_angle, gap0, gap1) -> np.n
     u = _su2_matrices(np.mod(theta, TWO_PI), alpha, beta_angle)
     require_unitary(u, TLS_UNITARITY_TOL)
     # the Gibbs weights (1, exp(-beta gap)) and their sums, as build_thermal_state
-    # and thermodynamic_potentials form them for the spectrum (0, gap)
+    # and free_energy form them for the spectrum (0, gap)
     excited0, excited1 = np.exp(-beta * gap0), np.exp(-beta * gap1)
     z0, z1 = 1.0 + excited0, 1.0 + excited1
     joints = np.abs(u) ** 2 * np.stack([1.0 / z0, excited0 / z0], axis=-1)[:, None, :]

@@ -39,7 +39,7 @@ from workreal import (
 )
 from workreal.entropy import conditional_entropy, grouped_entropy
 from workreal.protocol import JointDistribution
-from workreal.squeezing import beta_sweep_min_k, diagonal_scan, golden_section_minimum
+from workreal.squeezing import beta_sweep_min_k, golden_section_minimum
 from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum, tls_theta_sweep
 
 from conftest import (random_stochastic_columns, sandwich_joint2, sandwich_joint3,
@@ -61,18 +61,23 @@ def theta_sweep():
 
 @pytest.fixture(scope="module")
 def oscillator_diagonal():
+    """K_en in nats along r1 = r2 = r at beta = 0.1 (0 exactly at r = 0), and its
+    minimum refined by golden section."""
     started = time.perf_counter()
-    scan = diagonal_scan(0.1, np.linspace(0.0, 0.1, 51))
-    r_values = scan.column("r")
-    k_values = scan.column("k_en")
+    r_values = np.linspace(0.0, 0.1, 51)
+    k_values = np.array([entropic_k3_oscillator(0.1, r, r)[0] if r > 0.0 else 0.0
+                         for r in r_values.tolist()])
+    # the parameter turns positive again on the grid after its dip, so the zero
+    # crossing beyond the minimum lies inside it
+    first_negative = np.flatnonzero(k_values < 0.0)[:1]
+    bracketed = bool(first_negative.size and np.any(k_values[first_negative[0]:] > 0.0))
     i0 = int(np.argmin(k_values))
     lo, hi = r_values[max(0, i0 - 1)], r_values[min(r_values.size - 1, i0 + 1)]
     n_max = select_n_max(0.1, 2.0 * hi)
     argmin_r, min_k = golden_section_minimum(
         lambda r: entropic_k3_oscillator(0.1, r, r, n_max=n_max)[0], lo, hi, 1e-4)
-    scan.meta.update(argmin_r=argmin_r, min_k=min_k,
-                     elapsed_s=time.perf_counter() - started)
-    return scan
+    return {"k_en": k_values, "sign_change_bracketed": bracketed, "argmin_r": argmin_r,
+            "min_k": min_k, "elapsed_s": time.perf_counter() - started}
 
 
 @pytest.fixture(scope="module")
@@ -161,14 +166,14 @@ def test_criterion_05_squeeze_matrix_gate():
 
 def test_criterion_06_oscillator_violation_landmark(oscillator_diagonal):
     scan = oscillator_diagonal
-    ok = scan.meta["min_k"] < 0.0
-    ok &= 0.008 <= scan.meta["argmin_r"] <= 0.05
-    ok &= bool(scan.meta["sign_change_bracketed"])
-    ok &= scan.column("k_en")[1] < 0.0  # violation already at the smallest grid r
-    ok &= scan.meta["elapsed_s"] < 300.0
-    verdict(6, ok, f"beta = 0.1 diagonal: min k_en = {scan.meta['min_k']:.6f} at "
-                   f"r = {scan.meta['argmin_r']:.4f}, sign change bracketed, "
-                   f"{scan.meta['elapsed_s']:.0f} s")
+    ok = scan["min_k"] < 0.0
+    ok &= 0.008 <= scan["argmin_r"] <= 0.05
+    ok &= scan["sign_change_bracketed"]
+    ok &= scan["k_en"][1] < 0.0  # violation already at the smallest grid r
+    ok &= scan["elapsed_s"] < 300.0
+    verdict(6, ok, f"beta = 0.1 diagonal: min k_en = {scan['min_k']:.6f} at "
+                   f"r = {scan['argmin_r']:.4f}, sign change bracketed, "
+                   f"{scan['elapsed_s']:.0f} s")
 
 
 def test_criterion_07_grid_negative_region_and_asymmetry():

@@ -463,6 +463,42 @@ class TestConfigFile:
         assert "config error: out_dir:" in capsys.readouterr().err
         assert existing.read_text(encoding="utf-8") == "keep\n"
 
+    def test_failed_table_write_exits_2(self, tmp_path, capsys, monkeypatch):
+        """A table the output directory refuses (permissions, a full disk) is a
+        configuration error naming out_dir, not an OSError traceback."""
+        from workreal import cli
+
+        def refuse(path, table):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(cli, "write_table_csv", refuse)
+        assert run_cli(["tls-theta", "--grid-spec", "0:1:3", "--out", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            f"config error: out_dir: [Errno 13] Permission denied: "
+            f"'{tmp_path / 'tls_theta.csv'}'"]
+        assert not (tmp_path / "run.log").exists()
+
+    def test_failed_allocation_exits_3(self, tmp_path, capsys, monkeypatch):
+        """numpy's allocation failure ends the run with exit 3 and one line that
+        carries its bytes and shape, not a MemoryError traceback."""
+        try:
+            from numpy._core._exceptions import _ArrayMemoryError
+        except ImportError:  # numpy 1.x
+            from numpy.core._exceptions import _ArrayMemoryError
+        from workreal import cli
+
+        def allocate(config):
+            raise _ArrayMemoryError((1 << 20, 1 << 20), np.dtype(float))
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "tls-theta",
+                            (allocate, cli.EXPERIMENTS["tls-theta"][1]))
+        assert run_cli(["tls-theta", "--out", tmp_path]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "out of memory: Unable to allocate 8.00 TiB for an array with shape "
+            "(1048576, 1048576) and data type float64"]
+        assert not (tmp_path / "run.log").exists()
+
     def test_out_dir_key_and_out_flag_precedence(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(f"out_dir = {tmp_path / 'from_config'}\ngrid_spec = 0:1:3\n",

@@ -18,7 +18,7 @@ from workreal import (
     work_distribution,
     work_entropy,
 )
-from workreal.two_level import TlsAngles, incommensurate_tls_spectra, tls_propagator, tls_spectrum
+from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum
 
 # frozen with 40-digit arithmetic
 H_QUARTER = 0.56233514461880835          # H({1/4, 3/4})
@@ -164,7 +164,7 @@ class TestWorkEntropy:
         assert fine.value == pytest.approx(H_THERMAL_BETA1, rel=1e-12)
 
     def test_incommensurate_spectra_remove_degeneracy(self):
-        s0, s1, _ = incommensurate_tls_spectra()
+        s0, s1 = tls_spectrum(0), tls_spectrum(1, (0.0, math.sqrt(2.0)))
         rho = build_thermal_state(s0, 1.0)
         joint = two_time_joint(rho, tls_propagator(TlsAngles(math.pi / 2)),
                                spectrum_later=s1)

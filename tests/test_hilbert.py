@@ -11,7 +11,7 @@ from workreal import (
     UnitaryPropagator,
     build_thermal_state,
     compose_propagators,
-    thermodynamic_potentials,
+    free_energy,
     validate_unitary,
 )
 from workreal.two_level import TlsAngles, tls_propagator
@@ -59,22 +59,18 @@ def test_max_shift_prevents_overflow():
 
 
 def test_potentials_single_level():
-    pot = thermodynamic_potentials(EnergySpectrum(np.array([0.0])), 2.0)
-    assert pot.partition_function == pytest.approx(1.0)
-    assert pot.free_energy == pytest.approx(0.0)
+    assert free_energy(EnergySpectrum(np.array([0.0])), 2.0) == pytest.approx(0.0)
 
 
 def test_potentials_two_level_closed_form():
-    pot = thermodynamic_potentials(TWO_LEVEL, 1.0)
-    assert pot.partition_function == pytest.approx(1.3678794411714423, rel=1e-15)
-    assert pot.free_energy == pytest.approx(-0.31326168751822283, rel=1e-15)
+    assert free_energy(TWO_LEVEL, 1.0) == pytest.approx(-0.31326168751822283, rel=1e-15)
 
 
 @given(shift=st.floats(-50.0, 50.0), beta=st.floats(0.05, 20.0))
 def test_gauge_shift_moves_free_energy(shift, beta):
-    base = thermodynamic_potentials(TWO_LEVEL, beta)
-    moved = thermodynamic_potentials(EnergySpectrum(TWO_LEVEL.levels + shift), beta)
-    assert moved.free_energy - base.free_energy == pytest.approx(shift, abs=1e-9)
+    base = free_energy(TWO_LEVEL, beta)
+    moved = free_energy(EnergySpectrum(TWO_LEVEL.levels + shift), beta)
+    assert moved - base == pytest.approx(shift, abs=1e-9)
 
 
 @given(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=6),
@@ -103,8 +99,7 @@ def test_mean_energy_matches_log_z_derivative(levels, beta):
     step = 1e-4 * beta
     log_z = {}
     for b in (beta - step, beta + step):
-        pot = thermodynamic_potentials(spectrum, b)
-        log_z[b] = -b * pot.free_energy
+        log_z[b] = -b * free_energy(spectrum, b)
     derivative = (log_z[beta + step] - log_z[beta - step]) / (2 * step)
     assert mean_energy == pytest.approx(-derivative, abs=1e-6)
 

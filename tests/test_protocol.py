@@ -196,6 +196,11 @@ class TestWorkDistribution:
         grouped = dist.grouped()
         assert len(grouped.works) == 3
 
+    def test_grouping_a_grouped_view_returns_it(self):
+        dist = work_distribution(two_time_joint(thermal(), rotation(math.pi / 2)))
+        assert dist.view == "grouped"
+        assert dist.grouped() is dist
+
     def test_total_work_identity(self):
         joint3 = three_time_joint(thermal(), rotation(0.0), rotation(0.0))
         dist = total_work_distribution(joint3)
@@ -754,6 +759,16 @@ def test_impossible_sampled_outcome_gives_zero_pvalue():
     cube[0, 0, 0] = 0.5
     cube[1, 1, 1] = 0.5  # unreachable under the exact dynamics
     assert empirical_chi_squared_pvalue(cube, 100, exact) == 0.0
+
+
+def test_one_supported_cell_gives_pvalue_one():
+    """From the ground state with identity propagators only (0, 0, 0) can occur:
+    a chi-squared statistic has no degree of freedom left, and the fit is exact."""
+    exact = three_time_joint(ground(), rotation(0.0), rotation(0.0))
+    assert np.count_nonzero(exact.probs) == 1
+    cube = np.zeros((2, 2, 2))
+    cube[0, 0, 0] = 1.0
+    assert empirical_chi_squared_pvalue(cube, 100, exact) == 1.0
 
 
 def test_factor_dimension_mismatch_rejected():

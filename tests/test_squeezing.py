@@ -1,4 +1,5 @@
 import functools
+import importlib.machinery
 import inspect
 import math
 import os
@@ -444,6 +445,48 @@ class TestEigensolverLoad:
                              + self.BASIS_DIGEST)
         assert fallback == direct
 
+    def test_an_unloadable_file_falls_back(self, tmp_path):
+        """Where scipy's folder holds a `_flapack` file that will not load, the
+        public wrapper serves: in a fresh interpreter, whose `scipy.linalg` is not
+        yet imported, the cached bases hash as they do through the direct load."""
+        linalg = tmp_path / "scipy" / "linalg"
+        linalg.mkdir(parents=True)
+        suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+        (linalg / f"_flapack{suffix}").write_bytes(b"not a shared object")
+        direct = run_fresh("import workreal.squeezing as squeezing\n" + self.BASIS_DIGEST)
+        fallback = run_fresh("import os, sys\n"
+                             "import scipy\n"
+                             "installed, scipy.__file__ = scipy.__file__, sys.argv[1]\n"
+                             "import workreal.squeezing as squeezing\n"
+                             "scipy.__file__ = installed\n"
+                             "assert 'scipy.linalg' in sys.modules\n"
+                             "import scipy.linalg.lapack\n"
+                             "assert squeezing._dstevd is scipy.linalg.lapack.dstevd\n"
+                             "loaded = sys.modules['scipy.linalg._flapack'].__file__\n"
+                             "assert loaded.startswith(os.path.dirname(installed))\n"
+                             + self.BASIS_DIGEST, str(tmp_path / "scipy" / "__init__.py"))
+        assert fallback == direct
+
+    @pytest.mark.parametrize("unloadable", [False, True])
+    def test_the_fallback_branch_in_process(self, tmp_path, monkeypatch, unloadable):
+        """A missing and an unloadable file in this process, where a line trace sees
+        the branch: with scipy's `_flapack` module taken out of `sys.modules`,
+        `_load_dstevd` returns the public wrapper and leaves no half-loaded module
+        behind."""
+        import types
+        import scipy.linalg.lapack
+        linalg = tmp_path / "scipy" / "linalg"
+        linalg.mkdir(parents=True)
+        if unloadable:
+            suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+            (linalg / f"_flapack{suffix}").write_bytes(b"not a shared object")
+        monkeypatch.setattr(squeezing, "scipy",
+                            types.SimpleNamespace(__file__=str(tmp_path / "scipy" / "x.py")))
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        dstevd = squeezing._load_dstevd()
+        assert "scipy.linalg._flapack" not in sys.modules
+        assert dstevd is scipy.linalg.lapack.dstevd
+
 
 class TestClosedForm:
     def test_zero_squeeze_is_identity(self):
@@ -844,24 +887,6 @@ class TestSweepConsistency:
                                                        middle_entropy=middle)
                     assert value == pytest.approx(direct, abs=1e-13)
 
-    def test_diagonal_scan_passes_conventions_through(self):
-        from workreal.squeezing import diagonal_scan
-        scan = diagonal_scan(1.0, np.array([0.1]), degeneracy="grouped",
-                             middle_entropy="measured")
-        direct, _ = entropic_k3_oscillator(1.0, 0.1, 0.1,
-                                           n_max=int(scan.rows[0, 2]),
-                                           degeneracy="grouped",
-                                           middle_entropy="measured")
-        assert scan.rows[0, 1] == pytest.approx(direct, abs=1e-13)
-
-    def test_diagonal_scan_reports_an_unbracketed_sign_change(self):
-        """At beta = 0.1 the parameter dips below zero by r = 0.02 and turns
-        positive again only past it, so a grid ending there brackets no crossing."""
-        from workreal.squeezing import diagonal_scan
-        scan = diagonal_scan(0.1, np.linspace(0.0, 0.02, 6))
-        assert scan.column("k_en").min() < 0.0
-        assert scan.meta["sign_change_bracketed"] is False
-
     def test_budget_cap_trips_with_a_named_point(self):
         with pytest.raises(TruncationError) as excinfo:
             oscillator_three_time(1.0, 0.9, 0.9, n_max=64)
@@ -873,6 +898,19 @@ def test_golden_section_finds_quadratic_minimum():
     x, fx = golden_section_minimum(lambda x: (x - 0.3) ** 2, 0.0, 1.0, xtol=1e-6)
     assert x == pytest.approx(0.3, abs=1e-5)
     assert fx == pytest.approx(0.0, abs=1e-9)
+
+
+def test_golden_section_on_a_bracket_within_xtol_returns_its_midpoint():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return (x - 0.3) ** 2
+
+    x, fx = golden_section_minimum(f, 0.2, 0.25, xtol=0.1)
+    assert x == 0.5 * (0.2 + 0.25)
+    assert calls == [x]
+    assert fx == (x - 0.3) ** 2
 
 
 @pytest.mark.parametrize("xtol", [0.0, -1e-4, math.nan, math.inf, 1e-20])

@@ -7,7 +7,6 @@ from workreal import validate_unitary
 from workreal.two_level import (
     TlsAngles,
     default_theta_grid,
-    incommensurate_tls_spectra,
     tls_jarzynski_deviations,
     tls_lg_parameters,
     tls_propagator,
@@ -109,14 +108,14 @@ class TestSweep:
         for theta in default_theta_grid(91):
             default = tls_lg_parameters(1.0, TlsAngles(theta))
             incommensurate = tls_lg_parameters(1.0, TlsAngles(theta),
-                                               spectra=incommensurate_tls_spectra())
+                                               spectra=INCOMMENSURATE)
             assert incommensurate["k_cor"] == default["k_cor"]
             assert incommensurate["k_cor_flipped"] == default["k_cor_flipped"]
 
     def test_incommensurate_spectra_merge_fine_and_grouped(self):
         for theta in default_theta_grid(61):
             values = tls_lg_parameters(1.0, TlsAngles(theta),
-                                       spectra=incommensurate_tls_spectra())
+                                       spectra=INCOMMENSURATE)
             assert values["k_en_fine"] == pytest.approx(values["k_en_grouped"], abs=1e-12)
 
     def test_default_grid_size(self):
@@ -132,6 +131,9 @@ def test_parameters_dict_contract():
 # angles where the off-diagonal transition probabilities are exactly 0 (0, 2 pi and
 # 1e-170, whose sin(theta/2)^2 underflows), plus a negative and two special angles
 EDGE_GRID = np.array([0.0, 1e-170, 2 * math.pi, -0.5, math.pi / 2, math.pi])
+# splittings 1, sqrt2, sqrt3: no two work values coincide, so the grouped and
+# fine-grained conventions agree
+INCOMMENSURATE = tuple(tls_spectrum(k, (0.0, math.sqrt(k + 1.0))) for k in range(3))
 # levels 0.6e-9 apart: work values chain into groups under the 1e-9 gap rule
 NEAR_DEGENERATE = tuple(tls_spectrum(k, (0.0, 0.6e-9 * (k + 1))) for k in range(3))
 
@@ -198,7 +200,7 @@ def test_one_three_time_joint_and_one_no_middle_joint_per_angle(monkeypatch):
         for module in (protocol, leggett_garg, two_level):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
-    for spectra in (None, incommensurate_tls_spectra(), NEAR_DEGENERATE):
+    for spectra in (None, INCOMMENSURATE, NEAR_DEGENERATE):
         for key in built:
             built[key] = 0
         tls_lg_parameters(1.0, TlsAngles(1.1, 0.4, 2.3), spectra=spectra)
@@ -229,7 +231,7 @@ RECORDED = [
     "incommensurate-beta-1", "incommensurate-beta-0.1", "incommensurate-ground-state",
     "phases-beta-0.7", "phases-beta-5", "phases-ground-state"])
 def test_per_angle_values_are_frozen(beta, angles, incommensurate, expected):
-    spectra = incommensurate_tls_spectra() if incommensurate else None
+    spectra = INCOMMENSURATE if incommensurate else None
     values = tls_lg_parameters(beta, angles, spectra=spectra)
     assert tuple(values.values()) == expected
 
@@ -242,7 +244,7 @@ def test_per_angle_values_equal_the_public_pipeline(beta):
     from workreal import build_thermal_state, correlator_set, entropic_k3_from_protocol
     from workreal.leggett_garg import k3_correlator, k3_correlator_flipped
     rng = np.random.default_rng(17)
-    for spectra in (None, incommensurate_tls_spectra(), NEAR_DEGENERATE):
+    for spectra in (None, INCOMMENSURATE, NEAR_DEGENERATE):
         levels = spectra or (tls_spectrum(0), tls_spectrum(1), tls_spectrum(2))
         rho0 = build_thermal_state(levels[0], beta)
         for theta, alpha, beta_angle in rng.uniform(-7.0, 14.0, size=(40, 3)):
