@@ -11,10 +11,6 @@ __version__ = "0.1.0"
 
 from .entropy import (
     EntropyReport,
-    conditional_entropy,
-    grouped_entropy,
-    joint_entropy,
-    marginal_entropy,
     shannon_entropy,
     work_entropy,
 )
@@ -25,8 +21,6 @@ from .hilbert import (
     UnitaryPropagator,
     build_thermal_state,
     compose_propagators,
-    free_energy,
-    free_energy_difference,
     transition_probabilities,
     validate_unitary,
 )
@@ -36,7 +30,6 @@ from .leggett_garg import (
     DichotomicMapping,
     correlator_set,
     dichotomic_correlator,
-    entropic_k3_from_protocol,
     k3_correlator,
     k3_correlator_flipped,
     k3_correlator_swapped,
@@ -66,10 +59,9 @@ from .squeezing import (
     select_n_max,
     squeeze_grid_sweep,
     squeeze_matrix_closed_form,
-    squeeze_propagator,
     thermal_tail_mass,
 )
-from .tables import SweepTable, contour_points, read_table_csv, write_table_csv
+from .tables import SweepTable, contour_points, write_table_csv
 from .two_level import (
     TlsAngles,
     tls_lg_parameters,

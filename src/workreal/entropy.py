@@ -1,4 +1,4 @@
-"""Shannon, joint, and conditional entropies of outcome and work distributions.
+"""Shannon entropies of outcome and work distributions.
 
 Every entropy is in nats (natural logarithm).  The macrorealism verdicts
 downstream are sign-based and therefore independent of the logarithm base; the
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .protocol import JointDistribution, WorkDistribution
+from .protocol import WorkDistribution
 
 SUM_TOL = 1e-8
 _SILENT_SUM_TOL = 1e-12
@@ -78,60 +78,6 @@ def shannon_entropy(probs) -> EntropyReport:
 def shannon_entropy_rows(probs) -> np.ndarray:
     """shannon_entropy(row).value for each row of `probs`, with the same checks."""
     return entropy_rows(_checked_probs(probs))
-
-
-def conditional_entropy(joint: JointDistribution) -> EntropyReport:
-    """Mean entropy of the later outcome given the earlier one.
-
-    Computed directly from the conditionals p(k_j | k_i); columns with zero
-    marginal contribute nothing.
-    """
-    probs = joint.probs
-    marginal = joint.marginal_earlier()
-    value = 0.0
-    for i in np.nonzero(marginal > 0)[0]:
-        value += marginal[i] * _nats(probs[:, i] / marginal[i])
-    return EntropyReport(value, int((probs > 0).sum()))
-
-
-def joint_entropy(joint: JointDistribution) -> EntropyReport:
-    """-sum p(k_j, k_i) log p(k_j, k_i) over the joint support."""
-    return EntropyReport(_nats(joint.probs.ravel()), int((joint.probs > 0).sum()))
-
-
-def marginal_entropy(joint: JointDistribution, which: str = "earlier") -> EntropyReport:
-    if which not in ("earlier", "later"):
-        raise InvalidParameterError(f"unknown marginal {which!r}")
-    marginal = joint.marginal_earlier() if which == "earlier" else joint.marginal_later()
-    return shannon_entropy(marginal)
-
-
-def grouped_entropy(probs, grouping) -> tuple[EntropyReport, float]:
-    """Entropy of the coarse-grained distribution plus the within-group remainder.
-
-    `grouping` is a partition of the support of `probs` into index subsets I_j;
-    the coarse distribution is q_j = sum_{i in I_j} p_i.  Returns (H(q), Hbar)
-    with Hbar the q-weighted mean entropy of the within-group conditionals, so
-    that H(q) = H(p) - Hbar.
-    """
-    probs = _checked_probs(probs)
-    seen: set[int] = set()
-    for group in grouping:
-        for i in group:
-            if i in seen:
-                raise InvalidParameterError(f"index {i} appears in two groups")
-            if not 0 <= i < probs.size:
-                raise InvalidParameterError(f"index {i} outside the distribution")
-            seen.add(i)
-    missing = set(np.nonzero(probs > 0)[0].tolist()) - seen
-    if missing:
-        raise InvalidParameterError(f"support indices {sorted(missing)} not covered")
-    q = np.array([probs[list(group)].sum() for group in grouping])
-    within = 0.0
-    for group, qj in zip(grouping, q):
-        if qj > 0:
-            within += qj * _nats(probs[list(group)] / qj)
-    return EntropyReport(_nats(q), int((q > 0).sum())), within
 
 
 def work_entropy(workdist: WorkDistribution) -> EntropyReport:

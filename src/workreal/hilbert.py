@@ -196,23 +196,6 @@ def build_thermal_state(spectrum: EnergySpectrum, beta: float) -> DiagonalDensit
     return DiagonalDensity(_gibbs_populations(spectrum.levels, beta), spectrum, beta=beta)
 
 
-def free_energy(spectrum: EnergySpectrum, beta: float) -> float:
-    """F = -ln(Z)/beta, with Z summed under the same max-shift as the thermal state."""
-    if not (beta > 0 and math.isfinite(beta)):
-        raise InvalidParameterError(f"beta must be positive and finite, got {beta}")
-    e_min = spectrum.levels.min()
-    log_z = math.log(np.exp(-beta * (spectrum.levels - e_min)).sum()) - beta * e_min
-    free = float(-log_z / beta)
-    if not math.isfinite(free):
-        raise InvalidParameterError("free energy must be finite")
-    return free
-
-
-def free_energy_difference(earlier: EnergySpectrum, later: EnergySpectrum, beta: float) -> float:
-    """F(later) - F(earlier) at a common inverse temperature."""
-    return free_energy(later, beta) - free_energy(earlier, beta)
-
-
 def compose_propagators(u10: UnitaryPropagator, u21: UnitaryPropagator) -> UnitaryPropagator:
     """The single propagator equivalent to applying u10 first, then u21."""
     if u10.dim != u21.dim:

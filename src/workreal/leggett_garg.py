@@ -15,7 +15,7 @@ import numpy as np
 
 from .entropy import EntropyReport, shannon_entropy, work_entropy
 from .errors import InvalidParameterError
-from .hilbert import DiagonalDensity, EnergySpectrum, UnitaryPropagator
+from .hilbert import DiagonalDensity, UnitaryPropagator
 from .protocol import (
     JointDistribution,
     three_time_joint,
@@ -138,23 +138,6 @@ def k3_entropic(h_w21: EntropyReport, h_w10: EntropyReport, h_w20: EntropyReport
     marginal of the measured protocol.
     """
     return _k_en(h_w21.value, h_w10.value, h_w20.value, h_e1.value)
-
-
-def entropic_k3_from_protocol(rho0: DiagonalDensity, u10: UnitaryPropagator,
-                              u21: UnitaryPropagator,
-                              spectrum_1: EnergySpectrum | None = None,
-                              spectrum_2: EnergySpectrum | None = None,
-                              degeneracy: str = "fine") -> float:
-    """Run the full pipeline and evaluate the entropic parameter.
-
-    `degeneracy` picks the work-entropy convention: "fine" keeps one entry per
-    outcome pair (the convention under which the derivation of the bound is exact),
-    "grouped" merges equal work values first.
-    """
-    if degeneracy not in ("fine", "grouped"):
-        raise InvalidParameterError(f"unknown degeneracy convention {degeneracy!r}")
-    joints = _joints(rho0, u10, u21, spectrum_1, spectrum_2)
-    return k3_entropic(*_entropy_reports(*joints, (degeneracy,))[degeneracy])
 
 
 def _entropy_reports(leg10: JointDistribution, leg21: JointDistribution,

@@ -77,12 +77,6 @@ class JointDistribution:
         check_joint_probs(probs, self.norm_tol)
         object.__setattr__(self, "probs", probs)
 
-    def marginal_earlier(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
-    def marginal_later(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class JointDistribution3:

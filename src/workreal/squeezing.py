@@ -99,7 +99,7 @@ import scipy
 
 from .entropy import _nats
 from .errors import InvalidParameterError, TruncationError
-from .hilbert import EnergySpectrum, UnitaryPropagator, _gibbs_populations, _on_one_blas_thread
+from .hilbert import EnergySpectrum, _gibbs_populations, _on_one_blas_thread
 from .protocol import JointDistribution, JointDistribution3
 from .tables import SweepTable
 
@@ -130,10 +130,6 @@ class SqueezeMatrix:
     r: float
     n_max: int
     column_defects: np.ndarray
-
-    @property
-    def transition_probabilities(self) -> np.ndarray:
-        return self.g * self.g
 
 
 def _load_dstevd():
@@ -285,24 +281,6 @@ def _squeeze_transitions(r: float, n_max: int) -> np.ndarray:
         _parity_columns(float(r), size, size, p, (0, (size - p + 1) // 2), t[p::2, p::2],
                         squared=True)
     return t
-
-
-def squeeze_propagator(sq: SqueezeMatrix) -> UnitaryPropagator:
-    """Wrap a truncated squeeze matrix as a propagator.
-
-    G is the top-left block of an orthogonal matrix whose remaining rows carry
-    the leak d = `column_defects`, so G^T G - 1 = -L^T L and, by Cauchy-Schwarz
-    on the leak rows L, |(G^T G - 1)[m, n]| <= sqrt(d_m d_n).  Raises
-    InvalidParameterError where an entry exceeds that bound by more than 1e-12;
-    the largest defect (plus 1e-12) is then the propagator's unitarity tolerance.
-    """
-    g, defects = sq.g, sq.column_defects
-    excess = np.abs(g.T @ g - np.eye(g.shape[1])) - np.sqrt(np.outer(defects, defects))
-    if excess.max() > 1e-12:
-        raise InvalidParameterError(
-            f"squeeze matrix at r={sq.r}, n_max={sq.n_max} is not a block of an "
-            f"orthogonal matrix: G^T G - 1 exceeds its leak bound by {excess.max():.3e}")
-    return UnitaryPropagator(g.astype(complex), unitarity_tol=float(defects.max()) + 1e-12)
 
 
 def oscillator_spectrum(n_max: int, label: int = 0) -> EnergySpectrum:

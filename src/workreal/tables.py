@@ -45,12 +45,15 @@ class SweepTable:
 
 
 def _manifest_lines(meta: dict) -> list[str]:
+    """One `# key = value` line per meta entry.  Any other value than a float, str,
+    int or bool (a numpy integer or bool, an array) raises TypeError naming its key."""
     lines = []
     for key, value in meta.items():
         if isinstance(value, float):
             value = format_float(value)
         elif not isinstance(value, (str, int, bool)):
-            continue  # arrays and other payloads are written to their own files
+            raise TypeError(f"manifest value {key!r} has type {type(value).__name__}, "
+                            f"not float, str, int or bool")
         lines.append(f"# {key} = {value}")
     return lines
 
@@ -64,36 +67,17 @@ def write_table_csv(path: str | Path, table: SweepTable) -> None:
     string of FLOAT_FORMAT fields (the conversion `format_float` makes), so a row
     reads as its floats joined by commas.
     """
+    manifest = _manifest_lines(table.meta)  # refused before the file is created
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     row_format = ",".join([FLOAT_FORMAT] * table.rows.shape[1]) + "\n"
     with path.open("w", encoding="utf-8", newline="\n") as out:
-        for line in _manifest_lines(table.meta):
+        for line in manifest:
             out.write(line + "\n")
         out.write(",".join(table.columns) + "\n")
         for start in range(0, len(table.rows), WRITE_CHUNK_ROWS):
             out.writelines(row_format % tuple(row)
                            for row in table.rows[start:start + WRITE_CHUNK_ROWS].tolist())
-
-
-def read_table_csv(path: str | Path) -> SweepTable:
-    meta: dict = {}
-    columns: list[str] | None = None
-    rows: list[list[float]] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            meta[key.strip()] = value.strip()
-        elif columns is None:
-            columns = [c.strip() for c in line.split(",")]
-        else:
-            rows.append([float(x) for x in line.split(",")])
-    if columns is None:
-        raise InvalidParameterError(f"{path} contains no header row")
-    data = np.array(rows) if rows else np.empty((0, len(columns)))
-    return SweepTable(columns, data, meta)
 
 
 def contour_points(x_values: np.ndarray, y_values: np.ndarray, z: np.ndarray,

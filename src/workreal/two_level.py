@@ -21,8 +21,9 @@ oracle and require equal bits.
 `tls_jarzynski_deviations` does the same for jarzynski-check's two-level rows:
 each row has its own temperature, angles and spectra (0, gap0) and (0, gap1),
 and all rows run as one (N, 2, 2) stack.  Their oracle is the object pipeline
-two_time_joint -> work_distribution -> jarzynski_deviation, run row by row;
-the tests require equal bits.
+two_time_joint -> work_distribution -> jarzynski_deviation, run row by row with
+dF from the `free_energy_difference` oracle of tests/conftest.py; the tests
+require equal bits.
 """
 
 from __future__ import annotations
@@ -191,9 +192,10 @@ def tls_jarzynski_deviations(beta, theta, alpha, beta_angle, gap0, gap1) -> np.n
     s1 = (0, gap1).
 
     Row k equals, bit for bit, jarzynski_deviation(work_distribution(joint), beta,
-    free_energy_difference(s0, s1, beta)) of that row's two_time_joint; all rows
-    are computed at once, with that path's unitarity and joint checks applied to
-    the whole stack.  Of the works -gap0, 0, gap1 - gap0 and gap1 only the middle
+    free_energy_difference(s0, s1, beta)) of that row's two_time_joint, with
+    free_energy_difference the test oracle of tests/conftest.py; all rows are
+    computed at once, with that path's unitarity and joint checks applied to the
+    whole stack.  Of the works -gap0, 0, gap1 - gap0 and gap1 only the middle
     two may merge under WORK_DEGENERACY_TOL; rows where an outer one would are
     refused.
     """
@@ -206,7 +208,7 @@ def tls_jarzynski_deviations(beta, theta, alpha, beta_angle, gap0, gap1) -> np.n
     u = _su2_matrices(np.mod(theta, TWO_PI), alpha, beta_angle)
     require_unitary(u, TLS_UNITARITY_TOL)
     # the Gibbs weights (1, exp(-beta gap)) and their sums, as build_thermal_state
-    # and free_energy form them for the spectrum (0, gap)
+    # and the tests' free_energy oracle form them for the spectrum (0, gap)
     excited0, excited1 = np.exp(-beta * gap0), np.exp(-beta * gap1)
     z0, z1 = 1.0 + excited0, 1.0 + excited1
     joints = np.abs(u) ** 2 * np.stack([1.0 / z0, excited0 / z0], axis=-1)[:, None, :]

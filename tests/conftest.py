@@ -6,16 +6,32 @@ chain as literal operator sandwiches with traces, instead of multiplying
 transition probabilities.  The squeeze oracle exponentiates the truncated
 generator by scaling and squaring (scipy's `expm`), independent of the library's
 eigenbasis kernel.
+
+The rest are library functions that no experiment runs, kept here with their
+arithmetic unchanged: the joint, conditional, marginal and grouped entropies of
+the entropy identities; the free energy that gives the fluctuation relation its
+dF; the per-protocol entropic parameter; the squeeze propagator with its
+unitarity certificate; and the CSV reader.
 """
 
+from __future__ import annotations
+
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from workreal.entropy import EntropyReport, _checked_probs, _nats, shannon_entropy
 from workreal.errors import InvalidParameterError
-from workreal.hilbert import build_thermal_state, free_energy_difference
+from workreal.hilbert import (
+    DiagonalDensity,
+    EnergySpectrum,
+    UnitaryPropagator,
+    build_thermal_state,
+)
+from workreal.leggett_garg import _entropy_reports, _joints, k3_entropic
 from workreal.protocol import (
     JointDistribution,
     JointDistribution3,
@@ -24,6 +40,7 @@ from workreal.protocol import (
     work_distribution,
 )
 from workreal.squeezing import SqueezeMatrix, _validate_squeeze_args
+from workreal.tables import SweepTable
 from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum
 
 
@@ -129,6 +146,145 @@ def object_jarzynski_deviation(beta, theta, alpha, beta_angle, gap0, gap1) -> fl
     joint = two_time_joint(build_thermal_state(s0, beta), u, spectrum_later=s1)
     return jarzynski_deviation(work_distribution(joint), beta,
                                free_energy_difference(s0, s1, beta))
+
+
+def marginal_earlier(joint: JointDistribution) -> np.ndarray:
+    return joint.probs.sum(axis=0)
+
+
+def marginal_later(joint: JointDistribution) -> np.ndarray:
+    return joint.probs.sum(axis=1)
+
+
+def conditional_entropy(joint: JointDistribution) -> EntropyReport:
+    """Mean entropy of the later outcome given the earlier one.
+
+    Computed directly from the conditionals p(k_j | k_i); columns with zero
+    marginal contribute nothing.
+    """
+    probs = joint.probs
+    marginal = marginal_earlier(joint)
+    value = 0.0
+    for i in np.nonzero(marginal > 0)[0]:
+        value += marginal[i] * _nats(probs[:, i] / marginal[i])
+    return EntropyReport(value, int((probs > 0).sum()))
+
+
+def joint_entropy(joint: JointDistribution) -> EntropyReport:
+    """-sum p(k_j, k_i) log p(k_j, k_i) over the joint support."""
+    return EntropyReport(_nats(joint.probs.ravel()), int((joint.probs > 0).sum()))
+
+
+def marginal_entropy(joint: JointDistribution, which: str = "earlier") -> EntropyReport:
+    if which not in ("earlier", "later"):
+        raise InvalidParameterError(f"unknown marginal {which!r}")
+    marginal = marginal_earlier(joint) if which == "earlier" else marginal_later(joint)
+    return shannon_entropy(marginal)
+
+
+def grouped_entropy(probs, grouping) -> tuple[EntropyReport, float]:
+    """Entropy of the coarse-grained distribution plus the within-group remainder.
+
+    `grouping` is a partition of the support of `probs` into index subsets I_j;
+    the coarse distribution is q_j = sum_{i in I_j} p_i.  Returns (H(q), Hbar)
+    with Hbar the q-weighted mean entropy of the within-group conditionals, so
+    that H(q) = H(p) - Hbar.
+    """
+    probs = _checked_probs(probs)
+    seen: set[int] = set()
+    for group in grouping:
+        for i in group:
+            if i in seen:
+                raise InvalidParameterError(f"index {i} appears in two groups")
+            if not 0 <= i < probs.size:
+                raise InvalidParameterError(f"index {i} outside the distribution")
+            seen.add(i)
+    missing = set(np.nonzero(probs > 0)[0].tolist()) - seen
+    if missing:
+        raise InvalidParameterError(f"support indices {sorted(missing)} not covered")
+    q = np.array([probs[list(group)].sum() for group in grouping])
+    within = 0.0
+    for group, qj in zip(grouping, q):
+        if qj > 0:
+            within += qj * _nats(probs[list(group)] / qj)
+    return EntropyReport(_nats(q), int((q > 0).sum())), within
+
+
+def free_energy(spectrum: EnergySpectrum, beta: float) -> float:
+    """F = -ln(Z)/beta, with Z summed under the same max-shift as the thermal state."""
+    if not (beta > 0 and math.isfinite(beta)):
+        raise InvalidParameterError(f"beta must be positive and finite, got {beta}")
+    e_min = spectrum.levels.min()
+    log_z = math.log(np.exp(-beta * (spectrum.levels - e_min)).sum()) - beta * e_min
+    free = float(-log_z / beta)
+    if not math.isfinite(free):
+        raise InvalidParameterError("free energy must be finite")
+    return free
+
+
+def free_energy_difference(earlier: EnergySpectrum, later: EnergySpectrum, beta: float) -> float:
+    """F(later) - F(earlier) at a common inverse temperature."""
+    return free_energy(later, beta) - free_energy(earlier, beta)
+
+
+def entropic_k3_from_protocol(rho0: DiagonalDensity, u10: UnitaryPropagator,
+                              u21: UnitaryPropagator,
+                              spectrum_1: EnergySpectrum | None = None,
+                              spectrum_2: EnergySpectrum | None = None,
+                              degeneracy: str = "fine") -> float:
+    """Run the full pipeline and evaluate the entropic parameter.
+
+    `degeneracy` picks the work-entropy convention: "fine" keeps one entry per
+    outcome pair (the convention under which the derivation of the bound is exact),
+    "grouped" merges equal work values first.
+    """
+    if degeneracy not in ("fine", "grouped"):
+        raise InvalidParameterError(f"unknown degeneracy convention {degeneracy!r}")
+    joints = _joints(rho0, u10, u21, spectrum_1, spectrum_2)
+    return k3_entropic(*_entropy_reports(*joints, (degeneracy,))[degeneracy])
+
+
+def squeeze_transition_probabilities(sq: SqueezeMatrix) -> np.ndarray:
+    """|G|^2 of a squeeze matrix, entry by entry."""
+    return sq.g * sq.g
+
+
+def squeeze_propagator(sq: SqueezeMatrix) -> UnitaryPropagator:
+    """Wrap a truncated squeeze matrix as a propagator.
+
+    G is the top-left block of an orthogonal matrix whose remaining rows carry
+    the leak d = `column_defects`, so G^T G - 1 = -L^T L and, by Cauchy-Schwarz
+    on the leak rows L, |(G^T G - 1)[m, n]| <= sqrt(d_m d_n).  Raises
+    InvalidParameterError where an entry exceeds that bound by more than 1e-12;
+    the largest defect (plus 1e-12) is then the propagator's unitarity tolerance.
+    """
+    g, defects = sq.g, sq.column_defects
+    excess = np.abs(g.T @ g - np.eye(g.shape[1])) - np.sqrt(np.outer(defects, defects))
+    if excess.max() > 1e-12:
+        raise InvalidParameterError(
+            f"squeeze matrix at r={sq.r}, n_max={sq.n_max} is not a block of an "
+            f"orthogonal matrix: G^T G - 1 exceeds its leak bound by {excess.max():.3e}")
+    return UnitaryPropagator(g.astype(complex), unitarity_tol=float(defects.max()) + 1e-12)
+
+
+def read_table_csv(path: str | Path) -> SweepTable:
+    meta: dict = {}
+    columns: list[str] | None = None
+    rows: list[list[float]] = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            meta[key.strip()] = value.strip()
+        elif columns is None:
+            columns = [c.strip() for c in line.split(",")]
+        else:
+            rows.append([float(x) for x in line.split(",")])
+    if columns is None:
+        raise InvalidParameterError(f"{path} contains no header row")
+    data = np.array(rows) if rows else np.empty((0, len(columns)))
+    return SweepTable(columns, data, meta)
 
 
 @pytest.fixture

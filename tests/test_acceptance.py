@@ -19,13 +19,10 @@ from workreal import (
     dichotomic_correlator,
     empirical_chi_squared_pvalue,
     entropic_k3_oscillator,
-    free_energy_difference,
     jarzynski_deviation,
-    joint_entropy,
     k3_correlator,
     k3_correlator_flipped,
     k3_entropic,
-    marginal_entropy,
     oscillator_three_time,
     sample_trajectories,
     select_n_max,
@@ -37,13 +34,13 @@ from workreal import (
     work_distribution,
     work_entropy,
 )
-from workreal.entropy import conditional_entropy, grouped_entropy
 from workreal.protocol import JointDistribution
 from workreal.squeezing import beta_sweep_min_k, golden_section_minimum
 from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum, tls_theta_sweep
 
-from conftest import (random_stochastic_columns, sandwich_joint2, sandwich_joint3,
-                      squeeze_matrix_exponential_oracle)
+from conftest import (conditional_entropy, free_energy_difference, grouped_entropy,
+                      joint_entropy, marginal_entropy, random_stochastic_columns,
+                      sandwich_joint2, sandwich_joint3, squeeze_matrix_exponential_oracle)
 
 
 def verdict(number, ok, message):
@@ -139,7 +136,7 @@ def test_criterion_04_two_level_temperature_independence():
     for beta in betas:
         rho = build_thermal_state(tls_spectrum(0), beta)
         k_cor.append(k3_correlator(correlator_set(rho, u, u)))
-        from workreal import entropic_k3_from_protocol
+        from conftest import entropic_k3_from_protocol
         k_en.append(entropic_k3_from_protocol(rho, u, u))
     spread_cor = max(k_cor) - min(k_cor)
     spread_en = max(k_en) - min(k_en)

@@ -11,9 +11,9 @@ import pytest
 
 from workreal.cli import EXPERIMENTS, build_parser, main, parse_grid_spec, parse_value_list
 from workreal.errors import InvalidParameterError
-from workreal.tables import SweepTable, format_float, read_table_csv, write_table_csv
+from workreal.tables import SweepTable, format_float, write_table_csv
 
-from conftest import jarzynski_check_draws, object_jarzynski_deviation
+from conftest import jarzynski_check_draws, object_jarzynski_deviation, read_table_csv
 
 
 def run_cli(args):
@@ -59,8 +59,6 @@ def _former_csv_bytes(table):
     for key, value in table.meta.items():
         if isinstance(value, float):
             value = "{:.17g}".format(value)
-        elif not isinstance(value, (str, int, bool)):
-            continue
         lines.append(f"# {key} = {value}")
     lines.append(",".join(table.columns))
     lines.extend(",".join(map("{:.17g}".format, row)) for row in table.rows.tolist())
@@ -77,7 +75,7 @@ def _tables():
     yield SweepTable([f"e{k}" for k in range(len(edge))], np.array([edge, edge[::-1]]))
     yield SweepTable(["r1", "r2"], np.empty((0, 2)),
                      {"beta": 0.1, "tiny": -5e-324, "n_max": 384, "ok": True,
-                      "flag": False, "label": "β sweep", "skipped": np.arange(3)})
+                      "flag": False, "label": "β sweep"})
 
 
 def test_csv_bytes_equal_former_writer(tmp_path):
@@ -85,6 +83,15 @@ def test_csv_bytes_equal_former_writer(tmp_path):
         path = tmp_path / f"table{k}.csv"
         write_table_csv(path, table)
         assert path.read_bytes() == _former_csv_bytes(table), k
+
+
+@pytest.mark.parametrize("value", [np.arange(3), np.int64(3), np.bool_(True)],
+                         ids=["array", "int64", "bool_"])
+def test_a_manifest_value_of_another_type_is_refused(tmp_path, value):
+    table = SweepTable(["r1", "r2"], np.empty((0, 2)), {"beta": 0.1, "skipped": value})
+    with pytest.raises(TypeError, match="'skipped'"):
+        write_table_csv(tmp_path / "table.csv", table)
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_each_experiment_takes_exactly_its_settings():

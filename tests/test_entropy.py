@@ -9,16 +9,14 @@ from workreal import (
     InvalidParameterError,
     JointDistribution,
     build_thermal_state,
-    conditional_entropy,
-    grouped_entropy,
-    joint_entropy,
-    marginal_entropy,
     shannon_entropy,
     two_time_joint,
     work_distribution,
     work_entropy,
 )
 from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum
+
+from conftest import conditional_entropy, grouped_entropy, joint_entropy, marginal_entropy
 
 # frozen with 40-digit arithmetic
 H_QUARTER = 0.56233514461880835          # H({1/4, 3/4})

@@ -11,12 +11,11 @@ from workreal import (
     UnitaryPropagator,
     build_thermal_state,
     compose_propagators,
-    free_energy,
     validate_unitary,
 )
 from workreal.two_level import TlsAngles, tls_propagator
 
-from conftest import random_unitary
+from conftest import free_energy, random_unitary
 
 TWO_LEVEL = EnergySpectrum(np.array([0.0, 1.0]))
 

@@ -13,7 +13,6 @@ from workreal import (
     build_thermal_state,
     correlator_set,
     dichotomic_correlator,
-    entropic_k3_from_protocol,
     k3_correlator,
     k3_correlator_flipped,
     k3_correlator_swapped,
@@ -23,10 +22,9 @@ from workreal import (
     work_distribution,
     work_entropy,
 )
-from workreal.entropy import conditional_entropy
 from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum
 
-from conftest import random_stochastic_columns
+from conftest import conditional_entropy, entropic_k3_from_protocol, random_stochastic_columns
 
 
 def thermal(beta=1.0):

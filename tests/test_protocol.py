@@ -10,7 +10,6 @@ from workreal import (
     UnitaryPropagator,
     build_thermal_state,
     empirical_chi_squared_pvalue,
-    free_energy_difference,
     jarzynski_deviation,
     sample_trajectories,
     three_time_joint,
@@ -23,8 +22,9 @@ from workreal.protocol import WORK_DEGENERACY_TOL
 from workreal.squeezing import oscillator_three_time
 from workreal.two_level import TlsAngles, tls_propagator, tls_spectrum
 
-from conftest import (random_unitary, sandwich_joint2, sandwich_joint3,
-                      total_variation_distance, work_pair_distribution)
+from conftest import (free_energy_difference, marginal_earlier, random_unitary,
+                      sandwich_joint2, sandwich_joint3, total_variation_distance,
+                      work_pair_distribution)
 
 P0_BETA1 = 0.73105857863000488
 P1_BETA1 = 0.26894142136999512
@@ -69,7 +69,7 @@ class TestTwoTimeJoint:
     def test_column_sums_are_earlier_marginal(self, rng):
         rho = thermal(0.7)
         joint = two_time_joint(rho, UnitaryPropagator(random_unitary(rng, 2)))
-        np.testing.assert_allclose(joint.marginal_earlier(), rho.populations,
+        np.testing.assert_allclose(marginal_earlier(joint), rho.populations,
                                    atol=1e-14)
 
 

@@ -22,7 +22,6 @@ from workreal import (
     oscillator_three_time,
     select_n_max,
     squeeze_matrix_closed_form,
-    squeeze_propagator,
     thermal_tail_mass,
     total_work_distribution,
     work_distribution,
@@ -50,7 +49,8 @@ from workreal.squeezing import (
     squeeze_grid_sweep,
 )
 
-from conftest import squeeze_matrix_exponential_oracle
+from conftest import (entropic_k3_from_protocol, squeeze_matrix_exponential_oracle,
+                      squeeze_propagator, squeeze_transition_probabilities)
 
 G00_HALF = 0.94171061583167571  # sech(1/2)^(1/2), frozen at 40 digits
 KERNEL_SIZES = (1, 2, 3, 64, 65, 128, 191, 448, 1024)
@@ -184,7 +184,7 @@ class TestKernelPaths:
         for r in KERNEL_AMPLITUDES + (0.05, 0.0, 0.01):
             closed = squeeze_matrix_closed_form(r, n_max)
             t = _squeeze_transitions(r, n_max)
-            assert np.array_equal(t, closed.transition_probabilities)
+            assert np.array_equal(t, squeeze_transition_probabilities(closed))
             assert np.array_equal(_column_entropies(t), column_entropies_oracle(t))
 
     @pytest.mark.parametrize("size", BASIS_SIZES)
@@ -740,7 +740,7 @@ def test_transition_matrix_doubly_stochastic_on_occupied_band(beta, r):
     the truncation budget of the run at n_max = select_n_max(beta, r)."""
     protocol = oscillator_three_time(beta, r, 0.0)
     assert protocol.n_max == select_n_max(beta, r)
-    t = squeeze_matrix_closed_form(r, protocol.n_max).transition_probabilities
+    t = squeeze_transition_probabilities(squeeze_matrix_closed_form(r, protocol.n_max))
     band = int(math.ceil(-math.log(SUPPORT_TOL) / beta))
     assert np.abs(t.sum(axis=0)[:band] - 1.0).max() <= protocol.truncation_budget
     assert np.abs(t.sum(axis=1)[:band] - 1.0).max() <= protocol.truncation_budget
@@ -859,7 +859,7 @@ class TestEntropicParameter:
 def test_generic_propagator_pipeline_agrees_with_fast_path():
     """Driving truncated squeeze propagators through the same generic pipeline the
     two-level model uses must land on the streaming result exactly."""
-    from workreal import build_thermal_state, entropic_k3_from_protocol, oscillator_spectrum
+    from workreal import build_thermal_state, oscillator_spectrum
     rho = build_thermal_state(oscillator_spectrum(96, 0), 1.0)
     u1 = squeeze_propagator(squeeze_matrix_closed_form(0.12, 96))
     u2 = squeeze_propagator(squeeze_matrix_closed_form(0.2, 96))
@@ -1109,7 +1109,7 @@ class TestWorkspaces:
     def test_three_time_builds_an_equal_leg_once(self, made, r1, r2, builds):
         protocol = oscillator_three_time(1.0, r1, r2, n_max=64)
         assert made["builds"] == builds
-        t1, t2 = (squeeze_matrix_closed_form(r, 64).transition_probabilities
+        t1, t2 = (squeeze_transition_probabilities(squeeze_matrix_closed_form(r, 64))
                   for r in (r1, r2))
         pops = squeezing._thermal_run(1.0, 64, "")[0]
         assert np.array_equal(protocol.joint3.probs,

@@ -14,7 +14,7 @@ from workreal.two_level import (
     tls_theta_sweep,
 )
 
-from conftest import jarzynski_check_draws, object_jarzynski_deviation
+from conftest import entropic_k3_from_protocol, jarzynski_check_draws, object_jarzynski_deviation
 
 
 def binary_entropy(x):
@@ -241,7 +241,7 @@ def test_per_angle_values_equal_the_public_pipeline(beta):
     """tls_lg_parameters against correlator_set and entropic_k3_from_protocol
     called per view, each building its own joints: equal bits on random angles
     with nonzero phases, and with incommensurate or near-degenerate spectra."""
-    from workreal import build_thermal_state, correlator_set, entropic_k3_from_protocol
+    from workreal import build_thermal_state, correlator_set
     from workreal.leggett_garg import k3_correlator, k3_correlator_flipped
     rng = np.random.default_rng(17)
     for spectra in (None, INCOMMENSURATE, NEAR_DEGENERATE):
