@@ -21,10 +21,13 @@ truncation budget, a Jarzynski row's bound, or an mc-crosscheck cell MC_Z_BOUND
 or more standard errors from its exact probability; 3 also when an allocation
 fails ("out of memory: ..." with numpy's bytes and shape).
 
-The library computes every entropy and K_en in nats.  `--entropy-base 2` converts
-at output: each runner divides its K_en columns by log 2 before the table is
-written, and squeeze-grid draws its contours on the converted grid, so the
-contour levels are in the output unit.
+Run policy lives here: each experiment's defaults (the grids THETA_GRID,
+SQUEEZE_GRID, R_GRID and BETA_GRID among them) and the manifest's echo of the
+settings.  Every table leaves through `_write`.  The library computes every
+entropy and K_en in nats; under `--entropy-base 2`, `_write` divides the K_en
+columns its runner names by log 2 before the table is written, and squeeze-grid
+draws its contours on the converted grid, so the contour levels are in the
+output unit.
 """
 
 from __future__ import annotations
@@ -67,6 +70,12 @@ SETTINGS = {
     "degeneracy": (str, ("fine", "grouped")),
     "middle_entropy": (str, ("initial", "measured")),
 }
+# the grids swept where --grid-spec or --beta-grid is not given: tls-theta's angles,
+# squeeze-grid's r1 = r2 axis, and squeeze-beta's coarse r scan and betas
+THETA_GRID = "0:6.283185307179586:721"
+SQUEEZE_GRID = "0:0.1:101"
+R_GRID = "geom:0.004:0.8:20"
+BETA_GRID = "0.1,0.2,0.3,0.5,0.7,1,1.5,2,3,5,10"
 # K_en levels of the squeeze-grid contour files, in the output unit
 CONTOUR_LEVELS = (0.0, -0.05)
 # an mc-crosscheck cell this many standard errors sqrt(p (1 - p) / n) from its
@@ -208,64 +217,50 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     return SweepConfig(args.experiment, **values)
 
 
-def _base_meta(config: SweepConfig) -> dict:
-    """The library version and the settings the experiment reads, so a manifest
-    never echoes a setting that had no effect on the data."""
-    meta = {"library": f"workreal {__version__}", "experiment": config.experiment}
-    for name in EXPERIMENTS[config.experiment][1]:
-        value = getattr(config, name)
-        if value is not None:
-            meta[name] = value
-    return meta
-
-
-def _in_output_base(config: SweepConfig, table: SweepTable, *columns: str) -> None:
-    """Convert the named K_en columns from the library's nats to the run's base."""
+def _write(config: SweepConfig, name: str, table: SweepTable, *k_en_columns: str) -> Path:
+    """The one exit of every table.  Under `--entropy-base 2` the named K_en
+    columns are divided by log 2, in place; the manifest starts with the library
+    version and the settings the experiment reads, so it never echoes a setting
+    that had no effect on the data, followed by the table's own meta."""
     if config.entropy_base == "2":
-        for name in columns:
-            table.rows[:, table.columns.index(name)] /= math.log(2)
-
-
-def _write(config: SweepConfig, name: str, table: SweepTable) -> Path:
+        for column in k_en_columns:
+            table.rows[:, table.columns.index(column)] /= math.log(2)
+    meta = {"library": f"workreal {__version__}", "experiment": config.experiment}
+    for setting in EXPERIMENTS[config.experiment][1]:
+        if getattr(config, setting) is not None:
+            meta[setting] = getattr(config, setting)
+    table.meta = {**meta, **table.meta}
     write_table_csv(config.out_dir / name, table)
     return config.out_dir / name
 
 
 def _run_tls_theta(config: SweepConfig) -> tuple[list[Path], bool]:
-    beta = config.beta if config.beta is not None else 1.0
-    grid = parse_grid_spec(config.grid_spec) if config.grid_spec else None
-    table = tls_theta_sweep(beta=beta, theta_grid=grid)
-    _in_output_base(config, table, "k_en_fine", "k_en_grouped")
-    table.meta = {**_base_meta(config), **table.meta}
-    return [_write(config, "tls_theta.csv", table)], True
+    table = tls_theta_sweep(config.beta if config.beta is not None else 1.0,
+                            parse_grid_spec(config.grid_spec or THETA_GRID))
+    return [_write(config, "tls_theta.csv", table, "k_en_fine", "k_en_grouped")], True
 
 
 def _run_squeeze_grid(config: SweepConfig) -> tuple[list[Path], bool]:
     beta = config.beta if config.beta is not None else 0.1
-    grid = parse_grid_spec(config.grid_spec or "0:0.1:101")
+    grid = parse_grid_spec(config.grid_spec or SQUEEZE_GRID)
     table = squeeze_grid_sweep(beta=beta, r1_grid=grid, r2_grid=grid,
                                n_max=config.n_max, degeneracy=config.degeneracy,
                                middle_entropy=config.middle_entropy)
-    _in_output_base(config, table, "k_en")
-    table.meta = {**_base_meta(config), **table.meta}
-    written = [_write(config, "squeeze_grid.csv", table)]
+    written = [_write(config, "squeeze_grid.csv", table, "k_en")]
     z = table.column("k_en").reshape(grid.size, grid.size)
     for level in CONTOUR_LEVELS:
         contour_table = SweepTable(["r1", "r2"], contour_points(grid, grid, z, level),
-                                   meta={**_base_meta(config), "contour_level": level})
+                                   meta={"contour_level": level})
         written.append(_write(config, f"squeeze_grid_contour_{level:g}.csv", contour_table))
     return written, True
 
 
 def _run_squeeze_beta(config: SweepConfig) -> tuple[list[Path], bool]:
-    betas = parse_value_list(config.beta_grid) if config.beta_grid else \
-        np.array([0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0])
-    r_grid = parse_grid_spec(config.grid_spec) if config.grid_spec else None
-    table = beta_sweep_min_k(betas, r_grid=r_grid, degeneracy=config.degeneracy,
+    table = beta_sweep_min_k(parse_value_list(config.beta_grid or BETA_GRID),
+                             parse_grid_spec(config.grid_spec or R_GRID),
+                             degeneracy=config.degeneracy,
                              middle_entropy=config.middle_entropy)
-    _in_output_base(config, table, "min_k_en")
-    table.meta = {**_base_meta(config), **table.meta}
-    return [_write(config, "squeeze_beta.csv", table)], True
+    return [_write(config, "squeeze_beta.csv", table, "min_k_en")], True
 
 
 def _run_jarzynski_check(config: SweepConfig) -> tuple[list[Path], bool]:
@@ -293,7 +288,7 @@ def _run_jarzynski_check(config: SweepConfig) -> tuple[list[Path], bool]:
     table = SweepTable(
         ["model", "beta", "parameter", "deviation", "bound", "within_bound"],
         np.vstack([two_level, oscillator]),
-        meta={**_base_meta(config), "seed": seed, "model_codes": "0=two-level 1=oscillator"})
+        meta={"seed": seed, "model_codes": "0=two-level 1=oscillator"})
     return [_write(config, "jarzynski_check.csv", table)], all_ok
 
 
@@ -309,8 +304,7 @@ def _run_mc_crosscheck(config: SweepConfig) -> tuple[list[Path], bool]:
     rows = [(k2, k1, k0, empirical[k2, k1, k0], exact_probs[k2, k1, k0])
             for k2, k1, k0 in np.ndindex(2, 2, 2)]
     table = SweepTable(["k2", "k1", "k0", "empirical", "exact"], np.array(rows),
-                       meta={**_base_meta(config), "theta": theta, "beta": beta,
-                             "chi_squared_pvalue": pvalue})
+                       meta={"theta": theta, "beta": beta, "chi_squared_pvalue": pvalue})
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(empirical - exact_probs) / np.sqrt(
             exact_probs * (1.0 - exact_probs) / config.n_samples)

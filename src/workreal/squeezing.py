@@ -376,12 +376,17 @@ def select_n_max(beta: float, r_total: float) -> int:
     leaks of every candidate are read off one padded build by a reverse
     cumulative sum over its rows; the build doubles only when no candidate in it
     passes.  Raises TruncationError, without building anything, when the thermal
-    tail or the squeezed vacuum alone already needs more than 8192 levels.
+    tail or the squeezed vacuum alone already needs more than 8192 levels; the
+    vacuum is checked before the quantization, which overflows past r ~ 3.6e306.
     """
     if not (beta > 0 and math.isfinite(beta)):
         raise InvalidParameterError("beta must be positive and finite")
     if not (math.isfinite(r_total) and r_total >= 0.0):
         raise InvalidParameterError("r_total must be finite and >= 0")
+    if _vacuum_cut(r_total) > N_MAX_CAP:
+        raise TruncationError(
+            f"no truncation up to {N_MAX_CAP} levels holds the squeezed vacuum at "
+            f"beta={beta}, r={r_total}")
     quantized = round(math.ceil(r_total / 0.02) * 0.02, 10)
     return _select_n_max_cached(float(beta), quantized)
 
@@ -408,11 +413,11 @@ def _budget(thermal_tail: float, deficit_a: float, deficit_b: float) -> float:
 def _checked_budget(thermal_tail: float, deficit_a: float, deficit_b: float,
                     beta: float, r1: float, r2: float, n_max: int) -> float:
     """`_budget` of a run; raises TruncationError, naming beta, r1, r2 and n_max,
-    where it exceeds MAX_BUDGET."""
+    where it is not at most MAX_BUDGET (a NaN budget included)."""
     budget = _budget(thermal_tail, deficit_a, deficit_b)
-    if budget > MAX_BUDGET:
+    if not budget <= MAX_BUDGET:
         raise TruncationError(
-            f"truncation budget {budget:.3e} exceeds {MAX_BUDGET:.1e} at "
+            f"truncation budget {budget:.3e} not within {MAX_BUDGET:.1e} at "
             f"beta={beta}, r1={r1}, r2={r2}, n_max={n_max}",
             leaked_mass=max(abs(deficit_a), abs(deficit_b)))
     return budget
@@ -612,14 +617,13 @@ def squeeze_grid_sweep(beta: float, r1_grid: np.ndarray, r2_grid: np.ndarray,
             rows[i * r2_grid.size + j] = (r1, r2, value, budget)
     return SweepTable(
         ["r1", "r2", "k_en", "truncation_budget"], rows,
-        meta={"experiment": "squeeze-grid", "beta": beta, "n_max": n_max,
-              "degeneracy": degeneracy, "middle_entropy": middle_entropy,
-              "thermal_tail": legs.tail, "worst_truncation_budget": worst_budget},
+        meta={"beta": beta, "n_max": n_max, "thermal_tail": legs.tail,
+              "worst_truncation_budget": worst_budget},
     )
 
 
-def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
-                     degeneracy: str = "fine", middle_entropy: str = "initial") -> SweepTable:
+def beta_sweep_min_k(beta_grid, r_grid: np.ndarray, degeneracy: str = "fine",
+                     middle_entropy: str = "initial") -> SweepTable:
     """Per beta: the deepest K_en (in nats) on the r1 = r2 line and where it sits.
 
     A coarse geometric scan brackets the single dip (stopping once the parameter
@@ -632,8 +636,6 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
     REFINE_XTOL of the grid's first point, since the dip may then lie below it.
     """
     _check_conventions(degeneracy, middle_entropy)
-    if r_grid is None:
-        r_grid = np.geomspace(0.004, 0.8, 20)
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 2 or np.any(np.diff(r_grid) <= 0):
         raise InvalidParameterError(
@@ -678,8 +680,7 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray | None = None,
     table = SweepTable(
         ["beta", "min_k_en", "argmin_r", "n_max", "truncation_budget"],
         np.array(rows),
-        meta={"experiment": "squeeze-beta", "degeneracy": degeneracy,
-              "middle_entropy": middle_entropy, "refine_xtol": REFINE_XTOL},
+        meta={"refine_xtol": REFINE_XTOL},
     )
     depth = table.column("min_k_en")
     argmin = table.column("argmin_r")

@@ -46,7 +46,8 @@ class SweepTable:
 
 def _manifest_lines(meta: dict) -> list[str]:
     """One `# key = value` line per meta entry.  Any other value than a float, str,
-    int or bool (a numpy integer or bool, an array) raises TypeError naming its key."""
+    int or bool (a numpy integer or bool, an array) raises TypeError naming its key;
+    a value with a line break in it raises InvalidParameterError naming its key."""
     lines = []
     for key, value in meta.items():
         if isinstance(value, float):
@@ -54,6 +55,9 @@ def _manifest_lines(meta: dict) -> list[str]:
         elif not isinstance(value, (str, int, bool)):
             raise TypeError(f"manifest value {key!r} has type {type(value).__name__}, "
                             f"not float, str, int or bool")
+        elif "".join(f"{value}".splitlines()) != f"{value}":
+            raise InvalidParameterError(f"{key}: a line break in {value!r} would split "
+                                        f"the manifest line")
         lines.append(f"# {key} = {value}")
     return lines
 

@@ -107,10 +107,6 @@ def tls_spectrum(label: int = 0, levels=(0.0, 1.0)) -> EnergySpectrum:
     return EnergySpectrum(np.asarray(levels, dtype=float), label=label)
 
 
-def default_theta_grid(n_points: int = 721) -> np.ndarray:
-    return np.linspace(0.0, TWO_PI, n_points)
-
-
 def tls_lg_parameters(beta: float, angles: TlsAngles,
                       spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum] | None = None
                       ) -> dict[str, float]:
@@ -142,7 +138,7 @@ def _work_rows(joints: np.ndarray, view: str) -> np.ndarray:
     return rows
 
 
-def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None) -> SweepTable:
+def tls_theta_sweep(beta: float, theta_grid: np.ndarray) -> SweepTable:
     """Macrorealism parameters on a theta grid at fixed inverse temperature, with
     zero phases and the spectrum (0, 1) at all three times.
 
@@ -152,8 +148,6 @@ def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None) -> 
     correlator bound, work-distribution normalization, the middle-marginal sum
     check with its renormalization warning and the entropy range.
     """
-    if theta_grid is None:
-        theta_grid = default_theta_grid()
     theta_grid = np.asarray(theta_grid, dtype=float)
     if theta_grid.ndim != 1 or theta_grid.size == 0:
         raise InvalidParameterError("theta grid must be a non-empty 1-d array")
@@ -181,8 +175,7 @@ def tls_theta_sweep(beta: float = 1.0, theta_grid: np.ndarray | None = None) -> 
         values[f"k_en_{view}"] = _k_en(h_w21, h_w10, h_w20, h_e1)
     columns = ["theta", "k_cor", "k_cor_flipped", "k_en_fine", "k_en_grouped"]
     rows = np.column_stack([theta_grid] + [values[name] for name in columns[1:]])
-    return SweepTable(columns, rows, meta={"experiment": "tls-theta", "beta": beta,
-                                           "theta_points": theta_grid.size})
+    return SweepTable(columns, rows, meta={"beta": beta, "theta_points": theta_grid.size})
 
 
 def tls_jarzynski_deviations(beta, theta, alpha, beta_angle, gap0, gap1) -> np.ndarray:

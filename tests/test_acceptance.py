@@ -51,7 +51,7 @@ def verdict(number, ok, message):
 @pytest.fixture(scope="module")
 def theta_sweep():
     started = time.perf_counter()
-    table = tls_theta_sweep(beta=1.0)
+    table = tls_theta_sweep(beta=1.0, theta_grid=np.linspace(0.0, 2 * math.pi, 721))
     table.meta["elapsed_s"] = time.perf_counter() - started
     return table
 
@@ -79,7 +79,8 @@ def oscillator_diagonal():
 
 @pytest.fixture(scope="module")
 def beta_trend():
-    return beta_sweep_min_k([0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0])
+    return beta_sweep_min_k([0.1, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0],
+                            r_grid=np.geomspace(0.004, 0.8, 20))
 
 
 def test_criterion_01_two_level_boundary_structure(theta_sweep):

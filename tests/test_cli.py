@@ -94,6 +94,29 @@ def test_a_manifest_value_of_another_type_is_refused(tmp_path, value):
     assert not (tmp_path / "table.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["0:1:3\n", "1,\n2", "a\rb", "a\u2028b"],
+                         ids=["trailing-newline", "newline", "carriage-return",
+                              "line-separator"])
+def test_a_manifest_value_with_a_line_break_is_refused(tmp_path, value):
+    table = SweepTable(["r1", "r2"], np.empty((0, 2)), {"beta": 0.1, "grid_spec": value})
+    with pytest.raises(InvalidParameterError, match="grid_spec"):
+        write_table_csv(tmp_path / "table.csv", table)
+    assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("args, setting", [
+    (["squeeze-beta", "--beta-grid", "1,\n2"], "beta_grid"),
+    (["tls-theta", "--grid-spec", "0:1:3\n"], "grid_spec"),
+], ids=["squeeze-beta", "tls-theta"])
+def test_a_setting_with_a_line_break_exits_2(tmp_path, capsys, args, setting):
+    """Such a setting parses, but its manifest line would break in two; the run
+    exits 2 naming it and writes no table."""
+    assert run_cli([*args, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {setting}: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_each_experiment_takes_exactly_its_settings():
     parser = build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -239,18 +262,22 @@ class TestSqueezeGrid:
         message = capsys.readouterr().err
         assert "beta" in message and "0.05" in message
 
-    def test_over_budget_cell_fails_and_writes_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("spec, r1", [("0:1:3", "1.0"), ("0:1e307:2", "1e+307")])
+    def test_over_budget_cell_fails_and_writes_nothing(self, tmp_path, capsys, spec, r1):
         """At beta = 1 the thermal tail of n_max 64 passes, but r1 = 1 leaks past
-        it: the cell (1, 0) alone has a budget of 1.1e-3."""
-        code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "1",
-                        "--n-max", "64", "--grid-spec", "0:1:3"])
+        it: the cell (1, 0) alone has a budget of 1.1e-3.  At r1 = 1e307 the
+        kernel overflows and the budget is NaN, refused all the same."""
+        with np.errstate(all="ignore"):
+            code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "1",
+                            "--n-max", "64", "--grid-spec", spec])
         assert code == 3
         message = capsys.readouterr().err
-        assert "r1=1.0, r2=0.0, n_max=64" in message and "beta=1.0" in message
+        assert f"r1={r1}, r2=0.0, n_max=64" in message and "beta=1.0" in message
         assert not (tmp_path / "squeeze_grid.csv").exists()
 
     def test_cap_failure_builds_nothing(self, tmp_path, capsys, monkeypatch):
-        """r1 + r2 = 4 at beta = 0.1 needs more than 8192 levels, and so does the
+        """r1 + r2 = 4 at beta = 0.1 needs more than 8192 levels, as does any
+        r1 + r2 past 3.6e306, where the search's r / 0.02 would overflow, and the
         thermal tail alone at beta = 1e-310, whose support overflows a float: exit
         3 with the point named, before any squeeze matrix is built."""
         import workreal.squeezing as squeezing
@@ -263,12 +290,16 @@ class TestSqueezeGrid:
         assert code == 3
         message = capsys.readouterr().err
         assert "beta=0.1" in message and "r=4" in message
-        for args in (["squeeze-grid", "--beta", "1e-310", "--grid-spec", "0:0.1:3"],
-                     ["squeeze-beta", "--beta-grid", "1e-310"]):
-            out = tmp_path / args[0]
+        for k, (args, point) in enumerate((
+                (["squeeze-grid", "--grid-spec", "0:1e307:2"], "beta=0.1, r=2e+307"),
+                (["squeeze-beta", "--beta-grid", "1", "--grid-spec", "5e306,1e307"],
+                 "beta=1.0, r=1e+307"),
+                (["squeeze-grid", "--beta", "1e-310", "--grid-spec", "0:0.1:3"],
+                 "beta=1e-310, r="),
+                (["squeeze-beta", "--beta-grid", "1e-310"], "beta=1e-310, r="))):
+            out = tmp_path / str(k)
             assert run_cli(args + ["--out", out]) == 3
-            message = capsys.readouterr().err
-            assert "beta=1e-310" in message and "r=" in message
+            assert point in capsys.readouterr().err
             assert not list(out.glob("*.csv"))
 
 
@@ -576,15 +607,30 @@ def test_jarzynski_check_takes_no_n_max(tmp_path):
     assert "n_max" not in EXPERIMENTS["jarzynski-check"][1]
 
 def test_sweeps_leave_the_entropy_base_to_the_manifest():
-    """A library sweep's meta claims no base; the CLI manifest writes the setting."""
+    """A library sweep's meta claims no base and echoes no setting it did not
+    compute or run with; the CLI manifest writes the experiment and the settings."""
     from workreal.squeezing import beta_sweep_min_k, squeeze_grid_sweep
     from workreal.two_level import tls_theta_sweep
     grid = np.array([0.0, 0.05])
-    tables = [tls_theta_sweep(theta_grid=np.array([1.0])),
+    tables = [tls_theta_sweep(1.0, np.array([1.0])),
               squeeze_grid_sweep(beta=1.0, r1_grid=grid, r2_grid=grid),
               beta_sweep_min_k([1.0], r_grid=np.geomspace(0.05, 0.4, 6))]
     for table in tables:
-        assert "entropy_base" not in table.meta, table.meta["experiment"]
+        for key in ("entropy_base", "experiment", "degeneracy", "middle_entropy"):
+            assert key not in table.meta, (key, table.meta)
+
+
+def test_default_grids_parse_to_the_former_arrays():
+    """The specs a run falls back to give, bit for bit, the arrays the library
+    sweeps used to default to."""
+    from workreal.cli import BETA_GRID, R_GRID, SQUEEZE_GRID, THETA_GRID
+    for spec, parse, former in (
+            (THETA_GRID, parse_grid_spec, np.linspace(0.0, 2 * math.pi, 721)),
+            (SQUEEZE_GRID, parse_grid_spec, np.linspace(0.0, 0.1, 101)),
+            (R_GRID, parse_grid_spec, np.geomspace(0.004, 0.8, 20)),
+            (BETA_GRID, parse_value_list,
+             np.array([0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0]))):
+        assert parse(spec).tobytes() == former.tobytes(), spec
 
 
 def _csv_parts(path):

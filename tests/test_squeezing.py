@@ -673,16 +673,18 @@ class TestTruncationSelection:
 
     def test_cap_fails_before_building(self, monkeypatch):
         """When the squeezed vacuum alone needs more than 8192 levels, the search
-        raises without a single eigendecomposition."""
+        raises without a single eigendecomposition; so it does past r ~ 3.6e306,
+        where the quantization's r / 0.02 would overflow."""
         import workreal.squeezing as squeezing
 
         def no_build(*args):
             raise AssertionError("a matrix was built")
 
         monkeypatch.setattr(squeezing, "_parity_columns", no_build)
-        with pytest.raises(TruncationError) as excinfo:
-            select_n_max(0.1, 4.0)
-        assert "beta=0.1" in str(excinfo.value) and "r=4" in str(excinfo.value)
+        for r_total in (4.0, 1e300, 1e307, sys.float_info.max):
+            with pytest.raises(TruncationError) as excinfo:
+                select_n_max(0.1, r_total)
+            assert f"beta=0.1, r={r_total}" in str(excinfo.value)
         # the thermal tail alone past the cap, its support too large for a float
         for beta in (1e-308, 1e-310):
             with pytest.raises(TruncationError) as excinfo:
@@ -769,6 +771,17 @@ class TestOscillatorProtocol:
     def test_tail_precondition_enforced(self):
         with pytest.raises(TruncationError):
             oscillator_three_time(0.1, 0.02, 0.02, n_max=64)
+
+    def test_nan_budget_is_refused(self):
+        """At r1 = 1e307 on a fixed 64-level truncation, r * lam overflows in the
+        kernel and the budget is NaN: refused like one above MAX_BUDGET, naming
+        the point, by both callers of the check."""
+        with pytest.raises(TruncationError, match="truncation budget nan"):
+            squeezing._checked_budget(math.nan, 0.0, 0.0, 1.0, 0.1, 0.1, 64)
+        for run in (oscillator_three_time, entropic_k3_oscillator):
+            with np.errstate(all="ignore"), pytest.raises(TruncationError) as excinfo:
+                run(1.0, 1e307, 0.0, n_max=64)
+            assert "beta=1.0, r1=1e+307, r2=0.0, n_max=64" in str(excinfo.value)
 
     def test_budget_reported_and_small(self):
         protocol = oscillator_three_time(0.5, 0.3, 0.3)
@@ -1098,7 +1111,7 @@ class TestWorkspaces:
     def test_beta_sweep_makes_one_workspace_per_truncation(self, made, degeneracy):
         """At beta = 0.3 the coarse scan steps from n_max 128 to 192 and the
         refinement returns to 128 (fine convention)."""
-        beta_sweep_min_k([0.3], degeneracy=degeneracy)
+        beta_sweep_min_k([0.3], np.geomspace(0.004, 0.8, 20), degeneracy=degeneracy)
         legs, builds = list(made["legs"]), made["builds"]
         assert 0 < len(legs) == len(set(legs))
         made["builds"] = 0
@@ -1117,9 +1130,9 @@ class TestWorkspaces:
 
     def test_unknown_convention_fails_before_building(self, made):
         with pytest.raises(InvalidParameterError):
-            beta_sweep_min_k([1.0], degeneracy="other")
+            beta_sweep_min_k([1.0], np.geomspace(0.004, 0.8, 20), degeneracy="other")
         with pytest.raises(InvalidParameterError):
-            beta_sweep_min_k([1.0], middle_entropy="other")
+            beta_sweep_min_k([1.0], np.geomspace(0.004, 0.8, 20), middle_entropy="other")
         assert made == {"legs": [], "builds": 0}
 
 

@@ -6,7 +6,6 @@ import pytest
 from workreal import validate_unitary
 from workreal.two_level import (
     TlsAngles,
-    default_theta_grid,
     tls_jarzynski_deviations,
     tls_lg_parameters,
     tls_propagator,
@@ -68,7 +67,7 @@ def test_angles_must_be_finite():
 
 @pytest.fixture(scope="module")
 def table():
-    return tls_theta_sweep(beta=1.0, theta_grid=default_theta_grid(181))
+    return tls_theta_sweep(beta=1.0, theta_grid=np.linspace(0.0, 2 * math.pi, 181))
 
 
 class TestSweep:
@@ -105,7 +104,7 @@ class TestSweep:
     def test_correlators_blind_to_energy_values(self):
         """Dichotomic parameters see only outcome indices, so swapping in
         incommensurate spectra cannot move them at all."""
-        for theta in default_theta_grid(91):
+        for theta in np.linspace(0.0, 2 * math.pi, 91):
             default = tls_lg_parameters(1.0, TlsAngles(theta))
             incommensurate = tls_lg_parameters(1.0, TlsAngles(theta),
                                                spectra=INCOMMENSURATE)
@@ -113,13 +112,10 @@ class TestSweep:
             assert incommensurate["k_cor_flipped"] == default["k_cor_flipped"]
 
     def test_incommensurate_spectra_merge_fine_and_grouped(self):
-        for theta in default_theta_grid(61):
+        for theta in np.linspace(0.0, 2 * math.pi, 61):
             values = tls_lg_parameters(1.0, TlsAngles(theta),
                                        spectra=INCOMMENSURATE)
             assert values["k_en_fine"] == pytest.approx(values["k_en_grouped"], abs=1e-12)
-
-    def test_default_grid_size(self):
-        assert default_theta_grid().size == 721
 
 
 def test_parameters_dict_contract():
@@ -148,16 +144,16 @@ def per_angle_rows(beta, grid):
 
 
 @pytest.mark.parametrize("beta, grid", [
-    (1.0, default_theta_grid()),
-    (0.1, default_theta_grid(7201)),
-    (5.0, default_theta_grid(7201)),
+    (1.0, np.linspace(0.0, 2 * math.pi, 721)),
+    (0.1, np.linspace(0.0, 2 * math.pi, 7201)),
+    (5.0, np.linspace(0.0, 2 * math.pi, 7201)),
     # the CLI grid -7:20:999: angles outside [0, 2 pi), and at beta 800 an
     # excited population that underflows to zero
     (800.0, np.linspace(-7.0, 20.0, 999)),
     (1.0, EDGE_GRID),
     # ground-state start: the excited column of every joint is empty, so whole
     # work groups are absent and stay in the grouped rows as zeros
-    (math.inf, np.concatenate([EDGE_GRID, default_theta_grid(181)])),
+    (math.inf, np.concatenate([EDGE_GRID, np.linspace(0.0, 2 * math.pi, 181)])),
 ], ids=["base-e", "beta-0.1", "beta-5", "beta-800", "zero-transitions", "ground-state"])
 def test_array_sweep_equals_per_angle_oracle(beta, grid):
     rows = tls_theta_sweep(beta=beta, theta_grid=grid).rows
@@ -181,7 +177,7 @@ def test_sweep_rejects_bad_grids():
     from workreal import InvalidParameterError
     for grid in (np.array([]), np.array([0.0, math.nan]), np.zeros((2, 2))):
         with pytest.raises(InvalidParameterError):
-            tls_theta_sweep(theta_grid=grid)
+            tls_theta_sweep(1.0, grid)
 
 
 def test_one_three_time_joint_and_one_no_middle_joint_per_angle(monkeypatch):
