@@ -262,17 +262,25 @@ class TestSqueezeGrid:
         message = capsys.readouterr().err
         assert "beta" in message and "0.05" in message
 
-    @pytest.mark.parametrize("spec, r1", [("0:1:3", "1.0"), ("0:1e307:2", "1e+307")])
-    def test_over_budget_cell_fails_and_writes_nothing(self, tmp_path, capsys, spec, r1):
+    def test_over_budget_cell_fails_and_writes_nothing(self, tmp_path, capsys):
         """At beta = 1 the thermal tail of n_max 64 passes, but r1 = 1 leaks past
-        it: the cell (1, 0) alone has a budget of 1.1e-3.  At r1 = 1e307 the
-        kernel overflows and the budget is NaN, refused all the same."""
-        with np.errstate(all="ignore"):
-            code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "1",
-                            "--n-max", "64", "--grid-spec", spec])
+        it: the cell (1, 0) alone has a budget of 1.1e-3."""
+        code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "1",
+                        "--n-max", "64", "--grid-spec", "0:1:3"])
         assert code == 3
         message = capsys.readouterr().err
-        assert f"r1={r1}, r2=0.0, n_max=64" in message and "beta=1.0" in message
+        assert "r1=1.0, r2=0.0, n_max=64" in message and "beta=1.0" in message
+        assert not (tmp_path / "squeeze_grid.csv").exists()
+
+    def test_overflowing_cell_fails_and_writes_nothing(self, tmp_path, capsys):
+        """At r1 = 1e307 the kernel overflows and the budget is NaN: the cell is
+        refused as over budget all the same."""
+        with np.errstate(all="ignore"):
+            code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "1",
+                            "--n-max", "64", "--grid-spec", "0:1e307:2"])
+        assert code == 3
+        message = capsys.readouterr().err
+        assert "r1=1e+307, r2=0.0, n_max=64" in message and "beta=1.0" in message
         assert not (tmp_path / "squeeze_grid.csv").exists()
 
     def test_cap_failure_builds_nothing(self, tmp_path, capsys, monkeypatch):
