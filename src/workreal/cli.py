@@ -116,19 +116,25 @@ class SweepConfig:
         if self.experiment == "mc-crosscheck" and self.seed is None:
             problems.append("seed: required whenever sampling is requested")
         for name, parse in (("grid_spec", parse_grid_spec), ("beta_grid", parse_value_list)):
-            if getattr(self, name) is not None:
-                try:
-                    values = parse(getattr(self, name))
-                except InvalidParameterError as err:
-                    problems.append(f"{name}: {err}")
-                    continue
-                if name == "beta_grid" and not np.all(values > 0):
-                    problems.append(f"beta_grid: must be positive, got {self.beta_grid!r}")
-                # a squeeze run's largest total amplitude is r + r = 2 r at its largest r
-                if (name == "grid_spec" and self.experiment != "tls-theta"
-                        and not math.isfinite(2.0 * float(values.max()))):
-                    problems.append(f"grid_spec: the largest r + r is not finite, "
-                                    f"got {self.grid_spec!r}")
+            spec = getattr(self, name)
+            if spec is None:
+                continue
+            # parse_grid_spec strips a line break, but the manifest line would split
+            if "".join(spec.splitlines()) != spec:
+                problems.append(f"{name}: a line break in {spec!r} would split the "
+                                f"manifest line")
+                continue
+            try:
+                values = parse(spec)
+            except InvalidParameterError as err:
+                problems.append(f"{name}: {err}")
+                continue
+            if name == "beta_grid" and not np.all(values > 0):
+                problems.append(f"beta_grid: must be positive, got {spec!r}")
+            # a squeeze run's largest total amplitude is r + r = 2 r at its largest r
+            if (name == "grid_spec" and self.experiment != "tls-theta"
+                    and not math.isfinite(2.0 * float(values.max()))):
+                problems.append(f"grid_spec: the largest r + r is not finite, got {spec!r}")
         return problems
 
 

@@ -75,11 +75,6 @@ def shannon_entropy(probs) -> EntropyReport:
     return EntropyReport(_nats(probs), int((probs > 0).sum()))
 
 
-def shannon_entropy_rows(probs) -> np.ndarray:
-    """shannon_entropy(row).value for each row of `probs`, with the same checks."""
-    return entropy_rows(_checked_probs(probs))
-
-
 def work_entropy(workdist: WorkDistribution) -> EntropyReport:
     """Entropy of a work distribution, in the view it was built in.
 

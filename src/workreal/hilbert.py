@@ -50,11 +50,10 @@ class EnergySpectrum:
 
 @dataclass(frozen=True)
 class DiagonalDensity:
-    """Populations over an EnergySpectrum; `beta` is set when the state is thermal."""
+    """Populations over an EnergySpectrum, non-negative and summing to 1."""
 
     populations: np.ndarray
     spectrum: EnergySpectrum
-    beta: float | None = None
 
     def __post_init__(self):
         pops = np.asarray(self.populations, dtype=float)
@@ -66,15 +65,7 @@ class DiagonalDensity:
             raise InvalidParameterError(
                 f"populations must sum to 1 (off by {pops.sum() - 1.0:.3e})"
             )
-        if self.beta is not None:
-            self._check_thermal(pops)
         object.__setattr__(self, "populations", pops)
-
-    def _check_thermal(self, pops: np.ndarray) -> None:
-        expected = _gibbs_populations(self.spectrum.levels, self.beta)
-        scale = np.maximum(expected, 1e-300)
-        if np.max(np.abs(pops - expected) / scale) > 1e-10:
-            raise InvalidParameterError("populations are not thermal at the declared beta")
 
     @property
     def dim(self) -> int:
@@ -193,7 +184,7 @@ def build_thermal_state(spectrum: EnergySpectrum, beta: float) -> DiagonalDensit
     """
     if math.isnan(beta) or beta <= 0:
         raise InvalidParameterError(f"beta must be positive or +inf, got {beta}")
-    return DiagonalDensity(_gibbs_populations(spectrum.levels, beta), spectrum, beta=beta)
+    return DiagonalDensity(_gibbs_populations(spectrum.levels, beta), spectrum)
 
 
 def compose_propagators(u10: UnitaryPropagator, u21: UnitaryPropagator) -> UnitaryPropagator:

@@ -141,15 +141,14 @@ def k3_entropic(h_w21: EntropyReport, h_w10: EntropyReport, h_w20: EntropyReport
 
 
 def _entropy_reports(leg10: JointDistribution, leg21: JointDistribution,
-                     middle: np.ndarray, no_middle: JointDistribution,
-                     views=("fine", "grouped")) -> dict:
+                     middle: np.ndarray, no_middle: JointDistribution) -> dict:
     """(H(W21), H(W10), H(W20), H(E1)) of a three-point protocol (the statistics
-    of `_joints`) in each work-distribution view of `views` ("fine", "grouped"):
-    the work entropies of its two measured legs and of the no-middle branch, and
-    the entropy of its middle marginal.  Each leg's fine distribution is built
-    once; the grouped view merges it."""
+    of `_joints`) in each work-distribution view, keyed "fine" and "grouped": the
+    work entropies of its two measured legs and of the no-middle branch, and the
+    entropy of its middle marginal.  Each leg's fine distribution is built once;
+    the grouped view merges it."""
     fine = [work_distribution(joint, "fine") for joint in (leg21, leg10, no_middle)]
     h_e1 = shannon_entropy(middle)
     return {view: (*map(work_entropy, fine if view == "fine"
                         else [dist.grouped() for dist in fine]), h_e1)
-            for view in views}
+            for view in ("fine", "grouped")}

@@ -240,10 +240,9 @@ def work_distribution(joint: JointDistribution, view: str = "grouped") -> WorkDi
     raise InvalidParameterError(f"unknown view {view!r}")
 
 
-def total_work_distribution(joint3: JointDistribution3,
-                            view: str = "grouped") -> WorkDistribution:
-    """Distribution of w1 + w2; depends only on the first and last outcomes."""
-    return work_distribution(joint3.marginal_t2_t0(), view=view)
+def total_work_distribution(joint3: JointDistribution3) -> WorkDistribution:
+    """Grouped distribution of w1 + w2; depends only on the first and last outcomes."""
+    return work_distribution(joint3.marginal_t2_t0())
 
 
 def jarzynski_deviation(workdist: WorkDistribution, beta: float, delta_f: float) -> float:

@@ -117,7 +117,7 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass
 class SqueezeMatrix:
-    """Real transition matrix G_{mn}(r) on the levels 0..n_max.
+    """Real transition matrix G_{mn}(r) on the levels 0..n_max = len(g) - 1.
 
     `g` is the top-left block of the squeeze exponential on n_max + 1 + PADDING
     levels.  `column_defects[n]` is the probability that a unit population on
@@ -127,8 +127,6 @@ class SqueezeMatrix:
     """
 
     g: np.ndarray
-    r: float
-    n_max: int
     column_defects: np.ndarray
 
 
@@ -251,7 +249,7 @@ def squeeze_matrix_closed_form(r: float, n_max: int) -> SqueezeMatrix:
     _validate_squeeze_args(r, n_max)
     size = int(n_max) + 1
     if r == 0.0:
-        return SqueezeMatrix(np.eye(size), 0.0, n_max, np.zeros(size))
+        return SqueezeMatrix(np.eye(size), np.zeros(size))
     g = np.zeros((size, size))
     defects = np.empty(size)
     for p in (0, 1):
@@ -265,7 +263,7 @@ def squeeze_matrix_closed_form(r: float, n_max: int) -> SqueezeMatrix:
         block = g[p::2, p::2]
         np.multiply(columns * half[:, None], half, out=block)
         block[0::2, 1::2] *= -1.0
-    return SqueezeMatrix(g, float(r), n_max, defects)
+    return SqueezeMatrix(g, defects)
 
 
 def _squeeze_transitions(r: float, n_max: int) -> np.ndarray:
@@ -391,6 +389,24 @@ def select_n_max(beta: float, r_total: float) -> int:
     return _select_n_max_cached(float(beta), quantized)
 
 
+def _checked_n_max(beta: float, r1: float, r2: float, n_max: int | None) -> int:
+    """The truncation of squeeze(r1), measure, squeeze(r2): `n_max`, or where it is
+    None the choice of `select_n_max`.  Raises InvalidParameterError unless r1 and
+    r2 are finite and >= 0, and, before any build, TruncationError naming beta,
+    r1, r2 and the given n_max where the squeezed vacuum of r1 + r2 alone needs
+    more than N_MAX_CAP levels, the refusal `select_n_max` makes."""
+    for name, r in (("r1", r1), ("r2", r2)):
+        if not (math.isfinite(r) and r >= 0.0):
+            raise InvalidParameterError(f"{name} must be >= 0, got {r}")
+    if n_max is None:
+        return select_n_max(beta, r1 + r2)
+    if _vacuum_cut(float(r1) + float(r2)) > N_MAX_CAP:
+        raise TruncationError(
+            f"no truncation up to {N_MAX_CAP} levels holds the squeezed vacuum at "
+            f"beta={beta}, r1={r1}, r2={r2}, n_max={n_max}")
+    return n_max
+
+
 @dataclass
 class OscillatorProtocol:
     """A three-point squeeze protocol with its truncation certificate.
@@ -399,11 +415,10 @@ class OscillatorProtocol:
     mass missing from the joints plus the thermal tail, with a safety factor.
     """
 
-    joint3: JointDistribution3
+    joint3: JointDistribution3  # its spectra are the protocol's three
     no_middle: JointDistribution
     n_max: int
     truncation_budget: float
-    spectra: tuple[EnergySpectrum, EnergySpectrum, EnergySpectrum]
 
 
 def _budget(thermal_tail: float, deficit_a: float, deficit_b: float) -> float:
@@ -429,13 +444,11 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
 
     The no-middle branch uses the composed squeeze r1 + r2 directly, since
     zero-phase squeezes compose additively.  Raises TruncationError when the
-    thermal tail or the measured leakage exceeds what MAX_BUDGET allows.
+    thermal tail or the measured leakage exceeds what MAX_BUDGET allows, and
+    before any build when the squeezed vacuum of r1 + r2 needs more than
+    N_MAX_CAP levels.
     """
-    for name, r in (("r1", r1), ("r2", r2)):
-        if not (math.isfinite(r) and r >= 0.0):
-            raise InvalidParameterError(f"{name} must be >= 0, got {r}")
-    if n_max is None:
-        n_max = select_n_max(beta, r1 + r2)
+    n_max = _checked_n_max(beta, r1, r2, n_max)
     pops, tail = _thermal_run(beta, n_max, f"r1={r1}, r2={r2}")
     spectra = tuple(oscillator_spectrum(n_max, label=k) for k in range(3))
     t1 = _squeeze_transitions(r1, n_max)
@@ -448,7 +461,7 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
     joint3 = JointDistribution3(t2, t1, pops, spectra, norm_tol=budget)
     no_middle = JointDistribution(t_total * pops[None, :], spectra[0], spectra[2],
                                   norm_tol=budget)
-    return OscillatorProtocol(joint3, no_middle, n_max, budget, spectra)
+    return OscillatorProtocol(joint3, no_middle, n_max, budget)
 
 
 def _column_entropies(t: np.ndarray) -> np.ndarray:
@@ -550,8 +563,7 @@ def entropic_k3_oscillator(beta: float, r1: float, r2: float,
     One `_Legs` cell, the routine every oscillator sweep runs.
     """
     _check_conventions(degeneracy, middle_entropy)
-    if n_max is None:
-        n_max = select_n_max(beta, r1 + r2)
+    n_max = _checked_n_max(beta, r1, r2, n_max)
     value, budget = _Legs(beta, n_max, degeneracy, f"r1={r1}, r2={r2}").cell(
         r1, r2, middle_entropy)
     return float(value), budget
@@ -595,7 +607,8 @@ def squeeze_grid_sweep(beta: float, r1_grid: np.ndarray, r2_grid: np.ndarray,
     r1 + r2 is built once and reduced to the vectors its cells need.  The grouped
     convention needs the whole r2 joint per cell, so it builds the r2 matrix once
     per grid column.  Raises TruncationError at the first cell whose budget
-    exceeds MAX_BUDGET.
+    exceeds MAX_BUDGET, or, before any build, whose squeezed vacuum needs more
+    than N_MAX_CAP levels.
     """
     _check_conventions(degeneracy, middle_entropy)
     r1_grid = np.asarray(r1_grid, dtype=float)
@@ -605,6 +618,13 @@ def squeeze_grid_sweep(beta: float, r1_grid: np.ndarray, r2_grid: np.ndarray,
             raise InvalidParameterError("grids must be non-empty, finite, non-negative")
     if n_max is None:
         n_max = select_n_max(beta, float(r1_grid.max()) + float(r2_grid.max()))
+    else:
+        # the first cell, in fill order, that no truncation holds; the vacuum's
+        # reach grows with r, so one lookup per column finds its column
+        for r2 in r2_grid:
+            if _vacuum_cut(float(r1_grid.max()) + float(r2)) > N_MAX_CAP:
+                for r1 in r1_grid:
+                    _checked_n_max(beta, r1, r2, n_max)
     legs = _Legs(beta, n_max, degeneracy,
                  f"r grid up to ({r1_grid.max():g}, {r2_grid.max():g})")
     rows = np.empty((r1_grid.size * r2_grid.size, 4))

@@ -24,10 +24,6 @@ FLOAT_FORMAT = "%.17g"
 WRITE_CHUNK_ROWS = 1024
 
 
-def format_float(value: float) -> str:
-    return FLOAT_FORMAT % value
-
-
 @dataclass
 class SweepTable:
     columns: list[str]
@@ -51,7 +47,7 @@ def _manifest_lines(meta: dict) -> list[str]:
     lines = []
     for key, value in meta.items():
         if isinstance(value, float):
-            value = format_float(value)
+            value = FLOAT_FORMAT % value
         elif not isinstance(value, (str, int, bool)):
             raise TypeError(f"manifest value {key!r} has type {type(value).__name__}, "
                             f"not float, str, int or bool")
@@ -68,8 +64,8 @@ def write_table_csv(path: str | Path, table: SweepTable) -> None:
     Lines go straight to the open file, and the rows are converted to Python
     floats WRITE_CHUNK_ROWS at a time, so neither the whole text nor all of the
     table's floats are held in memory.  Each data row is one `%` operation on a
-    string of FLOAT_FORMAT fields (the conversion `format_float` makes), so a row
-    reads as its floats joined by commas.
+    string of FLOAT_FORMAT fields (the conversion the manifest's floats get), so a
+    row reads as its floats joined by commas.
     """
     manifest = _manifest_lines(table.meta)  # refused before the file is created
     path = Path(path)

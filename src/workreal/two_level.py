@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .entropy import entropy_rows, shannon_entropy_rows
+from .entropy import _checked_probs, entropy_rows
 from .errors import InvalidParameterError
 from .hilbert import (
     EnergySpectrum,
@@ -168,7 +168,7 @@ def tls_theta_sweep(beta: float, theta_grid: np.ndarray) -> SweepTable:
         correlators.append(q @ joint @ q)
         _check_correlator(name, correlators[-1])
     values = {"k_cor": _k_cor(*correlators), "k_cor_flipped": _k_cor_flipped(*correlators)}
-    h_e1 = shannon_entropy_rows(p1)
+    h_e1 = entropy_rows(_checked_probs(p1))
     for view in ("fine", "grouped"):
         h_w10, h_w21, h_w20 = (entropy_rows(_work_rows(joint, view))
                                for joint in joints.values())

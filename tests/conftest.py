@@ -124,7 +124,7 @@ def squeeze_matrix_exponential_oracle(r: float, n_max: int) -> SqueezeMatrix:
         for m in range(size - 2):
             raising_sq[m + 2, m] = math.sqrt((m + 1.0) * (m + 2.0))
         g = expm(0.5 * r * (raising_sq - raising_sq.T))
-    return SqueezeMatrix(g, r, n_max, np.abs(1.0 - (g * g).sum(axis=0)))
+    return SqueezeMatrix(g, np.abs(1.0 - (g * g).sum(axis=0)))
 
 
 def jarzynski_check_draws(seed: int) -> np.ndarray:
@@ -241,7 +241,7 @@ def entropic_k3_from_protocol(rho0: DiagonalDensity, u10: UnitaryPropagator,
     if degeneracy not in ("fine", "grouped"):
         raise InvalidParameterError(f"unknown degeneracy convention {degeneracy!r}")
     joints = _joints(rho0, u10, u21, spectrum_1, spectrum_2)
-    return k3_entropic(*_entropy_reports(*joints, (degeneracy,))[degeneracy])
+    return k3_entropic(*_entropy_reports(*joints)[degeneracy])
 
 
 def squeeze_transition_probabilities(sq: SqueezeMatrix) -> np.ndarray:
@@ -262,7 +262,7 @@ def squeeze_propagator(sq: SqueezeMatrix) -> UnitaryPropagator:
     excess = np.abs(g.T @ g - np.eye(g.shape[1])) - np.sqrt(np.outer(defects, defects))
     if excess.max() > 1e-12:
         raise InvalidParameterError(
-            f"squeeze matrix at r={sq.r}, n_max={sq.n_max} is not a block of an "
+            f"squeeze matrix on {g.shape[0]} levels is not a block of an "
             f"orthogonal matrix: G^T G - 1 exceeds its leak bound by {excess.max():.3e}")
     return UnitaryPropagator(g.astype(complex), unitarity_tol=float(defects.max()) + 1e-12)
 

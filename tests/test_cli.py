@@ -11,7 +11,7 @@ import pytest
 
 from workreal.cli import EXPERIMENTS, build_parser, main, parse_grid_spec, parse_value_list
 from workreal.errors import InvalidParameterError
-from workreal.tables import SweepTable, format_float, write_table_csv
+from workreal.tables import FLOAT_FORMAT, SweepTable, write_table_csv
 
 from conftest import jarzynski_check_draws, object_jarzynski_deviation, read_table_csv
 
@@ -35,7 +35,7 @@ def test_grid_spec_forms():
 
 def test_seventeen_digit_round_trip():
     for x in (math.pi, 1 / 3, 2.0 ** -52, -1.2345678901234567e-8):
-        assert float(format_float(x)) == x
+        assert float(FLOAT_FORMAT % x) == x
 
 
 def test_edge_values_csv_text(tmp_path):
@@ -107,10 +107,17 @@ def test_a_manifest_value_with_a_line_break_is_refused(tmp_path, value):
 @pytest.mark.parametrize("args, setting", [
     (["squeeze-beta", "--beta-grid", "1,\n2"], "beta_grid"),
     (["tls-theta", "--grid-spec", "0:1:3\n"], "grid_spec"),
-], ids=["squeeze-beta", "tls-theta"])
-def test_a_setting_with_a_line_break_exits_2(tmp_path, capsys, args, setting):
+    (["squeeze-grid", "--grid-spec", "0:0.1:101\n"], "grid_spec"),
+], ids=["squeeze-beta", "tls-theta", "squeeze-grid"])
+def test_a_setting_with_a_line_break_exits_2(tmp_path, capsys, monkeypatch, args, setting):
     """Such a setting parses, but its manifest line would break in two; the run
-    exits 2 naming it and writes no table."""
+    exits 2 naming it before any sweep and writes no table."""
+    import workreal.cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the grid was computed")
+
+    monkeypatch.setattr(workreal.cli, "squeeze_grid_sweep", no_sweep)
     assert run_cli([*args, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {setting}: ") and err.count("\n") == 1
@@ -273,9 +280,11 @@ class TestSqueezeGrid:
         assert not (tmp_path / "squeeze_grid.csv").exists()
 
     def test_overflowing_cell_fails_and_writes_nothing(self, tmp_path, capsys):
-        """At r1 = 1e307 the kernel overflows and the budget is NaN: the cell is
-        refused as over budget all the same."""
-        with np.errstate(all="ignore"):
+        """At r1 = 1e307 the kernel would overflow into a NaN budget: on a fixed
+        truncation too, the first cell whose squeezed vacuum no truncation holds is
+        refused, naming it, before any build and without a warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = run_cli(["squeeze-grid", "--out", tmp_path, "--beta", "1",
                             "--n-max", "64", "--grid-spec", "0:1e307:2"])
         assert code == 3
@@ -285,9 +294,10 @@ class TestSqueezeGrid:
 
     def test_cap_failure_builds_nothing(self, tmp_path, capsys, monkeypatch):
         """r1 + r2 = 4 at beta = 0.1 needs more than 8192 levels, as does any
-        r1 + r2 past 3.6e306, where the search's r / 0.02 would overflow, and the
-        thermal tail alone at beta = 1e-310, whose support overflows a float: exit
-        3 with the point named, before any squeeze matrix is built."""
+        r1 + r2 past 3.6e306, where the search's r / 0.02 would overflow, also on a
+        fixed --n-max, and the thermal tail alone at beta = 1e-310, whose support
+        overflows a float: exit 3 with the point named, before any squeeze matrix
+        is built."""
         import workreal.squeezing as squeezing
 
         def no_build(*args):
@@ -300,6 +310,8 @@ class TestSqueezeGrid:
         assert "beta=0.1" in message and "r=4" in message
         for k, (args, point) in enumerate((
                 (["squeeze-grid", "--grid-spec", "0:1e307:2"], "beta=0.1, r=2e+307"),
+                (["squeeze-grid", "--beta", "1", "--n-max", "64", "--grid-spec", "0:1e307:2"],
+                 "beta=1.0, r1=1e+307, r2=0.0, n_max=64"),
                 (["squeeze-beta", "--beta-grid", "1", "--grid-spec", "5e306,1e307"],
                  "beta=1.0, r=1e+307"),
                 (["squeeze-grid", "--beta", "1e-310", "--grid-spec", "0:0.1:3"],

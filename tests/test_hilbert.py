@@ -151,9 +151,3 @@ def test_spectrum_must_be_sorted_and_finite():
         EnergySpectrum(np.array([0.0, math.inf]))
     with pytest.raises(InvalidParameterError):
         EnergySpectrum(np.array([]))
-
-
-def test_hand_built_thermal_density_is_checked():
-    from workreal import DiagonalDensity
-    with pytest.raises(InvalidParameterError):
-        DiagonalDensity(np.array([0.5, 0.5]), TWO_LEVEL, beta=1.0)

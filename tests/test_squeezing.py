@@ -614,11 +614,11 @@ class TestComposition:
     def test_no_middle_branch_equals_composed_squeeze(self):
         from workreal import build_thermal_state, two_time_joint_skipping_middle
         protocol = oscillator_three_time(1.0, 0.1, 0.15, n_max=64)
-        rho0 = build_thermal_state(protocol.spectra[0], 1.0)
+        rho0 = build_thermal_state(protocol.joint3.spectra[0], 1.0)
         u1 = squeeze_propagator(squeeze_matrix_closed_form(0.1, 64))
         u2 = squeeze_propagator(squeeze_matrix_closed_form(0.15, 64))
         via_compose = two_time_joint_skipping_middle(rho0, u1, u2,
-                                                     spectrum_later=protocol.spectra[2],
+                                                     spectrum_later=protocol.joint3.spectra[2],
                                                      norm_tol=1e-6)
         assert np.abs(via_compose.probs[:33, :33]
                       - protocol.no_middle.probs[:33, :33]).max() < 1e-8
@@ -773,15 +773,30 @@ class TestOscillatorProtocol:
             oscillator_three_time(0.1, 0.02, 0.02, n_max=64)
 
     def test_nan_budget_is_refused(self):
-        """At r1 = 1e307 on a fixed 64-level truncation, r * lam overflows in the
-        kernel and the budget is NaN: refused like one above MAX_BUDGET, naming
-        the point, by both callers of the check."""
+        """A NaN budget is refused like one above MAX_BUDGET, naming the point.  At
+        r1 = 1e307, where r * lam would overflow in the kernel and give one, both
+        point functions refuse the amplitude on a fixed 64-level truncation too,
+        naming the point, before any build and without a warning."""
+        import warnings
         with pytest.raises(TruncationError, match="truncation budget nan"):
             squeezing._checked_budget(math.nan, 0.0, 0.0, 1.0, 0.1, 0.1, 64)
         for run in (oscillator_three_time, entropic_k3_oscillator):
-            with np.errstate(all="ignore"), pytest.raises(TruncationError) as excinfo:
+            with warnings.catch_warnings(), pytest.raises(TruncationError) as excinfo:
+                warnings.simplefilter("error")
                 run(1.0, 1e307, 0.0, n_max=64)
             assert "beta=1.0, r1=1e+307, r2=0.0, n_max=64" in str(excinfo.value)
+
+    def test_fixed_truncation_refuses_a_hopeless_cell_before_building(self, monkeypatch):
+        """On a given n_max the grid sweep refuses the first cell, in fill order (r2
+        outer, r1 inner), whose r1 + r2 has a squeezed vacuum that needs more than
+        8192 levels (past r ~ 3.33), naming it, before any build."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(squeezing, "_parity_columns", no_build)
+        with pytest.raises(TruncationError) as excinfo:
+            squeeze_grid_sweep(1.0, [2.0, 0.0, 1.5], [0.0, 2.0], n_max=64)
+        assert "beta=1.0, r1=2.0, r2=2.0, n_max=64" in str(excinfo.value)
 
     def test_budget_reported_and_small(self):
         protocol = oscillator_three_time(0.5, 0.3, 0.3)
@@ -810,7 +825,7 @@ class TestOscillatorProtocol:
         """Total-work statistics with the middle measurement differ from the work
         statistics of the directly composed squeeze."""
         protocol = oscillator_three_time(1.0, 0.1, 0.1, n_max=64)
-        with_middle = total_work_distribution(protocol.joint3, view="grouped")
+        with_middle = total_work_distribution(protocol.joint3)
         without = work_distribution(protocol.no_middle, view="grouped")
         works = sorted(set(np.round(with_middle.works, 9))
                        | set(np.round(without.works, 9)))
@@ -825,7 +840,7 @@ class TestEntropicParameter:
         """The streaming evaluation must agree with the full work-distribution
         pipeline in every convention combination."""
         protocol = oscillator_three_time(1.0, 0.12, 0.2, n_max=96)
-        pops = __import__("workreal").build_thermal_state(protocol.spectra[0], 1.0)
+        pops = __import__("workreal").build_thermal_state(protocol.joint3.spectra[0], 1.0)
         joint3 = protocol.joint3
         reports = _entropy_reports(joint3.marginal_t1_t0(), joint3.marginal_t2_t1(),
                                    joint3.marginal_t1(), protocol.no_middle)
