@@ -3,24 +3,19 @@
 
     PYTHONPATH=src python scripts/check_src_reach.py
 
-A profile hook records every function entered, on any thread, during the CLI
-runs of `runs` (every experiment, both degeneracy and both middle-entropy
-conventions, `--entropy-base 2`, a `--config` file, one run that exits 2 and one
-that exits 3) and during the benchmark's layer probes (`probes()` of
-perfbench/child.py).  An AST walk of src/workreal/*.py then lists every `def`.
-Each one that was never entered and is not a function the benchmark's tracer
-wraps (`LAYERS` of perfbench/tracer.py) is printed, and the script exits 1; it
-also exits 1 when a run ends with another status than the one listed for it.
-A function is keyed by its file, its first line and its name, the first line of
-a decorated def being that of its first decorator, as `co_firstlineno` reports
-it.  The perfbench files are loaded by path and only read.
+A profile hook records every function entered, on any thread, while the rows of
+scripts/smoke.py that need no process of their own (`Row.in_process`) run through
+`workreal.cli.main` and the benchmark's probes (`probes()` of perfbench/child.py)
+run.  Each `def` of src/workreal/*.py never entered and not wrapped by the
+benchmark's tracer (`LAYERS` of perfbench/tracer.py) is printed, and the script
+exits 1, as it does when a run ends with another status than its row's.  A
+function is keyed by its file, first line and name, a decorated def's first line
+being its first decorator's, as `co_firstlineno` reports it.  The perfbench files
+are loaded by path and only read.
 """
-
-from __future__ import annotations
 
 import ast
 import contextlib
-import importlib
 import importlib.util
 import io
 import sys
@@ -33,28 +28,6 @@ SRC = ROOT / "src" / "workreal"
 PERFBENCH = ROOT / "perfbench"
 
 Key = tuple[str, int, str]  # (resolved file, first line, name)
-
-
-def runs(out: Path) -> list[tuple[list[str], int]]:
-    """The CLI argument lists of the scan, each with the exit status it must return.
-    Writes the config file of the `--config` run into `out`."""
-    config = out / "tls-theta.cfg"
-    config.write_text("beta = 0.5\ngrid_spec = 0:6.283185307179586:9\n", encoding="utf-8")
-    conventions = ["--degeneracy", "grouped", "--middle-entropy", "measured"]
-    return [
-        (["tls-theta"], 0),
-        (["tls-theta", "--config", str(config), "--entropy-base", "2"], 0),
-        (["squeeze-grid", "--grid-spec", "0:0.1:5"], 0),
-        (["squeeze-grid", "--grid-spec", "0:0.1:5", *conventions, "--entropy-base", "2"], 0),
-        (["squeeze-beta", "--beta-grid", "0.5,1"], 0),
-        (["squeeze-beta", "--beta-grid", "0.5,1", *conventions], 0),
-        (["jarzynski-check", "--seed", "1"], 0),
-        (["mc-crosscheck", "--seed", "1"], 0),
-        # refused in validation: the largest r + r overflows
-        (["squeeze-grid", "--grid-spec", "0:1e308:2"], 2),
-        # a cell's truncation budget is not met at n_max 64
-        (["squeeze-grid", "--beta", "1", "--n-max", "64", "--grid-spec", "0:1:3"], 3),
-    ]
 
 
 def _load(path: Path, name: str):
@@ -112,22 +85,26 @@ def main() -> int:
     sys.path.insert(0, str(SRC.parent))
     child = _load(PERFBENCH / "child.py", "perfbench_child")
     tracer = _load(PERFBENCH / "tracer.py", "perfbench_tracer")
+    smoke = _load(ROOT / "scripts" / "smoke.py", "smoke")
     with tempfile.TemporaryDirectory() as tmp:
-        plan = runs(Path(tmp))
+        plan = [row for row in smoke.rows(Path(tmp)) if row.in_process]
         statuses = []
 
         def action():
             # imported here, so that what the package runs on import is recorded too
             from workreal.cli import main as cli_main
-            for k, (argv, _) in enumerate(plan):
-                statuses.append(cli_main([*argv, "--out", str(Path(tmp) / str(k))]))
+            for k, row in enumerate(plan):
+                try:
+                    statuses.append(cli_main([*row.argv, "--out", str(Path(tmp) / str(k))]))
+                except SystemExit as err:  # --help, or a flag the parser refuses
+                    statuses.append(err.code)
             child.probes()
 
         chatter = io.StringIO()
         with contextlib.redirect_stdout(chatter), contextlib.redirect_stderr(chatter):
             entered = entered_during(action)
-    wrong = [f"workreal {' '.join(argv)} exited {status}, expected {expected}"
-             for (argv, expected), status in zip(plan, statuses) if status != expected]
+    wrong = [f"{row.label()} exited {status}, expected {row.status}"
+             for row, status in zip(plan, statuses) if status != row.status]
     if wrong:
         print(chatter.getvalue(), *wrong, sep="\n", file=sys.stderr)
         return 1

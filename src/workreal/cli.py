@@ -131,10 +131,17 @@ class SweepConfig:
                 continue
             if name == "beta_grid" and not np.all(values > 0):
                 problems.append(f"beta_grid: must be positive, got {spec!r}")
-            # a squeeze run's largest total amplitude is r + r = 2 r at its largest r
-            if (name == "grid_spec" and self.experiment != "tls-theta"
-                    and not math.isfinite(2.0 * float(values.max()))):
-                problems.append(f"grid_spec: the largest r + r is not finite, got {spec!r}")
+            if name == "grid_spec" and self.experiment != "tls-theta":
+                # a squeeze run's largest total amplitude is r + r = 2 r at its largest r
+                if not math.isfinite(2.0 * float(values.max())):
+                    problems.append(f"grid_spec: the largest r + r is not finite, got {spec!r}")
+                if np.any(values < 0):
+                    problems.append(f"grid_spec: grids must be non-empty, finite, "
+                                    f"non-negative, got {spec!r}")
+                if self.experiment == "squeeze-beta" and (values.size < 2
+                                                          or np.any(np.diff(values) <= 0)):
+                    problems.append(f"grid_spec: r grid must be strictly increasing, with at "
+                                    f"least two points, got {spec!r}")
         return problems
 
 

@@ -12,10 +12,14 @@ arithmetic unchanged: the joint, conditional, marginal and grouped entropies of
 the entropy identities; the free energy that gives the fluctuation relation its
 dF; the per-protocol entropic parameter; the squeeze propagator with its
 unitarity certificate; and the CSV reader.
+
+The report header names numpy, scipy and the core each OpenBLAS library picked
+(`fingerprint` of scripts/smoke.py): some tests pin bits recorded on SkylakeX.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from pathlib import Path
 
@@ -290,3 +294,16 @@ def read_table_csv(path: str | Path) -> SweepTable:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def load_module(path: Path, name: str):
+    """The module of the Python file at `path`, loaded under `name`."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def pytest_report_header(config):
+    smoke = load_module(Path(__file__).resolve().parents[1] / "scripts" / "smoke.py", "smoke")
+    return smoke.fingerprint().splitlines()

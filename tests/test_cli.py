@@ -573,11 +573,14 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("experiment, spec", [
         ("squeeze-beta", "geom:0.004:inf:20"), ("tls-theta", "0:1:1000000000000000"),
+        ("squeeze-grid", "-1:0:3"), ("squeeze-beta", "0.5,0.1"),
     ])
     def test_unusable_grid_spec_exits_2(self, tmp_path, capsys, experiment, spec):
-        assert run_cli([experiment, "--out", tmp_path, "--grid-spec", spec]) == 2
+        """A spec that does not parse, a negative squeeze amplitude and an r grid
+        that does not increase are refused before the output directory is made."""
+        assert run_cli([experiment, "--out", tmp_path / "out", f"--grid-spec={spec}"]) == 2
         assert "config error: grid_spec:" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("*.csv"))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("experiment, name, value", [
         ("jarzynski-check", "seed", "-1"), ("mc-crosscheck", "seed", "-3"),
