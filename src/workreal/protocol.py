@@ -260,13 +260,14 @@ def sample_trajectories(rho0: DiagonalDensity, u10: UnitaryPropagator,
     """Monte Carlo frequencies of the (k0, k1, k2) outcome triples: the array
     `freq[k2, k1, k0]` of counts divided by `n_samples`.
 
-    Each stage (k0, then k1, then k2) draws one uniform u per sample and takes as
-    the outcome the count of CDF entries <= u in the sample's conditioning column,
-    bit-identical to per-column inversion.  The uniforms are those of three
-    successive `default_rng(seed).random(n_samples)` calls: one PCG64 stream, of
-    which stage s reads its n_samples draws from position s * n_samples on.  The
-    samples are split into contiguous blocks, one per usable CPU and never more
-    than there are `_CHUNK`s; each block reaches its stretch of every stage by
+    Each stage (k0, then k1, then k2) draws one uniform u per sample and marks
+    the samples of each outcome in a boolean mask (`_stage_masks`), bit-identical
+    to per-column inversion; each cell counts the samples in its three masks by
+    `np.count_nonzero`.  The uniforms are those of three successive
+    `default_rng(seed).random(n_samples)` calls: one PCG64 stream, of which stage
+    s reads its n_samples draws from position s * n_samples on.  The samples are
+    split into contiguous blocks, one per usable CPU and never more than there
+    are `_CHUNK`s; each block reaches its stretch of every stage by
     jump-ahead (`_count_block`), so the blocks run side by side on threads and
     their integer counts are summed.  Every sample reads the same three stream
     positions whatever the split, so equal seeds give bit-identical tables for
@@ -304,21 +305,28 @@ def _count_block(cdfs, dims, seeds, n_samples: int, start: int, stop: int) -> np
 
     Stage s of sample j reads position s * n_samples + j of the stream of `seeds`,
     so the block's stage-s generator is advanced to s * n_samples + start.  It
-    draws and counts `_CHUNK` samples at a time.
+    draws and counts `_CHUNK` samples at a time: cell (k2, k1, k0) counts the
+    samples in the masks (`_stage_masks`) of k2, k1 and k0 by `np.count_nonzero`,
+    but cell k0 = 0 is its (k2, k1) pair's count less the pair's other cells.  A
+    chunk takes one pass per cell: eight for `mc-crosscheck`'s two-level protocol.
     """
     gens = [np.random.Generator(np.random.PCG64(seeds).advance(s * n_samples + start))
             for s in range(3)]
     counts = np.zeros(dims[0] * dims[1] * dims[2], dtype=np.int64)
     for chunk in range(start, stop, _CHUNK):
         size = min(_CHUNK, stop - chunk)
-        k0 = _sample_categorical(cdfs[0], 0, gens[0].random(size))
-        k1 = _sample_categorical(cdfs[1], k0, gens[1].random(size))
-        k2 = _sample_categorical(cdfs[2], k1, gens[2].random(size))
-        k2 *= dims[1]
-        k2 += k1
-        k2 *= dims[2]
-        k2 += k0  # the flat (k2, k1, k0) index
-        counts += np.bincount(k2, minlength=counts.size)
+        m0 = _stage_masks(cdfs[0], None, gens[0].random(size))
+        m1 = _stage_masks(cdfs[1], m0, gens[1].random(size))
+        m2 = _stage_masks(cdfs[2], m1, gens[2].random(size))
+        # the chunk's counts in flat (k2, k1, k0) order, added to the array at once:
+        # each numpy call can hand the GIL to another block's thread
+        cells = []
+        for in_k2 in m2:
+            for in_k1 in m1:
+                pair = in_k2 & in_k1
+                rest = [np.count_nonzero(pair & in_k0) for in_k0 in m0[1:]]
+                cells += [np.count_nonzero(pair) - sum(rest), *rest]
+        counts += cells
     return counts
 
 
@@ -329,18 +337,29 @@ def _column_cdfs(columns: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _sample_categorical(cdf: np.ndarray, conditions, u: np.ndarray) -> np.ndarray:
-    """outcome[j] drawn from column conditions[j] of `cdf` (`_column_cdfs`) at the
-    uniform u[j].
+def _stage_masks(cdf: np.ndarray, previous, u: np.ndarray) -> list[np.ndarray]:
+    """One boolean mask per outcome of a stage drawn from `cdf` (`_column_cdfs`) at
+    the uniforms u: mask k marks the samples whose outcome is k.
 
-    Each CDF column is non-decreasing, so counting entries <= u gives
-    `searchsorted(cdf[:, col], u, side="right")`; the last row, x / x = 1 > u,
-    never counts.  A one-column stage passes the scalar column index 0.
+    Every sample reads column 0 where `previous` is None, else the column c whose
+    mask previous[c] holds it.  at_least[i] marks the samples with
+    cdf[i, column] <= u.  Each CDF column is non-decreasing, so the outcome, the
+    count of entries <= u, is k exactly where at_least[k - 1] holds and
+    at_least[k] does not, as `searchsorted(cdf[:, column], u, side="right")`
+    gives; the last row, x / x = 1 > u, never counts.  A one-level stage is the
+    all-true mask.
     """
-    out = np.zeros(u.size, dtype=np.intp)
+    at_least = []
     for row in cdf[:-1]:
-        out += row[conditions] <= u
-    return out
+        mask = row[0] <= u
+        if previous is not None:
+            mask &= previous[0]
+            for in_c, entry in zip(previous[1:], row[1:]):
+                mask |= in_c & (entry <= u)
+        at_least.append(mask)
+    if not at_least:
+        return [np.ones(u.size, dtype=bool)]
+    return [~at_least[0], *(a & ~b for a, b in zip(at_least, at_least[1:])), at_least[-1]]
 
 
 def empirical_chi_squared_pvalue(frequencies: np.ndarray, n_samples: int,

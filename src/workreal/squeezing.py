@@ -654,14 +654,21 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray, degeneracy: str = "fine",
     points, where the deepest coarse point is the grid's last, since the dip may
     then lie beyond the grid, and where the refined minimizer sits within
     REFINE_XTOL of the grid's first point, since the dip may then lie below it.
+    Raises TruncationError before any build, naming the first beta, where the
+    squeezed vacuum of r + r at any grid point needs more than N_MAX_CAP levels.
     """
     _check_conventions(degeneracy, middle_entropy)
+    betas = np.asarray(beta_grid, dtype=float)
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size < 2 or np.any(np.diff(r_grid) <= 0):
         raise InvalidParameterError(
             "r grid must be strictly increasing, with at least two points")
+    # before any build, select_n_max's refusal of the first point no truncation holds
+    for r in map(float, r_grid):
+        if _vacuum_cut(r + r) > N_MAX_CAP:
+            select_n_max(float(betas[0]), r + r)
     rows = []
-    for beta in map(float, np.asarray(beta_grid, dtype=float)):
+    for beta in map(float, betas):
         legs: dict[int, _Legs] = {}
         budgets: dict[float, float] = {}
 

@@ -386,6 +386,31 @@ class TestSqueezeBeta:
         assert "first point" in message and "beta=1.0" in message and "r=0.2" in message
         assert not (tmp_path / "squeeze_beta.csv").exists()
 
+    def test_hopeless_point_past_the_first_builds_nothing(self, tmp_path, capsys,
+                                                          monkeypatch):
+        """On 1:1e307:3 the point r = 5e306, whose r + r = 1e307 no truncation
+        holds, follows the buildable r = 1: exit 3 naming it before any squeeze
+        matrix or eigenbasis is built."""
+        import workreal.squeezing as squeezing
+        calls = {"_squeeze_transitions": 0, "_parity_basis": 0}
+
+        def counted(name):
+            function = getattr(squeezing, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(squeezing, name, counted(name))
+        code = run_cli(["squeeze-beta", "--out", tmp_path, "--beta-grid", "1",
+                        "--grid-spec", "1:1e307:3"])
+        assert code == 3
+        assert "beta=1.0, r=1e+307" in capsys.readouterr().err
+        assert not (tmp_path / "squeeze_beta.csv").exists()
+        assert calls == {"_squeeze_transitions": 0, "_parity_basis": 0}
+
     @pytest.mark.parametrize("spec", ["0.3,0.1,0.2", "0.1,0.1,0.2", "0.1:0.2:1"])
     def test_r_grid_must_be_strictly_increasing(self, tmp_path, capsys, spec):
         code = run_cli(["squeeze-beta", "--out", tmp_path, "--grid-spec", spec,

@@ -513,30 +513,41 @@ def _stochastic_columns(rng, dim, n_cols, zero_fraction):
     return columns / columns.sum(axis=0)
 
 
+def _mask_stage(cdf, conditions, u):
+    """`_stage_masks` behind the oracle's interface: the conditioning columns in as
+    one mask per column (None for the scalar column 0), the outcomes out as
+    indices, and -1 where a sample lies in no mask or in more than one."""
+    from workreal.protocol import _stage_masks
+    previous = (None if np.isscalar(conditions)
+                else [conditions == c for c in range(cdf.shape[1])])
+    masks = np.array(_stage_masks(cdf, previous, u))
+    return np.where(masks.sum(axis=0) == 1, masks.argmax(axis=0), -1)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
 @pytest.mark.parametrize("zero_fraction", [0.0, 0.4])
 def test_stage_draw_equals_per_column_oracle(dim, zero_fraction, seed):
-    from workreal.protocol import _column_cdfs, _sample_categorical
+    from workreal.protocol import _column_cdfs
     gen = np.random.default_rng([dim, seed])
     columns = _stochastic_columns(gen, dim, dim, zero_fraction)
-    if zero_fraction:  # a zero first row in one column, a zero last row in another
+    if zero_fraction and dim > 1:  # a zero first row in one column, a zero last row in another
         columns[0, 0] = columns[-1, -1] = 0.0
         columns /= columns.sum(axis=0)
     cdf = _column_cdfs(columns)
     conditions = gen.integers(dim, size=20_000)
     u = np.random.default_rng(seed).random(conditions.size)
-    assert np.array_equal(_sample_categorical(cdf, conditions, u),
+    assert np.array_equal(_mask_stage(cdf, conditions, u),
                           _per_column_oracle(columns, conditions, u))
 
     single = _stochastic_columns(gen, dim, 1, zero_fraction)
-    assert np.array_equal(_sample_categorical(_column_cdfs(single), 0, u),
+    assert np.array_equal(_mask_stage(_column_cdfs(single), 0, u),
                           _per_column_oracle(single, np.zeros(u.size, dtype=int), u))
 
     # uniforms that land exactly on CDF entries, where `<` and `<=` part ways
     conditions = np.repeat(np.arange(dim), dim)
     u = np.concatenate([np.append(cdf[:-1, col], 0.0) for col in range(dim)])
-    assert np.array_equal(_sample_categorical(cdf, conditions, u),
+    assert np.array_equal(_mask_stage(cdf, conditions, u),
                           _per_column_oracle(columns, conditions, u))
 
 
@@ -552,7 +563,7 @@ def _one_shot_counts(rho0, u10, u21, n, seed):
     return np.bincount(flat, minlength=int(np.prod(dims))).reshape(dims)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_chunked_draw_equals_one_shot_oracle(dim):
     from workreal.protocol import _CHUNK
     gen = np.random.default_rng(dim)
@@ -567,6 +578,30 @@ def test_chunked_draw_equals_one_shot_oracle(dim):
     n = 3 * _CHUNK + 5
     unseeded = sample_trajectories(rho0, u10, u21, n, None)
     assert np.rint(unseeded * n).sum() == n
+
+
+FROZEN_SPANNING_COUNTS = {
+    2: [[[2788, 32798], [12142, 922]], [[1002, 11429], [34516, 2712]]],
+    3: [[[286, 8403, 578], [6883, 2789, 6230], [3997, 121, 533]],
+        [[38, 969, 66], [1933, 734, 1687], [26100, 801, 3358]],
+        [[755, 21615, 1456], [2625, 1055, 2373], [2522, 95, 307]]],
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_frozen_counts_across_chunks_and_blocks(monkeypatch, dim, cpus):
+    """The count cubes of 3 * _CHUNK + 5 samples, recorded when each stage still
+    drew an integer outcome per sample: four chunks, in one block or in two."""
+    from workreal import protocol
+    gen = np.random.default_rng(dim)
+    rho0 = build_thermal_state(EnergySpectrum(np.sort(gen.uniform(0, 2, dim))), 0.7)
+    u10 = UnitaryPropagator(random_unitary(gen, dim))
+    u21 = UnitaryPropagator(random_unitary(gen, dim))
+    n = 3 * protocol._CHUNK + 5
+    monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
+    empirical = sample_trajectories(rho0, u10, u21, n, 11)
+    assert np.array_equal(empirical, np.array(FROZEN_SPANNING_COUNTS[dim]) / n)
 
 
 def _block_inputs(dim, n):
