@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import EntropyReport, shannon_entropy, work_entropy
+from .entropy import shannon_entropy, work_entropy
 from .errors import InvalidParameterError
 from .hilbert import DiagonalDensity, UnitaryPropagator
 from .protocol import (
@@ -53,7 +53,8 @@ GROUND_EXCITED = DichotomicMapping((1, -1))
 
 @dataclass(frozen=True)
 class CorrelatorSet:
-    """<Q_i Q_j> for the three time pairs; c02 must come from the no-middle branch."""
+    """<Q_i Q_j> for the three time pairs, as numbers or as arrays of one shape (one
+    entry per protocol); c02 must come from the no-middle branch."""
 
     c01: float
     c12: float
@@ -99,21 +100,9 @@ def _correlators(leg10: JointDistribution, leg21: JointDistribution,
     )
 
 
-def _k_cor(c01, c12, c02):
-    return 0.25 * (1.0 - c01 - c12 + c02)
-
-
-def _k_cor_flipped(c01, c12, c02):
-    return 0.25 * (1.0 + c01 + c12 + c02)
-
-
-def _k_en(h_w21, h_w10, h_w20, h_e1):
-    return 0.5 * (h_w21 + h_w10 - h_w20 - h_e1)
-
-
 def k3_correlator(c: CorrelatorSet) -> float:
     """(1/4)(1 - C01 - C12 + C02); negative iff the two-time correlation bound fails."""
-    return _k_cor(c.c01, c.c12, c.c02)
+    return 0.25 * (1.0 - c.c01 - c.c12 + c.c02)
 
 
 def k3_correlator_swapped(c: CorrelatorSet) -> float:
@@ -127,28 +116,29 @@ def k3_correlator_swapped(c: CorrelatorSet) -> float:
 
 def k3_correlator_flipped(c: CorrelatorSet) -> float:
     """Same bound after Q1 -> -Q1, which flips every correlator touching t1."""
-    return _k_cor_flipped(c.c01, c.c12, c.c02)
+    return 0.25 * (1.0 + c.c01 + c.c12 + c.c02)
 
 
-def k3_entropic(h_w21: EntropyReport, h_w10: EntropyReport, h_w20: EntropyReport,
-                h_e1: EntropyReport) -> float:
+def k3_entropic(h_w21, h_w10, h_w20, h_e1):
     """(1/2)(H(w21) + H(w10) - H(w20) - H(E1)); negative iff the entropic bound fails.
 
-    h_w20 must come from the no-middle branch and h_e1 is the entropy of the middle
-    marginal of the measured protocol.
+    The entropies are in nats, as numbers or as arrays of one shape (one entry per
+    protocol).  h_w20 must come from the no-middle branch and h_e1 is the entropy
+    of the middle marginal of the measured protocol.
     """
-    return _k_en(h_w21.value, h_w10.value, h_w20.value, h_e1.value)
+    return 0.5 * (h_w21 + h_w10 - h_w20 - h_e1)
 
 
 def _entropy_reports(leg10: JointDistribution, leg21: JointDistribution,
                      middle: np.ndarray, no_middle: JointDistribution) -> dict:
-    """(H(W21), H(W10), H(W20), H(E1)) of a three-point protocol (the statistics
-    of `_joints`) in each work-distribution view, keyed "fine" and "grouped": the
-    work entropies of its two measured legs and of the no-middle branch, and the
-    entropy of its middle marginal.  Each leg's fine distribution is built once;
-    the grouped view merges it."""
+    """(H(W21), H(W10), H(W20), H(E1)) in nats of a three-point protocol (the
+    statistics of `_joints`) in each work-distribution view, keyed "fine" and
+    "grouped": the work entropies of its two measured legs and of the no-middle
+    branch, and the entropy of its middle marginal, each range-checked as an
+    `EntropyReport`.  Each leg's fine distribution is built once; the grouped view
+    merges it."""
     fine = [work_distribution(joint, "fine") for joint in (leg21, leg10, no_middle)]
-    h_e1 = shannon_entropy(middle)
-    return {view: (*map(work_entropy, fine if view == "fine"
-                        else [dist.grouped() for dist in fine]), h_e1)
-            for view in ("fine", "grouped")}
+    views = {"fine": fine, "grouped": [dist.grouped() for dist in fine]}
+    h_e1 = shannon_entropy(middle).value
+    return {view: (*(work_entropy(dist).value for dist in dists), h_e1)
+            for view, dists in views.items()}

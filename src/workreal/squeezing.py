@@ -327,14 +327,27 @@ def _vacuum_cut(r: float) -> int:
     return int(passing[0]) if passing.size else N_MAX_CAP + 64
 
 
+def _refuse_hopeless(beta: float, r_total: float, point: str) -> None:
+    """The refusal every squeeze run makes before its first build: raises
+    InvalidParameterError unless beta is positive and finite and `r_total` finite
+    and >= 0, and TruncationError, naming beta and `point`, where the squeezed
+    vacuum of `r_total` or the thermal tail alone needs more than N_MAX_CAP levels
+    (below beta ~ 3e-307 the thermal support does not even fit a float)."""
+    if not (beta > 0 and math.isfinite(beta)):
+        raise InvalidParameterError("beta must be positive and finite")
+    if not (math.isfinite(r_total) and r_total >= 0.0):
+        raise InvalidParameterError("r_total must be finite and >= 0")
+    if _vacuum_cut(r_total) > N_MAX_CAP:
+        held = "holds the squeezed vacuum"
+    elif -math.log(THERMAL_TAIL_TOL) / beta > N_MAX_CAP + 1:
+        held = "holds the thermal tail"
+    else:
+        return
+    raise TruncationError(f"no truncation up to {N_MAX_CAP} levels {held} at beta={beta}, {point}")
+
+
 @lru_cache(maxsize=256)
 def _select_n_max_cached(beta: float, r_total: float) -> int:
-    # the thermal tail alone is past the cap; below beta ~ 3e-307 its support
-    # does not even fit a float
-    if -math.log(THERMAL_TAIL_TOL) / beta > N_MAX_CAP + 1:
-        raise TruncationError(
-            f"no truncation up to {N_MAX_CAP} levels holds the thermal tail at "
-            f"beta={beta}, r={r_total}")
     support_hi = _thermal_support(beta, SUPPORT_TOL)
     n_thermal = _thermal_support(beta, THERMAL_TAIL_TOL)
     lower = max(64 * max(1, math.ceil(n_thermal / 64)), _vacuum_cut(r_total))
@@ -373,18 +386,10 @@ def select_n_max(beta: float, r_total: float) -> int:
     cached answer; a larger amplitude never yields a smaller truncation.  The
     leaks of every candidate are read off one padded build by a reverse
     cumulative sum over its rows; the build doubles only when no candidate in it
-    passes.  Raises TruncationError, without building anything, when the thermal
-    tail or the squeezed vacuum alone already needs more than 8192 levels; the
-    vacuum is checked before the quantization, which overflows past r ~ 3.6e306.
+    passes.  Raises, before any build, where `_refuse_hopeless` does, naming the
+    unquantized `r_total` (the quantization overflows past r ~ 3.6e306).
     """
-    if not (beta > 0 and math.isfinite(beta)):
-        raise InvalidParameterError("beta must be positive and finite")
-    if not (math.isfinite(r_total) and r_total >= 0.0):
-        raise InvalidParameterError("r_total must be finite and >= 0")
-    if _vacuum_cut(r_total) > N_MAX_CAP:
-        raise TruncationError(
-            f"no truncation up to {N_MAX_CAP} levels holds the squeezed vacuum at "
-            f"beta={beta}, r={r_total}")
+    _refuse_hopeless(beta, r_total, f"r={r_total}")
     quantized = round(math.ceil(r_total / 0.02) * 0.02, 10)
     return _select_n_max_cached(float(beta), quantized)
 
@@ -392,18 +397,14 @@ def select_n_max(beta: float, r_total: float) -> int:
 def _checked_n_max(beta: float, r1: float, r2: float, n_max: int | None) -> int:
     """The truncation of squeeze(r1), measure, squeeze(r2): `n_max`, or where it is
     None the choice of `select_n_max`.  Raises InvalidParameterError unless r1 and
-    r2 are finite and >= 0, and, before any build, TruncationError naming beta,
-    r1, r2 and the given n_max where the squeezed vacuum of r1 + r2 alone needs
-    more than N_MAX_CAP levels, the refusal `select_n_max` makes."""
+    r2 are finite and >= 0; a given n_max passes `_refuse_hopeless`, which names
+    beta, r1, r2 and n_max."""
     for name, r in (("r1", r1), ("r2", r2)):
         if not (math.isfinite(r) and r >= 0.0):
             raise InvalidParameterError(f"{name} must be >= 0, got {r}")
     if n_max is None:
         return select_n_max(beta, r1 + r2)
-    if _vacuum_cut(float(r1) + float(r2)) > N_MAX_CAP:
-        raise TruncationError(
-            f"no truncation up to {N_MAX_CAP} levels holds the squeezed vacuum at "
-            f"beta={beta}, r1={r1}, r2={r2}, n_max={n_max}")
+    _refuse_hopeless(beta, float(r1) + float(r2), f"r1={r1}, r2={r2}, n_max={n_max}")
     return n_max
 
 
@@ -445,8 +446,7 @@ def oscillator_three_time(beta: float, r1: float, r2: float,
     The no-middle branch uses the composed squeeze r1 + r2 directly, since
     zero-phase squeezes compose additively.  Raises TruncationError when the
     thermal tail or the measured leakage exceeds what MAX_BUDGET allows, and
-    before any build when the squeezed vacuum of r1 + r2 needs more than
-    N_MAX_CAP levels.
+    before any build where `_refuse_hopeless` does.
     """
     n_max = _checked_n_max(beta, r1, r2, n_max)
     pops, tail = _thermal_run(beta, n_max, f"r1={r1}, r2={r2}")
@@ -607,8 +607,7 @@ def squeeze_grid_sweep(beta: float, r1_grid: np.ndarray, r2_grid: np.ndarray,
     r1 + r2 is built once and reduced to the vectors its cells need.  The grouped
     convention needs the whole r2 joint per cell, so it builds the r2 matrix once
     per grid column.  Raises TruncationError at the first cell whose budget
-    exceeds MAX_BUDGET, or, before any build, whose squeezed vacuum needs more
-    than N_MAX_CAP levels.
+    exceeds MAX_BUDGET, or, before any build, that `_refuse_hopeless` refuses.
     """
     _check_conventions(degeneracy, middle_entropy)
     r1_grid = np.asarray(r1_grid, dtype=float)
@@ -618,13 +617,10 @@ def squeeze_grid_sweep(beta: float, r1_grid: np.ndarray, r2_grid: np.ndarray,
             raise InvalidParameterError("grids must be non-empty, finite, non-negative")
     if n_max is None:
         n_max = select_n_max(beta, float(r1_grid.max()) + float(r2_grid.max()))
-    else:
-        # the first cell, in fill order, that no truncation holds; the vacuum's
-        # reach grows with r, so one lookup per column finds its column
+    else:  # refuses the first cell, in fill order, that no truncation holds
         for r2 in r2_grid:
-            if _vacuum_cut(float(r1_grid.max()) + float(r2)) > N_MAX_CAP:
-                for r1 in r1_grid:
-                    _checked_n_max(beta, r1, r2, n_max)
+            for r1 in r1_grid:
+                _checked_n_max(beta, r1, r2, n_max)
     legs = _Legs(beta, n_max, degeneracy,
                  f"r grid up to ({r1_grid.max():g}, {r2_grid.max():g})")
     rows = np.empty((r1_grid.size * r2_grid.size, 4))
@@ -654,8 +650,8 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray, degeneracy: str = "fine",
     points, where the deepest coarse point is the grid's last, since the dip may
     then lie beyond the grid, and where the refined minimizer sits within
     REFINE_XTOL of the grid's first point, since the dip may then lie below it.
-    Raises TruncationError before any build, naming the first beta, where the
-    squeezed vacuum of r + r at any grid point needs more than N_MAX_CAP levels.
+    Before any build, `_refuse_hopeless` names the first (beta, r + r), beta
+    outer, that no truncation holds.
     """
     _check_conventions(degeneracy, middle_entropy)
     betas = np.asarray(beta_grid, dtype=float)
@@ -663,10 +659,9 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray, degeneracy: str = "fine",
     if r_grid.size < 2 or np.any(np.diff(r_grid) <= 0):
         raise InvalidParameterError(
             "r grid must be strictly increasing, with at least two points")
-    # before any build, select_n_max's refusal of the first point no truncation holds
-    for r in map(float, r_grid):
-        if _vacuum_cut(r + r) > N_MAX_CAP:
-            select_n_max(float(betas[0]), r + r)
+    for beta in map(float, betas):
+        for r in map(float, r_grid):
+            _refuse_hopeless(beta, r + r, f"r={r + r}")
     rows = []
     for beta in map(float, betas):
         legs: dict[int, _Legs] = {}

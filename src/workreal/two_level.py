@@ -15,8 +15,9 @@ distributions, entropy reports).  `tls_theta_sweep` is array code for the one
 protocol the experiment runs: zero phases and the unit-gap spectrum (0, 1) at
 all three times.  It builds the propagators of every angle as one (N, 2, 2)
 stack, evaluates all angles at once and applies every check of the object
-pipeline to the whole stack.  The tests use `tls_lg_parameters` as the sweep's
-oracle and require equal bits.
+pipeline to the whole stack.  Its (N,) correlators and entropies go through the
+`k3_*` functions of `tls_lg_parameters`, one formula per parameter.  The tests
+use `tls_lg_parameters` as the sweep's oracle and require equal bits.
 
 `tls_jarzynski_deviations` does the same for jarzynski-check's two-level rows:
 each row has its own temperature, angles and spectra (0, gap0) and (0, gap1),
@@ -45,13 +46,10 @@ from .hilbert import (
 )
 from .leggett_garg import (
     GROUND_EXCITED,
-    _check_correlator,
+    CorrelatorSet,
     _correlators,
     _entropy_reports,
     _joints,
-    _k_cor,
-    _k_cor_flipped,
-    _k_en,
     k3_correlator,
     k3_correlator_flipped,
     k3_entropic,
@@ -159,20 +157,17 @@ def tls_theta_sweep(beta: float, theta_grid: np.ndarray) -> SweepTable:
     trans = np.abs(u) ** 2
     populations = build_thermal_state(tls_spectrum(0), beta).populations
     p1 = trans @ populations
-    joints = {"c01": trans * populations, "c12": trans * p1[:, None, :],
-              "c02": np.abs(u20) ** 2 * populations}
+    joints = (trans * populations, trans * p1[:, None, :], np.abs(u20) ** 2 * populations)
     q = GROUND_EXCITED.values
-    correlators = []
-    for name, joint in joints.items():
+    for joint in joints:
         check_joint_probs(joint)
-        correlators.append(q @ joint @ q)
-        _check_correlator(name, correlators[-1])
-    values = {"k_cor": _k_cor(*correlators), "k_cor_flipped": _k_cor_flipped(*correlators)}
+    correlators = CorrelatorSet(*(q @ joint @ q for joint in joints))
+    values = {"k_cor": k3_correlator(correlators),
+              "k_cor_flipped": k3_correlator_flipped(correlators)}
     h_e1 = entropy_rows(_checked_probs(p1))
     for view in ("fine", "grouped"):
-        h_w10, h_w21, h_w20 = (entropy_rows(_work_rows(joint, view))
-                               for joint in joints.values())
-        values[f"k_en_{view}"] = _k_en(h_w21, h_w10, h_w20, h_e1)
+        h_w10, h_w21, h_w20 = (entropy_rows(_work_rows(joint, view)) for joint in joints)
+        values[f"k_en_{view}"] = k3_entropic(h_w21, h_w10, h_w20, h_e1)
     columns = ["theta", "k_cor", "k_cor_flipped", "k_en_fine", "k_en_grouped"]
     rows = np.column_stack([theta_grid] + [values[name] for name in columns[1:]])
     return SweepTable(columns, rows, meta={"beta": beta, "theta_points": theta_grid.size})

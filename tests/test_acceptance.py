@@ -280,7 +280,7 @@ def test_criterion_10_property_suites(rng):
         h_w21 = work_entropy(work_distribution(surrogate.marginal_t2_t1(), view="fine"))
         h_w20 = work_entropy(work_distribution(no_middle, view="fine"))
         h_e1 = shannon_entropy(surrogate.marginal_t1())
-        checks.append(k3_entropic(h_w21, h_w10, h_w20, h_e1) >= -1e-12)
+        checks.append(k3_entropic(h_w21.value, h_w10.value, h_w20.value, h_e1.value) >= -1e-12)
     verdict(10, all(checks), f"{len(checks)} property checks green "
                              f"(chain identity, grouping, normalization, "
                              f"marginalization, Monte Carlo, classical surrogates)")

@@ -411,6 +411,31 @@ class TestSqueezeBeta:
         assert not (tmp_path / "squeeze_beta.csv").exists()
         assert calls == {"_squeeze_transitions": 0, "_parity_basis": 0}
 
+    def test_hopeless_beta_past_the_first_builds_nothing(self, tmp_path, capsys,
+                                                         monkeypatch):
+        """On the beta grid 1,1e-310 the thermal tail of beta = 1e-310 needs more
+        than 8192 levels at every r: exit 3 naming it with the default grid's first
+        r + r = 0.008 (not the 0.02-step cache key) before the buildable beta = 1
+        builds any squeeze matrix or eigenbasis."""
+        import workreal.squeezing as squeezing
+        calls = {"_squeeze_transitions": 0, "_parity_basis": 0}
+
+        def counted(name):
+            function = getattr(squeezing, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(squeezing, name, counted(name))
+        code = run_cli(["squeeze-beta", "--out", tmp_path, "--beta-grid", "1,1e-310"])
+        assert code == 3
+        assert "beta=1e-310, r=0.008" in capsys.readouterr().err
+        assert not (tmp_path / "squeeze_beta.csv").exists()
+        assert calls == {"_squeeze_transitions": 0, "_parity_basis": 0}
+
     @pytest.mark.parametrize("spec", ["0.3,0.1,0.2", "0.1,0.1,0.2", "0.1:0.2:1"])
     def test_r_grid_must_be_strictly_increasing(self, tmp_path, capsys, spec):
         code = run_cli(["squeeze-beta", "--out", tmp_path, "--grid-spec", spec,

@@ -193,7 +193,7 @@ class TestClassicalSurrogate:
             h_w21 = work_entropy(work_distribution(joint3.marginal_t2_t1(), view="fine"))
             h_w20 = work_entropy(work_distribution(no_middle, view="fine"))
             h_e1 = shannon_entropy(joint3.marginal_t1())
-            assert k3_entropic(h_w21, h_w10, h_w20, h_e1) >= -1e-12
+            assert k3_entropic(h_w21.value, h_w10.value, h_w20.value, h_e1.value) >= -1e-12
 
 
 def test_correlator_set_range_validated():

@@ -690,6 +690,10 @@ class TestTruncationSelection:
             with pytest.raises(TruncationError) as excinfo:
                 select_n_max(beta, 0.1)
             assert f"beta={beta}" in str(excinfo.value) and "r=0.1" in str(excinfo.value)
+        # the amplitude as given, not its 0.02-step cache key
+        with pytest.raises(TruncationError) as excinfo:
+            select_n_max(1e-310, 0.008)
+        assert "beta=1e-310, r=0.008" in str(excinfo.value)
 
     def test_failed_search_drops_its_bases(self, monkeypatch):
         """A search that builds up to the cap and fails leaves no eigenbasis in the
@@ -853,7 +857,7 @@ class TestEntropicParameter:
             assert fast_measured == pytest.approx(measured, abs=1e-10)
             from workreal import shannon_entropy
             h_thermal = shannon_entropy(pops.populations)
-            initial = k3_entropic(h_w21, h_w10, h_w20, h_thermal)
+            initial = k3_entropic(h_w21, h_w10, h_w20, h_thermal.value)
             fast_initial, _ = entropic_k3_oscillator(
                 1.0, 0.12, 0.2, n_max=96, degeneracy=degeneracy,
                 middle_entropy="initial")
