@@ -79,6 +79,8 @@ def rows(tmp: Path) -> list[Row]:
         Row(("squeeze-grid", "--grid-spec", "0:0.1:101\n"), 2, stderr=grid_error, absent=unmade),
         Row(("squeeze-grid", "--grid-spec=-1:0:3"), 2, stderr=grid_error, absent=unmade),
         Row(("squeeze-beta", "--grid-spec", "0.5,0.1"), 2, stderr=grid_error, absent=unmade),
+        Row(("mc-crosscheck", "--seed", "1", "--theta", "nan"), 2,
+            stderr="^config error: theta: ", absent=unmade),
         # a cell over its truncation budget, an amplitude no truncation holds, and the
         # dip past the grid edge: each fails the run and writes no table
         Row(("squeeze-grid", "--beta", "1", "--n-max", "64", "--grid-spec", "0:1:3"), 3,
@@ -89,7 +91,8 @@ def rows(tmp: Path) -> list[Row]:
         # as is a beta no truncation holds: building beta 0.1 first peaks at 130 MiB
         Row(("squeeze-beta", "--beta-grid", "0.1,1e-310", "--degeneracy", "grouped"), 3,
             rss_mib=100, absent=("squeeze_beta.csv",)),
-        Row(("squeeze-beta", "--beta-grid", "0.5,2", *conventions), 2,
+        # a coarse scan of beta 0.5 that walks on to r = 0.8 peaks at 234 MiB
+        Row(("squeeze-beta", "--beta-grid", "0.5,2", *conventions), 2, rss_mib=150,
             absent=("squeeze_beta.csv",)),
         # the squeeze matrices of beta 0.005 take 237 MiB each: exit 3 naming numpy's
         # allocation, not a MemoryError traceback
@@ -107,7 +110,8 @@ def rows(tmp: Path) -> list[Row]:
         # the sampler draws in one block per usable CPU
         Row(("mc-crosscheck", "--n-samples", "1000000", "--seed", "1"), same="cpu"),
         Row(("mc-crosscheck", "--n-samples", "10000000", "--seed", "1"), rss_mib=150),
-        Row(("squeeze-beta", "--degeneracy", "grouped"), rss_mib=150),
+        # a coarse scan that walks far past the dip peaks at 130 MiB
+        Row(("squeeze-beta", "--degeneracy", "grouped"), rss_mib=100),
     ]
 
 

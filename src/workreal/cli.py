@@ -102,6 +102,8 @@ class SweepConfig:
         problems = []
         if self.beta is not None and not (self.beta > 0 and math.isfinite(self.beta)):
             problems.append(f"beta: must be positive and finite, got {self.beta}")
+        if self.theta is not None and not math.isfinite(self.theta):
+            problems.append(f"theta: must be finite, got {self.theta}")
         if self.n_max is not None and not 1 <= self.n_max <= N_MAX_CAP:
             problems.append(f"n_max: must be in 1..{N_MAX_CAP}, got {self.n_max}")
         if self.seed is not None and self.seed < 0:

@@ -397,13 +397,15 @@ def select_n_max(beta: float, r_total: float) -> int:
 def _checked_n_max(beta: float, r1: float, r2: float, n_max: int | None) -> int:
     """The truncation of squeeze(r1), measure, squeeze(r2): `n_max`, or where it is
     None the choice of `select_n_max`.  Raises InvalidParameterError unless r1 and
-    r2 are finite and >= 0; a given n_max passes `_refuse_hopeless`, which names
-    beta, r1, r2 and n_max."""
+    r2 are finite and >= 0 and a given n_max is an integer in 1..N_MAX_CAP; a given
+    n_max passes `_refuse_hopeless`, which names beta, r1, r2 and n_max."""
     for name, r in (("r1", r1), ("r2", r2)):
         if not (math.isfinite(r) and r >= 0.0):
             raise InvalidParameterError(f"{name} must be >= 0, got {r}")
     if n_max is None:
         return select_n_max(beta, r1 + r2)
+    if not (isinstance(n_max, (int, np.integer)) and 1 <= n_max <= N_MAX_CAP):
+        raise InvalidParameterError(f"n_max must be an integer in 1..{N_MAX_CAP}, got {n_max}")
     _refuse_hopeless(beta, float(r1) + float(r2), f"r1={r1}, r2={r2}, n_max={n_max}")
     return n_max
 
@@ -642,8 +644,8 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray, degeneracy: str = "fine",
                      middle_entropy: str = "initial") -> SweepTable:
     """Per beta: the deepest K_en (in nats) on the r1 = r2 line and where it sits.
 
-    A coarse geometric scan brackets the single dip (stopping once the parameter
-    has risen well past it), then golden-section search refines the minimizer to
+    A coarse scan of `r_grid` brackets the single dip (stopping once its deepest
+    value is two points back), then golden-section search refines the minimizer to
     REFINE_XTOL.  The coarse scan selects the truncation per point and the
     refinement holds it fixed; each (beta, n_max) gets one `_Legs`.  Raises
     InvalidParameterError unless `r_grid` is strictly increasing with at least two
@@ -665,25 +667,18 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray, degeneracy: str = "fine",
     rows = []
     for beta in map(float, betas):
         legs: dict[int, _Legs] = {}
-        budgets: dict[float, float] = {}
 
-        def k_of_r(r: float, n_max: int, _beta=beta, _legs=legs, _budgets=budgets) -> float:
+        def cell(r: float, n_max: int, _beta=beta, _legs=legs) -> tuple[float, float]:
             if n_max not in _legs:
                 _legs[n_max] = _Legs(_beta, n_max, degeneracy, f"r1=r2={r}")
-            value, _budgets[r] = _legs[n_max].cell(r, r, middle_entropy)
-            return float(value)
+            return _legs[n_max].cell(r, r, middle_entropy)
 
         coarse: list[tuple[float, float]] = []
-        best = math.inf
         for r in map(float, r_grid):
-            value = k_of_r(r, select_n_max(beta, r + r))
-            coarse.append((r, value))
-            best = min(best, value)
-            if best < 0.0 and value >= 0.0:
+            coarse.append((r, cell(r, select_n_max(beta, r + r))[0]))
+            i0 = min(range(len(coarse)), key=lambda k: coarse[k][1])
+            if i0 == len(coarse) - 3:
                 break
-            if len(coarse) > 4 and value > best + 0.5 * abs(best):
-                break
-        i0 = min(range(len(coarse)), key=lambda k: coarse[k][1])
         if i0 == r_grid.size - 1:
             raise InvalidParameterError(
                 f"K_en still falls at the last point of the r grid at beta={beta}, "
@@ -691,14 +686,14 @@ def beta_sweep_min_k(beta_grid, r_grid: np.ndarray, degeneracy: str = "fine",
         lo = coarse[max(0, i0 - 1)][0]
         hi = coarse[i0 + 1][0]
         n_max = select_n_max(beta, 2.0 * hi)
-        # the minimizer is always a point golden_section_minimum evaluated, at n_max
-        argmin_r, min_value = golden_section_minimum(lambda r: k_of_r(r, n_max), lo, hi,
+        argmin_r, min_value = golden_section_minimum(lambda r: cell(r, n_max)[0], lo, hi,
                                                      xtol=REFINE_XTOL)
         if i0 == 0 and argmin_r - lo < REFINE_XTOL:
             raise InvalidParameterError(
                 f"K_en still rises from the first point of the r grid at beta={beta}, "
                 f"r={lo}; extend the grid below the dip")
-        rows.append((beta, min_value, argmin_r, n_max, budgets[argmin_r]))
+        # the minimizer is a point the refinement evaluated, so its legs are cached
+        rows.append((beta, min_value, argmin_r, n_max, cell(argmin_r, n_max)[1]))
     table = SweepTable(
         ["beta", "min_k_en", "argmin_r", "n_max", "truncation_budget"],
         np.array(rows),

@@ -497,6 +497,16 @@ class TestMcCrosscheck:
         assert table.meta["n_samples"] == "50000"
         np.testing.assert_allclose(table.column("empirical").sum(), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_a_theta_that_is_not_finite_exits_2_before_the_out_dir(self, tmp_path, capsys,
+                                                                 theta):
+        """Refused with the other settings, naming theta, before the output directory
+        is made."""
+        out = tmp_path / "out"
+        assert run_cli(["mc-crosscheck", "--seed", "7", "--theta", theta, "--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: theta: must be finite, got {theta}\n"
+        assert not out.exists()
+
     def test_seed_required(self, tmp_path, capsys):
         assert run_cli(["mc-crosscheck", "--out", tmp_path]) == 2
         assert "seed" in capsys.readouterr().err

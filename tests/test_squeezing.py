@@ -802,6 +802,23 @@ class TestOscillatorProtocol:
             squeeze_grid_sweep(1.0, [2.0, 0.0, 1.5], [0.0, 2.0], n_max=64)
         assert "beta=1.0, r1=2.0, r2=2.0, n_max=64" in str(excinfo.value)
 
+    @pytest.mark.parametrize("n_max", [-5, 0, 2.5, 9000])
+    @pytest.mark.parametrize("run", [
+        lambda n_max: oscillator_three_time(1.0, 0.1, 0.1, n_max=n_max),
+        lambda n_max: entropic_k3_oscillator(1.0, 0.1, 0.1, n_max=n_max),
+        lambda n_max: squeeze_grid_sweep(1.0, [0.0, 0.1], [0.1], n_max=n_max),
+    ], ids=["three_time", "point", "grid"])
+    def test_a_given_n_max_outside_1_to_the_cap_is_refused(self, monkeypatch, run, n_max):
+        """A given n_max that is not an integer in 1..N_MAX_CAP is refused, naming
+        n_max, before any build."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(squeezing, "_parity_columns", no_build)
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^n_max must be an integer in 1\.\.8192, got {n_max}$"):
+            run(n_max)
+
     def test_budget_reported_and_small(self):
         protocol = oscillator_three_time(0.5, 0.3, 0.3)
         assert 0 < protocol.truncation_budget < 1e-8
@@ -1081,12 +1098,41 @@ class TestOnePath:
             assert (value, budget) == oracle_entropic_k3_oscillator(
                 1.0, r1, r2, n_max=96, degeneracy=degeneracy, middle_entropy=middle)
 
-    @pytest.mark.parametrize("degeneracy", ["fine", "grouped"])
-    def test_beta_sweep_rows_equal_the_oracle_loop(self, degeneracy):
-        r_grid = np.geomspace(0.05, 0.4, 6)
-        table = beta_sweep_min_k([0.3, 1.0], r_grid=r_grid, degeneracy=degeneracy)
+    @pytest.mark.parametrize("degeneracy, betas, r_grid", [
+        pytest.param(degeneracy, betas, r_grid, id=degeneracy + suffix)
+        for betas, r_grid, suffix in (([0.3, 1.0], np.geomspace(0.05, 0.4, 6), ""),
+                                      ([0.1, 1.0], np.geomspace(0.004, 0.8, 20),
+                                       "-default-grid"))
+        for degeneracy in ("fine", "grouped")])
+    def test_beta_sweep_rows_equal_the_oracle_loop(self, degeneracy, betas, r_grid):
+        """The oracle loop stops its coarse scan on a rise of half the best value or a
+        return above zero after a negative best; on the default grid these rules walk
+        far past the dip, yet bracket it where the sweep does."""
+        table = beta_sweep_min_k(betas, r_grid=r_grid, degeneracy=degeneracy)
         assert np.array_equal(table.rows, oracle_beta_sweep_rows(
-            [0.3, 1.0], r_grid=r_grid, degeneracy=degeneracy))
+            betas, r_grid=r_grid, degeneracy=degeneracy))
+
+    def test_coarse_scan_stops_two_points_past_its_deepest_value(self, monkeypatch):
+        """Grouped, at beta 0.1 on the default grid, the scan evaluates 9 of the 20
+        points, the last two past its deepest value, and refines on the truncation of
+        the point after the deepest one."""
+        totals = []
+        select = squeezing.select_n_max
+
+        def recording(beta, r_total):
+            totals.append(r_total)
+            return select(beta, r_total)
+
+        monkeypatch.setattr(squeezing, "select_n_max", recording)
+        r_grid = np.geomspace(0.004, 0.8, 20)
+        beta_sweep_min_k([0.1], r_grid, degeneracy="grouped")
+        # one truncation per coarse point r + r, then one for the refinement
+        coarse = [r_total / 2.0 for r_total in totals[:-1]]
+        assert coarse == r_grid[:9].tolist()
+        monkeypatch.setattr(squeezing, "select_n_max", select)
+        values = [entropic_k3_oscillator(0.1, r, r, degeneracy="grouped")[0] for r in coarse]
+        assert int(np.argmin(values)) == len(coarse) - 3
+        assert totals[-1] == 2.0 * coarse[-2]
 
 
 @pytest.fixture
