@@ -5,7 +5,7 @@
 
 A profile hook records every function entered, on any thread, while the rows of
 scripts/smoke.py that need no process of their own (`Row.in_process`: every row
-but those that run a script or limit the address space) run through
+but those that limit the address space) run through
 `workreal.cli.main` and the benchmark's probes (`probes()` of perfbench/child.py)
 run.  Each `def` of src/workreal/*.py never entered and not wrapped by the
 benchmark's tracer (`LAYERS` of perfbench/tracer.py) is printed, and the script

@@ -3,11 +3,11 @@
 
     PYTHONPATH=src python scripts/smoke.py
 
-A row runs `python -m workreal.cli ARGV --out DIR`, or a script under scripts/,
-with its environment, CPU set and address-space limit.  It fails on another exit
-status than its own, a traceback or RuntimeWarning in stderr, no stderr line
-matching its pattern, a peak RSS (os.wait4) over its limit, a path it names
-existing afterwards, or a pair of variant runs whose CSV bytes differ.  Prints the
+A row runs `python -m workreal.cli ARGV --out DIR` with its environment, CPU set
+and address-space limit.  It fails on another exit status than its own, a
+traceback or RuntimeWarning in stderr, no stderr line matching its pattern, a
+peak RSS (os.wait4) over its limit, a path it names existing afterwards, or a
+pair of variant runs whose CSV bytes differ.  Prints the
 numpy, scipy and OpenBLAS fingerprint, one line per row, and every failed row.
 """
 
@@ -38,17 +38,16 @@ class Row:
     env: dict[str, str] = field(default_factory=dict)
     stderr: str | None = None  # a pattern some line of stderr must match
     absent: tuple[str, ...] = ()  # paths under the run's --out, "." the directory itself
-    script: str | None = None  # scripts/<script> ARGV in place of the CLI, with no --out
 
     @property
     def in_process(self) -> bool:
-        """Whether a call of `workreal.cli.main(argv)` runs the row: all but a script
-        and an address-space limit.  An environment, a CPU set, a variant or a peak
-        RSS bound changes no function the run enters."""
-        return not (self.script or self.as_kib)
+        """Whether a call of `workreal.cli.main(argv)` runs the row: all but one with
+        an address-space limit.  An environment, a CPU set, a variant or a peak RSS
+        bound changes no function the run enters."""
+        return not self.as_kib
 
     def label(self) -> str:
-        words = " ".join([self.script or "workreal", *self.argv])
+        words = " ".join(["workreal", *self.argv])
         return words.encode("unicode_escape").decode() + (f" [{self.same}]" if self.same else "")
 
 
@@ -70,7 +69,6 @@ def rows(tmp: Path) -> list[Row]:
         Row(("squeeze-beta", "--beta-grid", "0.5,1", *conventions), same="rerun"),
         Row(("jarzynski-check", "--seed", "1"), same="rerun"),
         Row(("mc-crosscheck", "--seed", "1")),
-        Row(("--seed", "1"), script="run_consistency_checks.py"),
         # refused before the run, most of them before the output directory is made
         Row(("squeeze-beta", "--beta", "0.3"), 2),
         Row(("squeeze-grid", "--grid-spec", "0:1e308:2"), 2, stderr="grid_spec"),
@@ -151,8 +149,7 @@ def check(row: Row, out: Path, program: tuple[str, ...] = ("-m", "workreal.cli")
 
         started = time.monotonic()
         child = subprocess.Popen(
-            [sys.executable, *([str(ROOT / "scripts" / row.script), *row.argv] if row.script
-                               else [*program, *row.argv, "--out", str(run_dir)])],
+            [sys.executable, *program, *row.argv, "--out", str(run_dir)],
             cwd=out.parent, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **row.env, **env},
             preexec_fn=limit if one_cpu or row.as_kib else None)

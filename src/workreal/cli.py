@@ -5,26 +5,22 @@ function of (config, seed) on the same machine.  Wall time and other run chatter
 go to stdout and a sidecar .log file so they never break byte-level
 reproducibility of the data.
 
-Every experiment takes `--config PATH` and `--out DIR`, plus its settings:
-
-    tls-theta        --beta --grid-spec --entropy-base
-    squeeze-grid     --beta --n-max --grid-spec --entropy-base --degeneracy --middle-entropy
-    squeeze-beta     --grid-spec --beta-grid --entropy-base --degeneracy --middle-entropy
-    jarzynski-check  --seed
-    mc-crosscheck    --beta --seed --theta --n-samples
-
-The config file holds `key = value` lines for `out_dir` and those settings; flags
-win.  Any other flag or key exits 2.  Exit codes: 0 success (all budgets met),
+Run policy lives here, in one table: each row of EXPERIMENTS holds an
+experiment's runner and each setting it reads with its default, in manifest
+order, and each row of SETTINGS a setting's type and check.  Every experiment
+takes `--config PATH` and `--out DIR`, plus a flag per setting of its row; the
+config file holds `key = value` lines for `out_dir` and those settings.  A run
+resolves every setting (defaults < config file < flags), checks it, and echoes
+it, resolved, in every manifest; `--help` prints each default from the same row.
+Any other flag or key exits 2.  Exit codes: 0 success (all budgets met),
 2 invalid configuration, or an output directory, table or run log that cannot
 be written ("config error: out_dir: ..."), 3 a budget or bound not met: a
 truncation budget, a Jarzynski row's bound, or an mc-crosscheck cell MC_Z_BOUND
 or more standard errors from its exact probability; 3 also when an allocation
 fails ("out of memory: ..." with numpy's bytes and shape).
 
-Run policy lives here: each experiment's defaults (the grids THETA_GRID,
-SQUEEZE_GRID, R_GRID and BETA_GRID among them) and the manifest's echo of the
-settings.  Every table leaves through `_write`.  The library computes every
-entropy and K_en in nats; under `--entropy-base 2`, `_write` divides the K_en
+Every table leaves through `_write`.  The library computes every entropy and
+K_en in nats; under `--entropy-base 2`, `_write` divides the K_en
 columns its runner names by log 2 before the table is written, and squeeze-grid
 draws its contours on the converted grid, so the contour levels are in the
 output unit.
@@ -36,8 +32,9 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,20 +59,6 @@ from .two_level import (
     tls_theta_sweep,
 )
 
-# each setting's type, and the values a convention setting allows
-SETTINGS = {
-    "beta": (float, None), "n_max": (int, None), "seed": (int, None),
-    "grid_spec": (str, None), "beta_grid": (str, None), "theta": (float, None),
-    "n_samples": (int, None), "entropy_base": (str, ("e", "2")),
-    "degeneracy": (str, ("fine", "grouped")),
-    "middle_entropy": (str, ("initial", "measured")),
-}
-# the grids swept where --grid-spec or --beta-grid is not given: tls-theta's angles,
-# squeeze-grid's r1 = r2 axis, and squeeze-beta's coarse r scan and betas
-THETA_GRID = "0:6.283185307179586:721"
-SQUEEZE_GRID = "0:0.1:101"
-R_GRID = "geom:0.004:0.8:20"
-BETA_GRID = "0.1,0.2,0.3,0.5,0.7,1,1.5,2,3,5,10"
 # K_en levels of the squeeze-grid contour files, in the output unit
 CONTOUR_LEVELS = (0.0, -0.05)
 # an mc-crosscheck cell this many standard errors sqrt(p (1 - p) / n) from its
@@ -83,68 +66,51 @@ CONTOUR_LEVELS = (0.0, -0.05)
 MC_Z_BOUND = 5.0
 
 
-@dataclass
-class SweepConfig:
-    experiment: str
-    out_dir: Path = Path(".")
-    beta: float | None = None
-    n_max: int | None = None
-    seed: int | None = None
-    grid_spec: str | None = None
-    beta_grid: str | None = None
-    theta: float | None = None
-    n_samples: int = 100000
-    entropy_base: str = "e"
-    degeneracy: str = "fine"
-    middle_entropy: str = "initial"
+class Setting(NamedTuple):
+    kind: type
+    check: Callable  # (value, experiment) -> what is wrong with the value, or None
+    choices: tuple[str, ...] | None = None
 
-    def validate(self) -> list[str]:
-        problems = []
-        if self.beta is not None and not (self.beta > 0 and math.isfinite(self.beta)):
-            problems.append(f"beta: must be positive and finite, got {self.beta}")
-        if self.theta is not None and not math.isfinite(self.theta):
-            problems.append(f"theta: must be finite, got {self.theta}")
-        if self.n_max is not None and not 1 <= self.n_max <= N_MAX_CAP:
-            problems.append(f"n_max: must be in 1..{N_MAX_CAP}, got {self.n_max}")
-        if self.seed is not None and self.seed < 0:
-            problems.append(f"seed: must be >= 0, got {self.seed}")
-        for name, (_, allowed) in SETTINGS.items():
-            value = getattr(self, name)
-            if allowed and value not in allowed:
-                problems.append(
-                    f"{name}: must be {' or '.join(map(repr, allowed))}, got {value!r}")
-        if self.n_samples < 1:
-            problems.append(f"n_samples: must be >= 1, got {self.n_samples}")
-        if self.experiment == "mc-crosscheck" and self.seed is None:
-            problems.append("seed: required whenever sampling is requested")
-        for name, parse in (("grid_spec", parse_grid_spec), ("beta_grid", parse_value_list)):
-            spec = getattr(self, name)
-            if spec is None:
-                continue
-            # parse_grid_spec strips a line break, but the manifest line would split
-            if "".join(spec.splitlines()) != spec:
-                problems.append(f"{name}: a line break in {spec!r} would split the "
-                                f"manifest line")
-                continue
-            try:
-                values = parse(spec)
-            except InvalidParameterError as err:
-                problems.append(f"{name}: {err}")
-                continue
-            if name == "beta_grid" and not np.all(values > 0):
-                problems.append(f"beta_grid: must be positive, got {spec!r}")
-            if name == "grid_spec" and self.experiment != "tls-theta":
-                # a squeeze run's largest total amplitude is r + r = 2 r at its largest r
-                if not math.isfinite(2.0 * float(values.max())):
-                    problems.append(f"grid_spec: the largest r + r is not finite, got {spec!r}")
-                if np.any(values < 0):
-                    problems.append(f"grid_spec: grids must be non-empty, finite, "
-                                    f"non-negative, got {spec!r}")
-                if self.experiment == "squeeze-beta" and (values.size < 2
-                                                          or np.any(np.diff(values) <= 0)):
-                    problems.append(f"grid_spec: r grid must be strictly increasing, with at "
-                                    f"least two points, got {spec!r}")
-        return problems
+
+def _must(ok, requirement: str, unset: str | None = None):
+    """The check of a setting whose value must pass `ok`: what is wrong with the
+    value, or None.  No value passes, unless `unset` says what is wrong with it."""
+    return lambda value, experiment: unset if value is None else (
+        None if ok(value) else f"must be {requirement}, got {value!r}")
+
+
+def _one_of(*choices: str) -> Setting:
+    return Setting(str, _must(lambda value: value in choices, " or ".join(map(repr, choices))),
+                   choices)
+
+
+def _spec_values(spec: str, parse) -> tuple[np.ndarray | None, str | None]:
+    """(values, None) of a grid setting, or (None, what is wrong with it)."""
+    if "".join(spec.splitlines()) != spec:
+        return None, f"a line break in {spec!r} would split the manifest line"
+    try:
+        return parse(spec), None
+    except InvalidParameterError as err:
+        return None, str(err)
+
+
+def _check_grid_spec(spec: str, experiment: str) -> str | None:
+    values, problem = _spec_values(spec, parse_grid_spec)
+    if problem or experiment == "tls-theta":
+        return problem
+    # a squeeze run's largest total amplitude is r + r = 2 r at its largest r
+    if not math.isfinite(2.0 * float(values.max())):
+        return f"the largest r + r is not finite, got {spec!r}"
+    if np.any(values < 0):
+        return f"grids must be non-empty, finite, non-negative, got {spec!r}"
+    if experiment == "squeeze-beta" and (values.size < 2 or np.any(np.diff(values) <= 0)):
+        return f"r grid must be strictly increasing, with at least two points, got {spec!r}"
+    return None
+
+
+def _check_beta_grid(spec: str, experiment: str) -> str | None:
+    values, problem = _spec_values(spec, parse_value_list)
+    return problem or (None if np.all(values > 0) else f"must be positive, got {spec!r}")
 
 
 def parse_grid_spec(spec: str) -> np.ndarray:
@@ -185,7 +151,7 @@ def load_config_file(path: Path, experiment: str) -> dict[str, object]:
     """Plain-text `key = value` pairs; '#' starts a comment.  The keys are
     `out_dir` and the settings the experiment reads."""
     kinds = {"out_dir": Path,
-             **{name: SETTINGS[name][0] for name in EXPERIMENTS[experiment][1]}}
+             **{name: SETTINGS[name].kind for name in EXPERIMENTS[experiment][1]}}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -216,49 +182,50 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=Path, default=None,
                        help="key = value config file; command-line flags win")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        for setting in settings:
-            kind, allowed = SETTINGS[setting]
-            p.add_argument("--" + setting.replace("_", "-"), type=kind, choices=allowed,
-                           default=None)
+        for setting, default in settings.items():
+            kind, check, choices = SETTINGS[setting]
+            p.add_argument("--" + setting.replace("_", "-"), type=kind, choices=choices,
+                           help=f"default: {default}" if default is not None
+                           else "required" if check(None, name) else "chosen by the run")
     return parser
 
 
-def build_config(args: argparse.Namespace) -> SweepConfig:
-    """The config file's values, overridden by the flags given."""
-    values = {} if args.config is None else load_config_file(args.config, args.experiment)
-    flags = {name: getattr(args, name) for name in EXPERIMENTS[args.experiment][1]}
-    flags["out_dir"] = args.out
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The output directory and each setting the experiment reads, resolved: its
+    default, overridden by the config file, overridden by the flags given."""
+    defaults = EXPERIMENTS[args.experiment][1]
+    values = {"out_dir": Path("."), **defaults}
+    if args.config is not None:
+        values.update(load_config_file(args.config, args.experiment))
+    flags = {"out_dir": args.out, **{name: getattr(args, name) for name in defaults}}
     values.update((name, value) for name, value in flags.items() if value is not None)
-    return SweepConfig(args.experiment, **values)
+    return argparse.Namespace(experiment=args.experiment, **values)
 
 
-def _write(config: SweepConfig, name: str, table: SweepTable, *k_en_columns: str) -> Path:
+def _write(config: argparse.Namespace, name: str, table: SweepTable, *k_en_columns: str) -> Path:
     """The one exit of every table.  Under `--entropy-base 2` the named K_en
     columns are divided by log 2, in place; the manifest starts with the library
-    version and the settings the experiment reads, so it never echoes a setting
-    that had no effect on the data, followed by the table's own meta."""
-    if config.entropy_base == "2":
+    version and each setting the experiment reads, resolved, in row order (an
+    n_max the run chose is the sweep's own meta), followed by the table's own meta."""
+    if k_en_columns and config.entropy_base == "2":
         for column in k_en_columns:
             table.rows[:, table.columns.index(column)] /= math.log(2)
-    meta = {"library": f"workreal {__version__}", "experiment": config.experiment}
-    for setting in EXPERIMENTS[config.experiment][1]:
-        if getattr(config, setting) is not None:
-            meta[setting] = getattr(config, setting)
-    table.meta = {**meta, **table.meta}
+    settings = {name: getattr(config, name) for name in EXPERIMENTS[config.experiment][1]}
+    table.meta = {"library": f"workreal {__version__}", "experiment": config.experiment,
+                  **{name: value for name, value in settings.items() if value is not None},
+                  **table.meta}
     write_table_csv(config.out_dir / name, table)
     return config.out_dir / name
 
 
-def _run_tls_theta(config: SweepConfig) -> tuple[list[Path], bool]:
-    table = tls_theta_sweep(config.beta if config.beta is not None else 1.0,
-                            parse_grid_spec(config.grid_spec or THETA_GRID))
+def _run_tls_theta(config: argparse.Namespace) -> tuple[list[Path], bool]:
+    table = tls_theta_sweep(config.beta, parse_grid_spec(config.grid_spec))
     return [_write(config, "tls_theta.csv", table, "k_en_fine", "k_en_grouped")], True
 
 
-def _run_squeeze_grid(config: SweepConfig) -> tuple[list[Path], bool]:
-    beta = config.beta if config.beta is not None else 0.1
-    grid = parse_grid_spec(config.grid_spec or SQUEEZE_GRID)
-    table = squeeze_grid_sweep(beta=beta, r1_grid=grid, r2_grid=grid,
+def _run_squeeze_grid(config: argparse.Namespace) -> tuple[list[Path], bool]:
+    grid = parse_grid_spec(config.grid_spec)
+    table = squeeze_grid_sweep(beta=config.beta, r1_grid=grid, r2_grid=grid,
                                n_max=config.n_max, degeneracy=config.degeneracy,
                                middle_entropy=config.middle_entropy)
     written = [_write(config, "squeeze_grid.csv", table, "k_en")]
@@ -270,17 +237,14 @@ def _run_squeeze_grid(config: SweepConfig) -> tuple[list[Path], bool]:
     return written, True
 
 
-def _run_squeeze_beta(config: SweepConfig) -> tuple[list[Path], bool]:
-    table = beta_sweep_min_k(parse_value_list(config.beta_grid or BETA_GRID),
-                             parse_grid_spec(config.grid_spec or R_GRID),
-                             degeneracy=config.degeneracy,
-                             middle_entropy=config.middle_entropy)
+def _run_squeeze_beta(config: argparse.Namespace) -> tuple[list[Path], bool]:
+    table = beta_sweep_min_k(parse_value_list(config.beta_grid), parse_grid_spec(config.grid_spec),
+                             degeneracy=config.degeneracy, middle_entropy=config.middle_entropy)
     return [_write(config, "squeeze_beta.csv", table, "min_k_en")], True
 
 
-def _run_jarzynski_check(config: SweepConfig) -> tuple[list[Path], bool]:
-    seed = config.seed if config.seed is not None else 20
-    rng = np.random.default_rng(seed)
+def _run_jarzynski_check(config: argparse.Namespace) -> tuple[list[Path], bool]:
+    rng = np.random.default_rng(config.seed)
     # two-level: 100 rows of random temperatures, angles and spectra (0, gap) at the
     # two measurement times, drawn row by row: log beta, the three angles, the gaps
     draws = rng.uniform([np.log(0.1), 0.0, 0.0, 0.0, 0.2, 0.2],
@@ -303,15 +267,13 @@ def _run_jarzynski_check(config: SweepConfig) -> tuple[list[Path], bool]:
     table = SweepTable(
         ["model", "beta", "parameter", "deviation", "bound", "within_bound"],
         np.vstack([two_level, oscillator]),
-        meta={"seed": seed, "model_codes": "0=two-level 1=oscillator"})
+        meta={"model_codes": "0=two-level 1=oscillator"})
     return [_write(config, "jarzynski_check.csv", table)], all_ok
 
 
-def _run_mc_crosscheck(config: SweepConfig) -> tuple[list[Path], bool]:
-    theta = config.theta if config.theta is not None else math.pi / 3.0
-    beta = config.beta if config.beta is not None else 1.0
-    u = tls_propagator(TlsAngles(theta))
-    rho0 = build_thermal_state(tls_spectrum(0), beta)
+def _run_mc_crosscheck(config: argparse.Namespace) -> tuple[list[Path], bool]:
+    u = tls_propagator(TlsAngles(config.theta))
+    rho0 = build_thermal_state(tls_spectrum(0), config.beta)
     exact = three_time_joint(rho0, u, u)
     empirical = sample_trajectories(rho0, u, u, config.n_samples, config.seed)
     pvalue = empirical_chi_squared_pvalue(empirical, config.n_samples, exact)
@@ -319,7 +281,7 @@ def _run_mc_crosscheck(config: SweepConfig) -> tuple[list[Path], bool]:
     rows = [(k2, k1, k0, empirical[k2, k1, k0], exact_probs[k2, k1, k0])
             for k2, k1, k0 in np.ndindex(2, 2, 2)]
     table = SweepTable(["k2", "k1", "k0", "empirical", "exact"], np.array(rows),
-                       meta={"theta": theta, "beta": beta, "chi_squared_pvalue": pvalue})
+                       meta={"chi_squared_pvalue": pvalue})
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(empirical - exact_probs) / np.sqrt(
             exact_probs * (1.0 - exact_probs) / config.n_samples)
@@ -332,20 +294,41 @@ def _run_mc_crosscheck(config: SweepConfig) -> tuple[list[Path], bool]:
     return [_write(config, "mc_crosscheck.csv", table)], bool(z[worst] < MC_Z_BOUND)
 
 
-# each experiment's runner and the settings it reads, in manifest order
+# each setting's type and check.  A default of None leaves the value to the run
+# (n_max), unless the check refuses no value (mc-crosscheck's seed).
+SETTINGS = {
+    "beta": Setting(float, _must(lambda beta: beta > 0 and math.isfinite(beta),
+                                 "positive and finite")),
+    "n_max": Setting(int, _must(lambda n_max: 1 <= n_max <= N_MAX_CAP, f"in 1..{N_MAX_CAP}")),
+    "seed": Setting(int, _must(lambda seed: seed >= 0, ">= 0",
+                               unset="required whenever sampling is requested")),
+    "grid_spec": Setting(str, _check_grid_spec),
+    "beta_grid": Setting(str, _check_beta_grid),
+    "theta": Setting(float, _must(math.isfinite, "finite")),
+    "n_samples": Setting(int, _must(lambda n: n >= 1, ">= 1")),
+    "entropy_base": _one_of("e", "2"),
+    "degeneracy": _one_of("fine", "grouped"),
+    "middle_entropy": _one_of("initial", "measured"),
+}
+CONVENTIONS = {"entropy_base": "e", "degeneracy": "fine", "middle_entropy": "initial"}
+# each experiment's runner, and each setting it reads with its default, in manifest order
 EXPERIMENTS = {
-    "tls-theta": (_run_tls_theta, ("beta", "grid_spec", "entropy_base")),
-    "squeeze-grid": (_run_squeeze_grid, ("beta", "n_max", "grid_spec", "entropy_base",
-                                          "degeneracy", "middle_entropy")),
-    "squeeze-beta": (_run_squeeze_beta, ("grid_spec", "beta_grid", "entropy_base",
-                                          "degeneracy", "middle_entropy")),
-    "jarzynski-check": (_run_jarzynski_check, ("seed",)),
-    "mc-crosscheck": (_run_mc_crosscheck, ("beta", "seed", "theta", "n_samples")),
+    "tls-theta": (_run_tls_theta, {"beta": 1.0, "grid_spec": "0:6.283185307179586:721",
+                                   "entropy_base": "e"}),
+    "squeeze-grid": (_run_squeeze_grid, {"beta": 0.1, "n_max": None, "grid_spec": "0:0.1:101",
+                                         **CONVENTIONS}),
+    "squeeze-beta": (_run_squeeze_beta, {"grid_spec": "geom:0.004:0.8:20",
+                                         "beta_grid": "0.1,0.2,0.3,0.5,0.7,1,1.5,2,3,5,10",
+                                         **CONVENTIONS}),
+    "jarzynski-check": (_run_jarzynski_check, {"seed": 20}),
+    "mc-crosscheck": (_run_mc_crosscheck, {"beta": 1.0, "seed": None, "theta": math.pi / 3,
+                                           "n_samples": 100000}),
 }
 
 
-def run(config: SweepConfig) -> int:
-    problems = config.validate()
+def run(config: argparse.Namespace) -> int:
+    problems = [f"{name}: {problem}" for name in EXPERIMENTS[config.experiment][1]
+                if (problem := SETTINGS[name].check(getattr(config, name), config.experiment))]
     if problems:
         for problem in problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -237,11 +237,16 @@ def _parity_columns(r: float, size: int, n_cols: int, p: int, rows: tuple[int, i
     return out
 
 
+def _check_n_max(n_max: int) -> None:
+    """Raises InvalidParameterError unless `n_max` is an integer in 1..N_MAX_CAP."""
+    if not (isinstance(n_max, (int, np.integer)) and 1 <= n_max <= N_MAX_CAP):
+        raise InvalidParameterError(f"n_max must be an integer in 1..{N_MAX_CAP}, got {n_max}")
+
+
 def _validate_squeeze_args(r: float, n_max: int) -> None:
     if not (math.isfinite(r) and r >= 0.0):
         raise InvalidParameterError(f"squeeze amplitude must be >= 0, got {r}")
-    if n_max < 1:
-        raise InvalidParameterError("n_max must be at least 1")
+    _check_n_max(n_max)
 
 
 def squeeze_matrix_closed_form(r: float, n_max: int) -> SqueezeMatrix:
@@ -404,8 +409,7 @@ def _checked_n_max(beta: float, r1: float, r2: float, n_max: int | None) -> int:
             raise InvalidParameterError(f"{name} must be >= 0, got {r}")
     if n_max is None:
         return select_n_max(beta, r1 + r2)
-    if not (isinstance(n_max, (int, np.integer)) and 1 <= n_max <= N_MAX_CAP):
-        raise InvalidParameterError(f"n_max must be an integer in 1..{N_MAX_CAP}, got {n_max}")
+    _check_n_max(n_max)
     _refuse_hopeless(beta, float(r1) + float(r2), f"r1={r1}, r2={r2}, n_max={n_max}")
     return n_max
 
@@ -635,7 +639,7 @@ def squeeze_grid_sweep(beta: float, r1_grid: np.ndarray, r2_grid: np.ndarray,
             rows[i * r2_grid.size + j] = (r1, r2, value, budget)
     return SweepTable(
         ["r1", "r2", "k_en", "truncation_budget"], rows,
-        meta={"beta": beta, "n_max": n_max, "thermal_tail": legs.tail,
+        meta={"n_max": n_max, "thermal_tail": legs.tail,
               "worst_truncation_budget": worst_budget},
     )
 

@@ -170,7 +170,7 @@ def tls_theta_sweep(beta: float, theta_grid: np.ndarray) -> SweepTable:
         values[f"k_en_{view}"] = k3_entropic(h_w21, h_w10, h_w20, h_e1)
     columns = ["theta", "k_cor", "k_cor_flipped", "k_en_fine", "k_en_grouped"]
     rows = np.column_stack([theta_grid] + [values[name] for name in columns[1:]])
-    return SweepTable(columns, rows, meta={"beta": beta, "theta_points": theta_grid.size})
+    return SweepTable(columns, rows, meta={"theta_points": theta_grid.size})
 
 
 def tls_jarzynski_deviations(beta, theta, alpha, beta_angle, gap0, gap1) -> np.ndarray:

@@ -1,6 +1,7 @@
 import argparse
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -133,16 +134,19 @@ def test_each_experiment_takes_exactly_its_settings():
         assert dests == {"config", "out", *EXPERIMENTS[name][1]}, name
 
 
-def test_consistency_script_runs_both_checks(tmp_path):
-    import workreal
-    src = Path(workreal.__file__).resolve().parents[1]
-    script = src.parent / "scripts" / "run_consistency_checks.py"
-    result = subprocess.run([sys.executable, str(script), "--seed", "3"], cwd=tmp_path,
-                            capture_output=True, text=True, timeout=300,
-                            env={**os.environ, "PYTHONPATH": str(src)})
-    assert result.returncode == 0, result.stderr
-    assert (tmp_path / "results" / "jarzynski" / "jarzynski_check.csv").is_file()
-    assert (tmp_path / "results" / "mc" / "mc_crosscheck.csv").is_file()
+def test_help_names_each_default(capsys):
+    """Each setting's --help line gives the default of its experiment's row; n_max
+    is chosen by the run, and mc-crosscheck's seed is required."""
+    for experiment, (_, defaults) in EXPERIMENTS.items():
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli([experiment, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for name, default in defaults.items():
+            words = (f"default: {default}" if default is not None
+                     else "required" if name == "seed" else "chosen by the run")
+            flag = "--" + name.replace("_", "-")
+            assert re.search(rf"{flag} \S+ {re.escape(words)}", text), (experiment, name)
 
 
 def test_cli_import_leaves_scipy_stats_out():
@@ -647,11 +651,16 @@ class TestConfigFile:
         ("squeeze-grid", "n_max", "8193"), ("squeeze-grid", "n_max", "0"),
         ("squeeze-beta", "beta_grid", "0.1,0.2,0.3,0"),
         ("squeeze-beta", "beta_grid", "0.5,-1"),
+        ("mc-crosscheck", "n_samples", "0"),
+        *((experiment, "beta", beta) for experiment in ("tls-theta", "squeeze-grid",
+                                                        "mc-crosscheck")
+          for beta in ("0", "nan", "inf")),
     ])
     def test_out_of_range_settings_exit_2(self, tmp_path, capsys, experiment, name, value):
-        """A negative seed, an n_max outside 1..N_MAX_CAP and a beta grid with a
-        non-positive entry are refused before any run starts, as a flag and as a
-        config key; nothing is sampled, allocated or computed."""
+        """A negative seed, an n_max outside 1..N_MAX_CAP, a beta grid with a
+        non-positive entry, a sample count below 1 and a beta that is not positive
+        and finite are refused before the output directory is made, as a flag and as
+        a config key; nothing is sampled, allocated or computed."""
         flag = f"--{name.replace('_', '-')}={value}"
         assert run_cli([experiment, "--out", tmp_path / "flag", flag]) == 2
         assert f"{name}: must be" in capsys.readouterr().err
@@ -659,7 +668,24 @@ class TestConfigFile:
         config.write_text(f"{name} = {value}\n", encoding="utf-8")
         assert run_cli([experiment, "--config", config, "--out", tmp_path / "cfg"]) == 2
         assert f"{name}: must be" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("*.csv"))
+        assert not (tmp_path / "flag").exists() and not (tmp_path / "cfg").exists()
+
+    @pytest.mark.parametrize("name, value", [
+        ("entropy_base", "10"), ("degeneracy", "coarse"), ("middle_entropy", "final")])
+    def test_a_convention_outside_its_choices_exits_2(self, tmp_path, capsys, name, value):
+        """As a flag the parser refuses it; as a config key the run refuses it,
+        naming the choices, before the output directory is made."""
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["squeeze-grid", "--out", tmp_path / "flag",
+                     f"--{name.replace('_', '-')}={value}"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{name} = {value}\n", encoding="utf-8")
+        assert run_cli(["squeeze-grid", "--config", config, "--out", tmp_path / "cfg"]) == 2
+        assert re.match(rf"config error: {name}: must be '\w+' or '\w+', got '{value}'\n$",
+                        capsys.readouterr().err)
+        assert not (tmp_path / "flag").exists() and not (tmp_path / "cfg").exists()
 
 
 @pytest.mark.parametrize("args, code, message", [
@@ -704,16 +730,42 @@ def test_sweeps_leave_the_entropy_base_to_the_manifest():
 
 
 def test_default_grids_parse_to_the_former_arrays():
-    """The specs a run falls back to give, bit for bit, the arrays the library
-    sweeps used to default to."""
-    from workreal.cli import BETA_GRID, R_GRID, SQUEEZE_GRID, THETA_GRID
+    """The specs a run falls back to, read from the experiments' rows, give bit for
+    bit the arrays the library sweeps used to default to."""
+    defaults = {name: row[1] for name, row in EXPERIMENTS.items()}
     for spec, parse, former in (
-            (THETA_GRID, parse_grid_spec, np.linspace(0.0, 2 * math.pi, 721)),
-            (SQUEEZE_GRID, parse_grid_spec, np.linspace(0.0, 0.1, 101)),
-            (R_GRID, parse_grid_spec, np.geomspace(0.004, 0.8, 20)),
-            (BETA_GRID, parse_value_list,
+            (defaults["tls-theta"]["grid_spec"], parse_grid_spec,
+             np.linspace(0.0, 2 * math.pi, 721)),
+            (defaults["squeeze-grid"]["grid_spec"], parse_grid_spec, np.linspace(0.0, 0.1, 101)),
+            (defaults["squeeze-beta"]["grid_spec"], parse_grid_spec,
+             np.geomspace(0.004, 0.8, 20)),
+            (defaults["squeeze-beta"]["beta_grid"], parse_value_list,
              np.array([0.1, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0]))):
         assert parse(spec).tobytes() == former.tobytes(), spec
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_a_default_run_names_every_setting_and_reruns_from_them(tmp_path, experiment):
+    """A default run (mc-crosscheck given only its seed) names every setting of
+    its row in every manifest, resolved and in row order after the library and
+    experiment lines; those lines, as a config file with no flags, write the same
+    bytes.  An n_max the run chose is the sweep's own meta line."""
+    given = {"seed": 20} if experiment == "mc-crosscheck" else {}
+    assert run_cli([experiment, *(f"--{name}={value}" for name, value in given.items()),
+                    "--out", tmp_path / "default"]) == 0
+    resolved = {**EXPERIMENTS[experiment][1], **given}
+    lines = [f"# {name} = " + (FLOAT_FORMAT % value if isinstance(value, float) else str(value))
+             for name, value in resolved.items() if value is not None]
+    written = sorted((tmp_path / "default").glob("*.csv"))
+    for csv in written:
+        assert _csv_parts(csv)[0][2:2 + len(lines)] == lines, csv.name
+    if "n_max" in resolved:
+        assert "n_max" in read_table_csv(tmp_path / "default" / "squeeze_grid.csv").meta
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(line[2:] + "\n" for line in lines), encoding="utf-8")
+    assert run_cli([experiment, "--config", config, "--out", tmp_path / "config"]) == 0
+    for csv in written:
+        assert (tmp_path / "config" / csv.name).read_bytes() == csv.read_bytes(), csv.name
 
 
 def _csv_parts(path):

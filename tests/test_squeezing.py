@@ -807,7 +807,8 @@ class TestOscillatorProtocol:
         lambda n_max: oscillator_three_time(1.0, 0.1, 0.1, n_max=n_max),
         lambda n_max: entropic_k3_oscillator(1.0, 0.1, 0.1, n_max=n_max),
         lambda n_max: squeeze_grid_sweep(1.0, [0.0, 0.1], [0.1], n_max=n_max),
-    ], ids=["three_time", "point", "grid"])
+        lambda n_max: squeeze_matrix_closed_form(0.1, n_max),
+    ], ids=["three_time", "point", "grid", "closed_form"])
     def test_a_given_n_max_outside_1_to_the_cap_is_refused(self, monkeypatch, run, n_max):
         """A given n_max that is not an integer in 1..N_MAX_CAP is refused, naming
         n_max, before any build."""

@@ -33,11 +33,11 @@ def test_the_scan_names_exactly_the_never_called_function(tmp_path):
 
 
 def test_the_scan_runs_every_row_a_main_call_can_run(tmp_path):
-    """Only a row that runs a script or limits the address space needs a process
-    of its own; a row with an environment, a CPU or thread variant or a peak RSS
-    bound is in the scan's plan (`Row.in_process`) too."""
+    """Only a row that limits the address space needs a process of its own; a row
+    with an environment, a CPU or thread variant or a peak RSS bound is in the
+    scan's plan (`Row.in_process`) too."""
     smoke = load_module(SMOKE, "smoke")
     table = smoke.rows(tmp_path)
     plan = [row for row in table if row.in_process]
-    assert plan == [row for row in table if not (row.script or row.as_kib)]
+    assert plan == [row for row in table if not row.as_kib]
     assert any(row.rss_mib for row in plan) and any(row.same == "threads" for row in plan)
